@@ -1345,31 +1345,34 @@ let open_loop_section ~quick =
       w.Workload.objects;
     let config =
       {
-        Sharded_driver.default_open_config with
-        rate;
-        o_duration = duration;
-        o_seed = 5;
+        Sharded_driver.default_config with
+        arrivals = Poisson rate;
+        duration;
+        seed = 5;
       }
     in
-    let o, run_wall = wall_ms (fun () -> Sharded_driver.run_open ~config group w) in
-    let lat p = Obs.Metrics.Histogram.percentile o.Sharded_driver.latency p in
+    let o, run_wall = wall_ms (fun () -> Sharded_driver.run ~config group w) in
+    let latency = Sharded_driver.latency o in
+    let lat p = Obs.Metrics.Histogram.percentile latency p in
     J.Obj
       [
         ("rate_per_1000", J.Num (rate *. 1000.));
-        ("arrivals", J.Num (float_of_int o.Sharded_driver.arrivals));
-        ("committed", J.Num (float_of_int o.Sharded_driver.o_committed));
+        ("arrivals", J.Num (float_of_int o.Sharded_driver.started));
+        ("committed", J.Num (float_of_int o.Sharded_driver.committed));
         ( "committed_multi",
-          J.Num (float_of_int o.Sharded_driver.o_committed_multi) );
-        ("aborted", J.Num (float_of_int o.Sharded_driver.o_aborted));
-        ("in_doubt", J.Num (float_of_int o.Sharded_driver.o_in_doubt));
+          J.Num (float_of_int o.Sharded_driver.committed_multi) );
+        ( "aborted",
+          J.Num (float_of_int (o.Sharded_driver.gave_up + o.Sharded_driver.in_doubt))
+        );
+        ("in_doubt", J.Num (float_of_int o.Sharded_driver.in_doubt));
         ( "throughput_per_1000_ticks",
           J.Num
             (1000.
-            *. float_of_int o.Sharded_driver.o_committed
-            /. float_of_int o.Sharded_driver.o_ticks) );
+            *. float_of_int o.Sharded_driver.committed
+            /. float_of_int o.Sharded_driver.ticks) );
         ("latency_p50", J.Num (lat 50.));
         ("latency_p99", J.Num (lat 99.));
-        ("latency_mean", J.Num (Obs.Metrics.Histogram.mean o.Sharded_driver.latency));
+        ("latency_mean", J.Num (Obs.Metrics.Histogram.mean latency));
         ("windows", J.Num (float_of_int (List.length o.Sharded_driver.windows)));
         ("run_wall_ms", J.Num run_wall);
       ]
@@ -1385,8 +1388,8 @@ let open_loop_section ~quick =
 (* Wall-clock multicore scaling curve: the batched banking workload at
    domains 1/2/4/8 over an 8-shard group with group commit on and a
    1ms simulated device sync.  Unlike every other section this one
-   measures REAL time (Unix.gettimeofday, not Sys.time — the sync is a
-   sleep, which CPU time would not see).  The committed history is
+   measures REAL time (the driver's monotonic clock, not Sys.time — the
+   sync is a sleep, which CPU time would not see).  The committed history is
    domain-count independent (the per-shard batch order is), so the
    curve isolates pure wall-clock effects.
 
@@ -1427,11 +1430,9 @@ let multicore_section ~quick =
               Op_locking.rw log id (module Bank_account)))
         (Workload.account_ids accounts);
       let config =
-        { Mcore_driver.default_config with jobs; inflight; seed = 11 }
+        { Sharded_driver.default_config with jobs; inflight; seed = 11 }
       in
-      let o =
-        Mcore_driver.run ~config ~now:Unix.gettimeofday group workload
-      in
+      let o = Sharded_driver.run_rounds ~config group workload in
       let mailbox_max =
         List.fold_left
           (fun acc s -> max acc (Shard_group.mailbox_max_depth group s))
@@ -1445,19 +1446,21 @@ let multicore_section ~quick =
     for _ = 2 to reps do
       let ((o, _, _) as r) = run () in
       let b, _, _ = !best in
-      if o.Mcore_driver.elapsed < b.Mcore_driver.elapsed then best := r
+      if o.Sharded_driver.elapsed < b.Sharded_driver.elapsed then best := r
     done;
     let o, metrics, mailbox_max = !best in
     let batch = Obs.Shard_metrics.group_commit_batch metrics in
-    ( o.Mcore_driver.elapsed,
+    let elapsed = o.Sharded_driver.elapsed in
+    ( elapsed,
       [
         ("domains", J.Num (float_of_int domains));
-        ("committed", J.Num (float_of_int o.Mcore_driver.committed));
-        ("committed_multi", J.Num (float_of_int o.Mcore_driver.committed_multi));
-        ("rounds", J.Num (float_of_int o.Mcore_driver.rounds));
-        ("waits", J.Num (float_of_int o.Mcore_driver.waits));
-        ("elapsed_s", J.Num o.Mcore_driver.elapsed);
-        ("throughput_txn_s", J.Num o.Mcore_driver.throughput);
+        ("committed", J.Num (float_of_int o.Sharded_driver.committed));
+        ("committed_multi", J.Num (float_of_int o.Sharded_driver.committed_multi));
+        ("rounds", J.Num (float_of_int o.Sharded_driver.ticks));
+        ("waits", J.Num (float_of_int o.Sharded_driver.waits));
+        ("elapsed_s", J.Num elapsed);
+        ( "throughput_txn_s",
+          J.Num (float_of_int o.Sharded_driver.committed /. elapsed) );
         ("syncs_per_commit", J.Num (Obs.Shard_metrics.syncs_per_commit metrics));
         ("batch_mean", J.Num (Obs.Metrics.Histogram.mean batch));
         ("batch_p95", J.Num (Obs.Metrics.Histogram.percentile batch 95.));
@@ -1514,7 +1517,7 @@ let recovery_section ~quick =
   List.iter
     (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)
     w.Workload.objects;
-  let config = { Sharded_driver.default_config with clients = 4; duration; seed = 9 } in
+  let config = { Sharded_driver.default_config with arrivals = Clients 4; duration; seed = 9 } in
   ignore (Sharded_driver.run ~config group w);
   let victim = 1 in
   let segments = Shard_group.archived_segments group victim in
@@ -1536,11 +1539,7 @@ let recovery_section ~quick =
       w.Workload.objects;
     sys
   in
-  let order =
-    match proto.Fault_harness.policy with
-    | `None_ -> Recovery.Commit_order
-    | _ -> Recovery.Timestamp_order
-  in
+  let order = Recovery.order_of_policy proto.Fault_harness.policy in
   let ckpt_report, ckpt_wall =
     wall_ms (fun () ->
         match
@@ -1635,7 +1634,7 @@ let replication_section ~quick =
     r
   in
   let config =
-    { Sharded_driver.default_config with clients = 4; duration; seed = 11 }
+    { Sharded_driver.default_config with arrivals = Clients 4; duration; seed = 11 }
   in
   ignore (Sharded_driver.run ~config ~on_commit group w);
   Replica_tier.sync tier;

@@ -97,6 +97,25 @@ let check_cmd file spec_bindings mode_name =
 (* weihl sim                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Write [contents] and a final newline to [path].  A path that cannot
+   be written ends the run with a one-line error and exit code 1. *)
+let write_file path contents =
+  try
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc contents;
+        output_string oc "\n")
+  with Sys_error reason ->
+    (* [reason] usually repeats the path: "PATH: No such file ..." *)
+    let prefix = path ^ ": " in
+    let reason =
+      if String.starts_with ~prefix reason then
+        String.sub reason (String.length prefix)
+          (String.length reason - String.length prefix)
+      else reason
+    in
+    Fmt.epr "weihl: cannot write %s: %s@." path reason;
+    exit 1
+
 let sim_cmd protocol workload clients duration seed dump trace metrics =
   let mk_account_obj sys id =
     let log = System.log sys in
@@ -196,19 +215,13 @@ let sim_cmd protocol workload clients duration seed dump trace metrics =
   | _ -> ());
   (match (recorder, trace) with
   | Some r, Some path ->
-    let oc = open_out path in
-    output_string oc (Obs.Recorder.export_trace r);
-    output_string oc "\n";
-    close_out oc;
+    write_file path (Obs.Recorder.export_trace r);
     Fmt.pr "trace written to %s (open in ui.perfetto.dev or chrome://tracing)@."
       path
   | _ -> ());
   (match dump with
   | Some path ->
-    let oc = open_out path in
-    output_string oc (Notation.history_to_string (System.history sys));
-    output_string oc "\n";
-    close_out oc;
+    write_file path (Notation.history_to_string (System.history sys));
     Fmt.pr "history written to %s@." path
   | None -> ());
   0
@@ -423,10 +436,7 @@ let tpc_cmd participants crash no_voter seed metrics =
 (* ------------------------------------------------------------------ *)
 
 let write_json path json =
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
+  write_file path (Obs.Json.to_string json);
   Fmt.pr "report written to %s@." path
 
 (* The long-soak mode: one checkpointing shard group lives through
@@ -723,27 +733,6 @@ let shard_metrics_fields sm =
           ] );
     ]
 
-let shard_outcome_to_json ?(extra = []) shards (o : Sharded_driver.outcome) =
-  let num n = Obs.Json.Num (float_of_int n) in
-  Obs.Json.Obj
-    ([
-       ("shards", num shards);
-       ("committed", num o.Sharded_driver.committed);
-       ("committed_multi", num o.Sharded_driver.committed_multi);
-       ("committed_single", num o.Sharded_driver.committed_single);
-       ("committed_read_only", num o.Sharded_driver.committed_read_only);
-       ("aborted_deadlock", num o.Sharded_driver.aborted_deadlock);
-       ("aborted_refused", num o.Sharded_driver.aborted_refused);
-       ("aborted_tpc", num o.Sharded_driver.aborted_tpc);
-       ("aborted_starved", num o.Sharded_driver.aborted_starved);
-       ("left_in_doubt", num o.Sharded_driver.left_in_doubt);
-       ("multi_attempts", num o.Sharded_driver.multi_attempts);
-       ("waits", num o.Sharded_driver.waits);
-       ("restarts", num o.Sharded_driver.restarts);
-       ("ticks", num o.Sharded_driver.ticks);
-     ]
-    @ extra)
-
 let window_to_json (w : Sharded_driver.window) =
   let num n = Obs.Json.Num (float_of_int n) in
   Obs.Json.Obj
@@ -756,30 +745,42 @@ let window_to_json (w : Sharded_driver.window) =
       ("p99", Obs.Json.Num w.Sharded_driver.w_p99);
     ]
 
-let open_outcome_to_json ?(extra = []) shards
-    (o : Sharded_driver.open_outcome) =
+(* Every driver run, closed, open or round loop, renders the same way.
+   Throughput comes twice: per 1000 virtual ticks (or rounds) —
+   deterministic — and per wall-clock second. *)
+let outcome_to_json ?(extra = []) shards (o : Sharded_driver.outcome) =
   let num n = Obs.Json.Num (float_of_int n) in
+  let per_second =
+    if o.Sharded_driver.elapsed > 0. then
+      float_of_int o.Sharded_driver.committed /. o.Sharded_driver.elapsed
+    else 0.
+  in
   Obs.Json.Obj
     ([
        ("shards", num shards);
-       ("offered_per_1000", Obs.Json.Num o.Sharded_driver.offered);
-       ("arrivals", num o.Sharded_driver.arrivals);
-       ("committed", num o.Sharded_driver.o_committed);
-       ("committed_multi", num o.Sharded_driver.o_committed_multi);
-       ("aborted", num o.Sharded_driver.o_aborted);
-       ( "abort_causes",
-         Obs.Json.Obj
-           (List.map (fun (k, v) -> (k, num v)) o.Sharded_driver.abort_causes)
-       );
-       ("in_doubt", num o.Sharded_driver.o_in_doubt);
-       ("in_flight_end", num o.Sharded_driver.in_flight_end);
-       ("ticks", num o.Sharded_driver.o_ticks);
+       ("started", num o.Sharded_driver.started);
+       ("committed", num o.Sharded_driver.committed);
+       ("committed_read_only", num o.Sharded_driver.committed_read_only);
+       ("committed_multi", num o.Sharded_driver.committed_multi);
+       ("aborted_deadlock", num o.Sharded_driver.aborted_deadlock);
+       ("aborted_refused", num o.Sharded_driver.aborted_refused);
+       ("aborted_starved", num o.Sharded_driver.aborted_starved);
+       ("aborted_tpc", num o.Sharded_driver.aborted_tpc);
+       ("gave_up", num o.Sharded_driver.gave_up);
+       ("in_doubt", num o.Sharded_driver.in_doubt);
+       ("in_flight", num (Sharded_driver.in_flight o));
+       ("waits", num o.Sharded_driver.waits);
+       ("restarts", num o.Sharded_driver.restarts);
+       ("ticks", num o.Sharded_driver.ticks);
        ( "throughput_per_1000",
          Obs.Json.Num
            (1000.
-           *. float_of_int o.Sharded_driver.o_committed
-           /. float_of_int o.Sharded_driver.o_ticks) );
-       ("latency", Obs.Metrics.Histogram.to_json o.Sharded_driver.latency);
+           *. float_of_int o.Sharded_driver.committed
+           /. float_of_int (max 1 o.Sharded_driver.ticks)) );
+       ("elapsed_s", Obs.Json.Num o.Sharded_driver.elapsed);
+       ("throughput_txn_s", Obs.Json.Num per_second);
+       ( "latency",
+         Obs.Metrics.Histogram.to_json (Sharded_driver.latency o) );
        ( "shard_latency",
          Obs.Json.List
            (Array.to_list
@@ -787,28 +788,6 @@ let open_outcome_to_json ?(extra = []) shards
                  o.Sharded_driver.shard_latency)) );
        ( "windows",
          Obs.Json.List (List.map window_to_json o.Sharded_driver.windows) );
-     ]
-    @ extra)
-
-let mcore_outcome_to_json ?(extra = []) ~domains shards
-    (o : Mcore_driver.outcome) =
-  let num n = Obs.Json.Num (float_of_int n) in
-  Obs.Json.Obj
-    ([
-       ("shards", num shards);
-       ("domains", num domains);
-       ("committed", num o.Mcore_driver.committed);
-       ("committed_multi", num o.Mcore_driver.committed_multi);
-       ("aborted_deadlock", num o.Mcore_driver.aborted_deadlock);
-       ("aborted_starved", num o.Mcore_driver.aborted_starved);
-       ("aborted_refused", num o.Mcore_driver.aborted_refused);
-       ("aborted_lost", num o.Mcore_driver.aborted_lost);
-       ("gave_up", num o.Mcore_driver.gave_up);
-       ("waits", num o.Mcore_driver.waits);
-       ("restarts", num o.Mcore_driver.restarts);
-       ("rounds", num o.Mcore_driver.rounds);
-       ("elapsed_s", Obs.Json.Num o.Mcore_driver.elapsed);
-       ("throughput_txn_s", Obs.Json.Num o.Mcore_driver.throughput);
      ]
     @ extra)
 
@@ -912,10 +891,7 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
       match trace with
       | None -> ()
       | Some path ->
-        let oc = open_out path in
-        output_string oc (Obs.Shard_trace.export st);
-        output_string oc "\n";
-        close_out oc;
+        write_file path (Obs.Shard_trace.export st);
         Fmt.pr
           "trace written to %s (weihl trace analyze %s; or load in \
            ui.perfetto.dev)@."
@@ -937,9 +913,11 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
           ~with_metrics:(metrics || Option.is_some json)
           ()
       in
-      let config = { Mcore_driver.default_config with jobs; inflight; seed } in
-      let o = Mcore_driver.run ~config ~now:Unix.gettimeofday group w in
-      Fmt.pr "%a@." Mcore_driver.pp o;
+      let config =
+        { Sharded_driver.default_config with jobs; inflight; window; seed }
+      in
+      let o = Sharded_driver.run_rounds ~config group w in
+      Fmt.pr "%a@." Sharded_driver.pp o;
       Fmt.pr "domains: %d over %d shards, sync cost %dus@."
         (Shard_group.domain_count group)
         shards sync_us;
@@ -947,9 +925,8 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
       (match json with
       | Some path ->
         write_json path
-          (mcore_outcome_to_json
-             ~extra:(shard_metrics_fields sm)
-             ~domains:(Shard_group.domain_count group)
+          (outcome_to_json
+             ~extra:(domains_field group :: shard_metrics_fields sm)
              shards o)
       | None -> ());
       let rc = if Shard_group.in_doubt_count group = 0 then 0 else 1 in
@@ -959,13 +936,14 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
     else if open_loop then begin
       let cfg rate =
         {
-          Sharded_driver.default_open_config with
-          rate;
-          o_duration = duration;
+          Sharded_driver.default_config with
+          arrivals = Poisson rate;
+          duration;
           window;
-          o_seed = seed;
+          seed;
         }
       in
+      let offered rate = ("offered_per_1000", Obs.Json.Num (rate *. 1000.)) in
       if sweep <> [] then begin
         (* Rate sweep: a fresh group per offered load, same seed and
            workload, so the knee curve is deterministic per seed. *)
@@ -973,7 +951,7 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
           List.map
             (fun r ->
               let group, _ = mk_group ~with_metrics:false () in
-              let o = Sharded_driver.run_open ~config:(cfg r) group w in
+              let o = Sharded_driver.run ~config:(cfg r) group w in
               Shard_group.shutdown group;
               (r, o))
             sweep
@@ -982,23 +960,24 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
         Fmt.pr "%10s %9s %9s %10s %8s %8s %8s@." "rate/1kt" "arrivals"
           "commit" "thru/1kt" "p50" "p99" "abort%";
         List.iter
-          (fun (r, (o : Sharded_driver.open_outcome)) ->
+          (fun (r, (o : Sharded_driver.outcome)) ->
             let thru =
               1000.
-              *. float_of_int o.Sharded_driver.o_committed
-              /. float_of_int o.Sharded_driver.o_ticks
+              *. float_of_int o.Sharded_driver.committed
+              /. float_of_int o.Sharded_driver.ticks
             in
             let ab =
-              if o.Sharded_driver.arrivals = 0 then 0.
+              if o.Sharded_driver.started = 0 then 0.
               else
                 100.
-                *. float_of_int o.Sharded_driver.o_aborted
-                /. float_of_int o.Sharded_driver.arrivals
+                *. float_of_int (o.Sharded_driver.gave_up + o.Sharded_driver.in_doubt)
+                /. float_of_int o.Sharded_driver.started
             in
+            let latency = Sharded_driver.latency o in
             Fmt.pr "%10.1f %9d %9d %10.1f %8.1f %8.1f %7.1f%%@." (r *. 1000.)
-              o.Sharded_driver.arrivals o.Sharded_driver.o_committed thru
-              (Obs.Metrics.Histogram.percentile o.Sharded_driver.latency 50.)
-              (Obs.Metrics.Histogram.percentile o.Sharded_driver.latency 99.)
+              o.Sharded_driver.started o.Sharded_driver.committed thru
+              (Obs.Metrics.Histogram.percentile latency 50.)
+              (Obs.Metrics.Histogram.percentile latency 99.)
               ab)
           curve;
         (match json with
@@ -1009,7 +988,8 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
                  ( "sweep",
                    Obs.Json.List
                      (List.map
-                        (fun (_, o) -> open_outcome_to_json shards o)
+                        (fun (r, o) ->
+                          outcome_to_json ~extra:[ offered r ] shards o)
                         curve) );
                ])
         | None -> ());
@@ -1022,18 +1002,19 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
         let tracer =
           Option.map (fun _ -> Obs.Shard_trace.create ~shards) trace
         in
-        let o = Sharded_driver.run_open ~config:(cfg rate) ?tracer group w in
-        Fmt.pr "%a@." Sharded_driver.pp_open_outcome o;
+        let o = Sharded_driver.run ~config:(cfg rate) ?tracer group w in
+        Fmt.pr "%a@." Sharded_driver.pp o;
         report_metrics sm;
         Option.iter write_trace tracer;
         (match json with
         | Some path ->
           write_json path
-            (open_outcome_to_json
-               ~extra:(domains_field group :: shard_metrics_fields sm)
+            (outcome_to_json
+               ~extra:
+                 (offered rate :: domains_field group :: shard_metrics_fields sm)
                shards o)
         | None -> ());
-        let rc = if o.Sharded_driver.o_in_doubt = 0 then 0 else 1 in
+        let rc = if o.Sharded_driver.in_doubt = 0 then 0 else 1 in
         Shard_group.shutdown group;
         rc
       end
@@ -1068,10 +1049,16 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
         Option.map (fun _ -> Obs.Shard_trace.create ~shards) trace
       in
       let config =
-        { Sharded_driver.default_config with clients; duration; seed }
+        {
+          Sharded_driver.default_config with
+          arrivals = Clients clients;
+          duration;
+          window;
+          seed;
+        }
       in
       let o = Sharded_driver.run ~config ?tracer ?on_commit group w in
-      Fmt.pr "%a@." Sharded_driver.pp_outcome o;
+      Fmt.pr "%a@." Sharded_driver.pp o;
       Fmt.pr "objects: %d over %d shards, 2pc rounds: %d@."
         (List.length (Shard_group.objects group))
         shards
@@ -1136,13 +1123,13 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
       (match json with
       | Some path ->
         write_json path
-          (shard_outcome_to_json
+          (outcome_to_json
              ~extra:
                ((domains_field group :: shard_metrics_fields sm)
                @ replication_fields sm tier)
              shards o)
       | None -> ());
-      let rc = if o.Sharded_driver.left_in_doubt = 0 then 0 else 1 in
+      let rc = if o.Sharded_driver.in_doubt = 0 then 0 else 1 in
       Shard_group.shutdown group;
       rc
     end
@@ -1172,7 +1159,12 @@ let replica_lag_demo ~shards ~replicas ~seed =
       ~make_object:proto.Fault_harness.make_object group
   in
   let config =
-    { Sharded_driver.default_config with clients = 4; duration = 400; seed }
+    {
+      Sharded_driver.default_config with
+      arrivals = Clients 4;
+      duration = 400;
+      seed;
+    }
   in
   ignore (Sharded_driver.run ~config group w);
   (* Ship the accumulated feed under staggered apply lag, sampling
@@ -1359,12 +1351,7 @@ let lint_cmd protocol depth budget json baseline self_test verbose =
        exploration must not scroll away inside the report body. *)
     List.iter (fun w -> Fmt.epr "lint: WARNING %s@." w) report.Lint.warnings;
     (match json with
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (Obs.Json.to_string (Lint.to_json report));
-      output_string oc "\n";
-      close_out oc;
-      Fmt.pr "report written to %s@." path
+    | Some path -> write_json path (Lint.to_json report)
     | None -> ());
     let regressions =
       match baseline with
@@ -1695,7 +1682,7 @@ let shard_term =
     Arg.(
       value & opt int 250
       & info [ "window" ] ~docv:"TICKS"
-          ~doc:"Open-loop time-series window width.")
+          ~doc:"Time-series window width, in ticks (rounds with --mcore).")
   in
   let domains =
     Arg.(

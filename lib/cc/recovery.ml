@@ -2,6 +2,10 @@ open Weihl_event
 
 type order = Commit_order | Timestamp_order
 
+let order_of_policy : System.ts_policy -> order = function
+  | `None_ -> Commit_order
+  | `Static | `Hybrid -> Timestamp_order
+
 (* Completed (op, result) pairs of one activity, in program order. *)
 let completed_ops h a =
   let events = History.to_list (History.project_activity a h) in
@@ -391,10 +395,6 @@ let pp_source ppf = function
   | Full_replay -> Fmt.string ppf "full-log replay"
   | From_checkpoint { covered } -> Fmt.pf ppf "checkpoint @%d + tail" covered
 
-let rec drop_n n = function
-  | _ :: tl when n > 0 -> drop_n (n - 1) tl
-  | l -> l
-
 let restore_checkpointed ?resolve ?(checkpoints = []) order sys text =
   match Wal.decode_records text with
   | Error e -> Error (Corrupt e)
@@ -473,7 +473,7 @@ let restore_checkpointed ?resolve ?(checkpoints = []) order sys text =
             }
       end
     | Some (covered, ckpt) -> (
-      let tail = drop_n (covered - base) records in
+      let tail = Wal.drop_n (covered - base) records in
       let skip = Checkpoint.activity_names ckpt in
       (* One restore pass replays the captured projection and the tail
          together, so the spec-validation frontier flows from the

@@ -21,6 +21,10 @@ open Weihl_event
 
 type order = Commit_order | Timestamp_order
 
+val order_of_policy : System.ts_policy -> order
+(** Commit order for dynamic atomicity, timestamp order for the static
+    and hybrid policies. *)
+
 val committed_in_order :
   order -> History.t -> (Activity.t * (Object_id.t * Operation.t * Value.t) list) list
 (** The committed transactions, each with its completed operations in

@@ -284,7 +284,13 @@ let decode_segment ~expected_base text =
         }
     else Ok records
 
-let rec drop_n n = function _ :: tl when n > 0 -> drop_n (n - 1) tl | l -> l
+let rec take n = function
+  | x :: tl when n > 0 -> x :: take (n - 1) tl
+  | _ -> []
+
+let rec drop_n n = function
+  | _ :: tl when n > 0 -> drop_n (n - 1) tl
+  | l -> l
 
 let records_from ~pos text =
   match decode_records text with

@@ -131,6 +131,13 @@ val records_from : pos:int -> string -> (record list, error) result
     is truncated as in {!decode_records}.  Returns [[]] when [pos] is
     at or past the end. *)
 
+val take : int -> 'a list -> 'a list
+(** The first [n] elements (all of them if fewer) — the prefix helper
+    every record-stream cut shares. *)
+
+val drop_n : int -> 'a list -> 'a list
+(** Everything after the first [n] elements. *)
+
 val label : string -> string option
 (** The header label of a durable text, if it has one. *)
 

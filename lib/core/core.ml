@@ -127,7 +127,6 @@ module Shard_group = Weihl_shard.Group
 module Shard_mailbox = Weihl_shard.Mailbox
 module Shard_exec = Weihl_shard.Exec
 module Sharded_driver = Weihl_shard.Sharded_driver
-module Mcore_driver = Weihl_shard.Mcore_driver
 module Shard_harness = Weihl_shard.Shard_harness
 
 module Replica_projection = Weihl_replica.Projection

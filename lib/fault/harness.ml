@@ -55,8 +55,8 @@ let derived_account_table =
     (Weihl_theory.Synthesize.synthesize Adt.Bank_account.spec
        ~alphabet:derived_account_alphabet ~depth:3 ~budget:6)
 
-let derived_account_conflict a b =
-  match Weihl_theory.Synthesize.conflict (Lazy.force derived_account_table) a b with
+let derived_account_conflict table a b =
+  match Weihl_theory.Synthesize.conflict table a b with
   | Some c -> c
   | None ->
     let read (op, _) = Adt.Bank_account.classify op = Adt.Adt_sig.Read in
@@ -192,8 +192,13 @@ let catalog =
       workload = derived_account_workload;
       make_object =
         (fun log id ->
+          (* Forced here, when the object is built, so grant decisions
+             only ever read the table: they run on shard worker domains,
+             and a lazy forced from two domains at once raises
+             [CamlinternalLazy.Undefined]. *)
+          let table = Lazy.force derived_account_table in
           Cc.Derived_locking.make log id Adt.Bank_account.spec
-            ~conflict:derived_account_conflict);
+            ~conflict:(derived_account_conflict table));
     };
   ]
 
@@ -226,11 +231,6 @@ let build proto =
     (fun id -> Cc.System.add_object sys (proto.make_object (Cc.System.log sys) id))
     w.Workload.objects;
   (sys, w)
-
-let recovery_order (policy : Cc.System.ts_policy) =
-  match policy with
-  | `None_ -> Cc.Recovery.Commit_order
-  | `Static | `Hybrid -> Cc.Recovery.Timestamp_order
 
 (* The exponential atomicity checkers only digest small histories; past
    the cap the schedule still validates replay against the
@@ -326,7 +326,7 @@ let run_schedule ?(quick = false) (plan : Plan.t) proto =
   let wal = Cc.System.durable sys in
   let damaged = Plan.corrupt plan wal in
   (* Phase 3: recover a fresh system from what survived. *)
-  let order = recovery_order proto.policy in
+  let order = Cc.Recovery.order_of_policy proto.policy in
   let sys2, w2 = build proto in
   match Cc.Recovery.restore_durable order sys2 damaged with
   | Error (Cc.Recovery.Corrupt e) ->

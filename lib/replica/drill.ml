@@ -220,7 +220,7 @@ let run_schedule ?(quick = false) ?(shards = 3) ?(replicas = 3)
     let config =
       {
         Sharded_driver.default_config with
-        clients = 4;
+        arrivals = Clients 4;
         duration;
         activity_base = base;
         seed;

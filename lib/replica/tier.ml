@@ -86,19 +86,6 @@ let state t ~replica ~shard =
     invalid_arg "Tier: replica out of range";
   t.states.(replica).(shard)
 
-let rec take n = function
-  | x :: tl when n > 0 -> x :: take (n - 1) tl
-  | _ -> []
-
-let rec drop_n n = function
-  | _ :: tl when n > 0 -> drop_n (n - 1) tl
-  | l -> l
-
-let recovery_order t =
-  match Group.policy t.group with
-  | `None_ -> Cc.Recovery.Commit_order
-  | `Static | `Hybrid -> Cc.Recovery.Timestamp_order
-
 (* ------------------------------------------------------------------ *)
 (* The feed side *)
 
@@ -120,8 +107,6 @@ let watermark t s =
         | Some `Abort | None -> w
       else w)
     w (Group.in_doubt t.group)
-
-let shard_label s = Fmt.str "shard-%d" s
 
 (* Flip one byte of a segment in flight — fault injection; the CRC (or
    the header check) must catch it on arrival. *)
@@ -146,9 +131,9 @@ let send_to t i s =
     let records = Group.shard_records t.group s in
     let len = List.length records in
     let from = min t.acked.(i).(s) len in
-    let slice = take t.segment_records (drop_n from records) in
+    let slice = Cc.Wal.take t.segment_records (Cc.Wal.drop_n from records) in
     let reaches_end = from + List.length slice = len in
-    let text = Cc.Wal.segment ~label:(shard_label s) ~base:from slice in
+    let text = Cc.Wal.segment ~label:(Group.shard_label s) ~base:from slice in
     let text =
       if t.damage_pending > 0 then begin
         t.damage_pending <- t.damage_pending - 1;
@@ -262,7 +247,7 @@ let on_replica t i = function
             ack t i s st
           end
           else begin
-            apply_records st (drop_n (st.pos - b) records);
+            apply_records st (Cc.Wal.drop_n (st.pos - b) records);
             applied (e - b) st.pos
           end
         | Ok (_, Cc.Wal.Torn _) | Error _ ->
@@ -588,7 +573,7 @@ let crash_primary t s =
    timestamp, in the recovered primary's history.  (The recovered side
    may hold strictly more: in-doubt legs later resolved to commit.) *)
 let verify_promotion t s ~replica_evs =
-  let order = recovery_order t in
+  let order = Cc.Recovery.order_of_policy (Group.policy t.group) in
   let recovered =
     Projection.committed order
       (History.to_list (Cc.System.history (Group.system t.group s)))

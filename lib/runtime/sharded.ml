@@ -12,7 +12,7 @@ module Shard = Weihl_shard
    domain-confined — but it means the blocking facade cannot overlap
    shard work across callers.  Parallel throughput comes from the
    batch APIs ([Group.invoke_batch]/[commit_batch] via
-   [Mcore_driver]), not from this facade.
+   [Sharded_driver.run_rounds]), not from this facade.
 
    [victims] and [completed] are only ever touched with [mutex] held:
    [resolve_deadlock] and the victim checks run inside [invoke]'s

@@ -327,18 +327,8 @@ let append_control t s c =
 
 let shard_label s = Fmt.str "shard-%d" s
 
-let rec take n = function
-  | x :: tl when n > 0 -> x :: take (n - 1) tl
-  | _ -> []
-
-let rec drop_n n = function
-  | _ :: tl when n > 0 -> drop_n (n - 1) tl
-  | l -> l
-
-let recovery_order t =
-  match t.policy with
-  | `None_ -> Cc.Recovery.Commit_order
-  | `Static | `Hybrid -> Cc.Recovery.Timestamp_order
+(* Microseconds of wall-clock time since [t0], a monotonic reading. *)
+let us_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e3
 
 (* Shard [s]'s full durable record stream, positions absolute from the
    first record the shard ever appended — truncation never renumbers,
@@ -355,7 +345,8 @@ let shard_records t s =
   let ctrls = List.rev t.controls.(s) in
   let evs, ctrls =
     if t.group_commit then
-      (take t.synced_events.(s) evs, take t.synced_ctrls.(s) ctrls)
+      ( Cc.Wal.take t.synced_events.(s) evs,
+        Cc.Wal.take t.synced_ctrls.(s) ctrls )
     else (evs, ctrls)
   in
   let rec merge idx evs ctrls acc =
@@ -370,7 +361,7 @@ let shard_records t s =
 let durable_shard t s =
   let base = t.wal_base.(s) in
   Cc.Wal.encode_records ~label:(shard_label s) ~base
-    (drop_n base (shard_records t s))
+    (Cc.Wal.drop_n base (shard_records t s))
 
 (* One WAL device sync per involved shard, all in flight at once: each
    sync's latency is paid on its shard's own domain, so the syncs
@@ -417,15 +408,18 @@ let checkpoint_shard ?(lose_marker = false) t s =
   if s < 0 || s >= Array.length t.shards then
     invalid_arg "Group.checkpoint_shard: shard out of range";
   if t.crashed.(s) then invalid_arg "Group.checkpoint_shard: shard is down";
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let records = shard_records t s in
-  let ts_ordered = recovery_order t = Cc.Recovery.Timestamp_order in
+  let ts_ordered =
+    Cc.Recovery.order_of_policy t.policy = Cc.Recovery.Timestamp_order
+  in
   let ckpt =
     Cc.Checkpoint.capture ~ts_ordered ~label:(shard_label s) records
   in
   let file = Cc.Checkpoint.encode ckpt in
   let covered = Cc.Checkpoint.covered ckpt in
-  t.ckpts.(s) <- take (checkpoint_retain t) ((covered, file) :: t.ckpts.(s));
+  t.ckpts.(s) <-
+    Cc.Wal.take (checkpoint_retain t) ((covered, file) :: t.ckpts.(s));
   if not lose_marker then begin
     let digest = Cc.Checkpoint.digest file in
     append_control t s (Cc.Wal.Checkpointed { seq = covered; digest });
@@ -445,7 +439,7 @@ let checkpoint_shard ?(lose_marker = false) t s =
         let base = t.wal_base.(s) in
         let segment =
           Cc.Wal.encode_records ~label:(shard_label s) ~base
-            (take (oldest - base) (drop_n base records))
+            (Cc.Wal.take (oldest - base) (Cc.Wal.drop_n base records))
         in
         t.archived.(s) <- segment :: t.archived.(s)
       | _ -> ());
@@ -458,8 +452,7 @@ let checkpoint_shard ?(lose_marker = false) t s =
   | None -> ()
   | Some m ->
     Weihl_obs.Shard_metrics.checkpoint_written m
-      ~duration:((Sys.time () -. t0) *. 1e6)
-      ~age);
+      ~duration:(us_since t0) ~age);
   (match t.tracer with
   | None -> ()
   | Some st ->
@@ -522,6 +515,9 @@ let commit_fast t g s txn =
         Cc.System.commit_prepared ~commit_ts:cts sys txn)
   | `None_ | `Static | `Hybrid ->
     on_shard t s (fun () -> Cc.System.commit sys txn));
+  (* Under group commit only synced records are durable: sync the
+     commit record before acknowledging it. *)
+  if t.group_commit then sync_shards t [ (s, 1) ];
   metrics_count Weihl_obs.Shard_metrics.local_commit t s;
   Gtxn.set_status g Gtxn.Committed;
   record_commit t g;
@@ -631,6 +627,7 @@ let commit_2pc ?(fault = Tpc.no_fault) ?(votes_no = []) t g legs =
                 on_shard t s (fun () -> Cc.System.prepare t.shards.(s) txn);
                 append_control t s
                   (Cc.Wal.Prepared { gid; activity = Gtxn.activity g });
+                if t.group_commit then sync_shards t [ (s, 1) ];
                 wal_mark s "prepared";
                 metrics_count Weihl_obs.Shard_metrics.prepare_at t s;
                 Tpc.Yes
@@ -924,7 +921,7 @@ let crash_shard t s =
 let recover_shard ?resolve t s text =
   if not t.crashed.(s) then
     invalid_arg "Group.recover_shard: shard is not crashed";
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let sys = Cc.System.create ~policy:t.policy () in
   Hashtbl.iter
     (fun _ (x, home, make) ->
@@ -943,7 +940,7 @@ let recover_shard ?resolve t s text =
   match
     Cc.Recovery.restore_checkpointed ~resolve
       ~checkpoints:(List.map snd t.ckpts.(s))
-      (recovery_order t) sys text
+      (Cc.Recovery.order_of_policy t.policy) sys text
   with
   | Error e -> Error e
   | Ok report ->
@@ -1000,7 +997,7 @@ let recover_shard ?resolve t s text =
       Weihl_obs.Shard_metrics.set_in_doubt m s
         (List.length (Cc.System.prepared_txns sys));
       Weihl_obs.Shard_metrics.recovery_done m
-        ~duration:((Sys.time () -. t0) *. 1e6)
+        ~duration:(us_since t0)
         ~records:report.Cc.Recovery.replayed_records);
     Ok report
 
@@ -1076,28 +1073,6 @@ let victim cycle =
 (* ------------------------------------------------------------------ *)
 (* The merged committed projection *)
 
-let committed_projection t =
-  let seq = List.rev t.commit_seq in
-  let ordered =
-    match t.policy with
-    | `None_ -> seq
-    | `Static | `Hybrid ->
-      List.stable_sort
-        (fun (_, _, a) (_, _, b) ->
-          match (a, b) with
-          | Some a, Some b -> Timestamp.compare a b
-          | None, Some _ -> -1
-          | Some _, None -> 1
-          | None, None -> 0)
-        seq
-  in
-  List.filter_map
-    (fun (gid, activity, _) ->
-      match Hashtbl.find_opt t.journal gid with
-      | Some ops -> Some (activity, List.rev ops)
-      | None -> Some (activity, []))
-    ordered
-
 let committed_projection_ts t =
   let seq = List.rev t.commit_seq in
   let ordered =
@@ -1119,6 +1094,9 @@ let committed_projection_ts t =
       | Some ops -> (activity, ts, List.rev ops)
       | None -> (activity, ts, []))
     ordered
+
+let committed_projection t =
+  List.map (fun (activity, _, ops) -> (activity, ops)) (committed_projection_ts t)
 
 let committed_count t = List.length t.commit_seq
 

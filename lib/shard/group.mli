@@ -86,7 +86,10 @@ val create :
     from everything-appended-is-durable to the synced-prefix model
     used by {!commit_batch}: {!durable_shard} then returns only
     records covered by a sync, and a crash loses the unsynced tail.
-    [sync_cost] is the simulated device sync latency, paid once per
+    {!commit} then syncs before it acknowledges: the fast path after
+    the commit record, 2PC after each participant's [Prepared] record
+    and before its yes vote.  [sync_cost] is the simulated device sync
+    latency, paid once per
     per-shard sync on that shard's domain (so syncs overlap across
     domains).
 
@@ -323,6 +326,9 @@ val victim : Gtxn.t list -> Gtxn.t
     @raise Invalid_argument on an empty cycle. *)
 
 (** {1 Global-atomicity checks} *)
+
+val shard_label : int -> string
+(** The label shard [s]'s WAL texts and segments carry. *)
 
 val committed_projection :
   t -> (Activity.t * (Object_id.t * Operation.t * Value.t) list) list

@@ -186,7 +186,7 @@ let run_schedule ?(quick = false) ?(shards = 3) (plan : Shard_plan.t)
   let config =
     {
       Sharded_driver.default_config with
-      clients = 5;
+      arrivals = Clients 5;
       duration = (if quick then 250 else 500);
       seed = plan.Shard_plan.seed;
     }
@@ -256,7 +256,7 @@ let run_schedule ?(quick = false) ?(shards = 3) (plan : Shard_plan.t)
       let config2 =
         {
           Sharded_driver.default_config with
-          clients = 3;
+          arrivals = Clients 3;
           duration = (if quick then 120 else 250);
           activity_base = 100_000;
           seed = (plan.Shard_plan.seed * 31) + 7;
@@ -380,7 +380,7 @@ let run_soak ?(config = default_soak) () =
     let dconfig =
       {
         Sharded_driver.default_config with
-        clients = 4;
+        arrivals = Clients 4;
         duration = config.cycle_duration;
         seed = plan.Shard_plan.seed;
         activity_base = c * 10_000;

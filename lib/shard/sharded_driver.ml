@@ -1,334 +1,30 @@
 open Weihl_event
-module Cc = Weihl_cc
-module Sim = Weihl_sim
 module Rng = Weihl_sim.Rng
 module Workload = Weihl_sim.Workload
 module Pqueue = Weihl_sim.Pqueue
+module Histogram = Weihl_obs.Metrics.Histogram
+
+type arrivals = Clients of int | Poisson of float
 
 type config = {
-  clients : int;
+  arrivals : arrivals;
   duration : int;
-  op_cost : int;
-  think_time : int;
-  restart_backoff : int;
-  max_restarts : int;
-  wait_backoff : int;
-  max_waits : int;
-      (** retries while blocked before the transaction aborts as
-          starved — bounds livelock behind an in-doubt leg *)
+  window : int;
+  jobs : int;
+  inflight : int;
   activity_base : int;
   seed : int;
 }
 
 let default_config =
   {
-    clients = 6;
+    arrivals = Clients 6;
     duration = 1500;
-    op_cost = 1;
-    think_time = 0;
-    restart_backoff = 5;
-    max_restarts = 3;
-    wait_backoff = 4;
-    max_waits = 50;
+    window = 250;
+    jobs = 400;
+    inflight = 32;
     activity_base = 0;
     seed = 42;
-  }
-
-type outcome = {
-  committed : int;
-  committed_read_only : int;
-  committed_multi : int;  (** commits that ran a 2PC round (fanout >= 2) *)
-  committed_single : int;  (** fast-path commits (fanout <= 1) *)
-  aborted_deadlock : int;
-  aborted_refused : int;
-  aborted_tpc : int;  (** 2PC rounds that decided abort *)
-  aborted_starved : int;
-  left_in_doubt : int;  (** transactions whose 2PC round ended in-doubt *)
-  gave_up : int;
-  waits : int;
-  restarts : int;
-  multi_attempts : int;  (** multi-shard commit attempts, incl. faulty ones *)
-  ticks : int;
-}
-
-let pp_outcome ppf o =
-  Fmt.pf ppf
-    "@[<v>committed: %d (read-only %d, 2pc %d, fast %d)@,\
-     aborted: %d deadlock, %d refused, %d tpc, %d starved; in-doubt: %d@,\
-     gave up: %d; waits: %d; restarts: %d; multi attempts: %d; ticks: %d@]"
-    o.committed o.committed_read_only o.committed_multi o.committed_single
-    o.aborted_deadlock o.aborted_refused o.aborted_tpc o.aborted_starved
-    o.left_in_doubt o.gave_up o.waits o.restarts o.multi_attempts o.ticks
-
-type client = {
-  cid : int;
-  mutable script : Workload.script option;
-  mutable step_idx : int;
-  mutable txn : Gtxn.t option;
-  mutable restarts_left : int;
-  mutable waits_left : int;
-  mutable retry_scheduled : bool;
-}
-
-let run ?(config = default_config) ?tracer
-    ?(on_commit = fun group g ~nth_multi:_ -> Group.commit group g) group
-    workload =
-  let rng = Rng.create config.seed in
-  let pq : int Pqueue.t = Pqueue.create () in
-  let now = ref 0 in
-  (match tracer with
-  | None -> ()
-  | Some st ->
-    Weihl_obs.Shard_trace.set_now st (fun () -> float_of_int !now);
-    Group.set_tracer group st);
-  let clients =
-    Array.init config.clients (fun cid ->
-        {
-          cid;
-          script = None;
-          step_idx = 0;
-          txn = None;
-          restarts_left = config.max_restarts;
-          waits_left = config.max_waits;
-          retry_scheduled = false;
-        })
-  in
-  let owner : (int, client) Hashtbl.t = Hashtbl.create 64 in
-  let m_committed = ref 0 in
-  let m_committed_ro = ref 0 in
-  let m_multi = ref 0 in
-  let m_single = ref 0 in
-  let m_deadlock = ref 0 in
-  let m_refused = ref 0 in
-  let m_tpc_abort = ref 0 in
-  let m_starved = ref 0 in
-  let m_in_doubt = ref 0 in
-  let m_gave_up = ref 0 in
-  let m_waits = ref 0 in
-  let m_restarts = ref 0 in
-  let m_multi_attempts = ref 0 in
-  let activity_counter = ref config.activity_base in
-  let fresh_activity kind =
-    incr activity_counter;
-    match kind with
-    | `Update -> Activity.update (Fmt.str "u%d" !activity_counter)
-    | `Read_only -> Activity.read_only (Fmt.str "r%d" !activity_counter)
-  in
-  let schedule c ~time =
-    if not c.retry_scheduled then begin
-      c.retry_scheduled <- true;
-      Pqueue.push pq ~time c.cid
-    end
-  in
-  let drop_txn c =
-    (match c.txn with
-    | Some g -> Hashtbl.remove owner (Gtxn.gid g)
-    | None -> ());
-    c.txn <- None;
-    c.step_idx <- 0;
-    c.waits_left <- config.max_waits
-  in
-  let restart_after_abort c ~time =
-    drop_txn c;
-    if c.restarts_left <= 0 then begin
-      incr m_gave_up;
-      c.script <- None
-    end
-    else begin
-      c.restarts_left <- c.restarts_left - 1;
-      incr m_restarts
-    end;
-    schedule c ~time:(time + config.restart_backoff + Rng.int rng 3)
-  in
-  (* A transaction that ends a faulty 2PC round in-doubt is out of the
-     client's hands: it stays parked in the group until a decision is
-     replayed, and the client moves on. *)
-  let park_in_doubt c ~time =
-    incr m_in_doubt;
-    drop_txn c;
-    c.script <- None;
-    schedule c ~time:(time + config.think_time + 1)
-  in
-  let break_deadlock ~time =
-    match Group.find_deadlock group with
-    | None -> false
-    | Some cycle -> (
-      let victim = Group.victim cycle in
-      match Hashtbl.find_opt owner (Gtxn.gid victim) with
-      | Some vc ->
-        Group.abort ~reason:"deadlock" group victim;
-        incr m_deadlock;
-        restart_after_abort vc ~time;
-        true
-      | None -> false)
-  in
-  let finish_commit c g ~time =
-    let script = Option.get c.script in
-    let multi = Gtxn.fanout g >= 2 in
-    if multi then incr m_multi_attempts;
-    let outcome = on_commit group g ~nth_multi:!m_multi_attempts in
-    (match Gtxn.status g with
-    | Gtxn.Committed ->
-      incr m_committed;
-      (match outcome with
-      | Group.Distributed _ -> incr m_multi
-      | Group.Fast -> incr m_single);
-      if script.Workload.kind = `Read_only then incr m_committed_ro;
-      drop_txn c;
-      c.script <- None;
-      c.restarts_left <- config.max_restarts;
-      schedule c ~time:(time + config.op_cost + config.think_time)
-    | Gtxn.Aborted ->
-      incr m_tpc_abort;
-      restart_after_abort c ~time
-    | Gtxn.In_doubt -> park_in_doubt c ~time
-    | Gtxn.Active -> invalid_arg "Sharded_driver: commit left txn active")
-  in
-  let proceed c ~time =
-    c.retry_scheduled <- false;
-    if time > config.duration then ()
-    else begin
-      (* A shard crash may have aborted the transaction out from under
-         the client; restart the script against the surviving shards. *)
-      (match c.txn with
-      | Some g when not (Gtxn.is_active g) -> drop_txn c
-      | _ -> ());
-      let script =
-        match c.script with
-        | Some s -> s
-        | None ->
-          let s = workload.Workload.generate rng in
-          c.script <- Some s;
-          c.step_idx <- 0;
-          c.restarts_left <- config.max_restarts;
-          c.waits_left <- config.max_waits;
-          s
-      in
-      let g =
-        match c.txn with
-        | Some g -> g
-        | None ->
-          let g = Group.begin_txn group (fresh_activity script.Workload.kind) in
-          c.txn <- Some g;
-          Hashtbl.replace owner (Gtxn.gid g) c;
-          g
-      in
-      match List.nth_opt script.Workload.steps c.step_idx with
-      | None -> finish_commit c g ~time
-      | Some step -> (
-        match Group.invoke group g step.Workload.obj step.Workload.op with
-        | Group.Granted v ->
-          c.waits_left <- config.max_waits;
-          let continue =
-            match step.Workload.continue_if with
-            | None -> true
-            | Some pred -> pred v
-          in
-          if continue then begin
-            c.step_idx <- c.step_idx + 1;
-            if c.step_idx >= List.length script.Workload.steps then
-              finish_commit c g ~time:(time + config.op_cost)
-            else schedule c ~time:(time + config.op_cost)
-          end
-          else finish_commit c g ~time:(time + config.op_cost)
-        | Group.Wait _ ->
-          incr m_waits;
-          if break_deadlock ~time then schedule c ~time:(time + 1)
-          else if c.waits_left <= 0 then begin
-            (* Blocked with no cycle to break — typically behind an
-               in-doubt leg that only recovery can resolve. *)
-            Group.abort ~reason:"starved" group g;
-            incr m_starved;
-            restart_after_abort c ~time
-          end
-          else begin
-            c.waits_left <- c.waits_left - 1;
-            schedule c ~time:(time + config.wait_backoff)
-          end
-        | Group.Refused _ ->
-          Group.abort ~reason:"refused" group g;
-          incr m_refused;
-          restart_after_abort c ~time)
-    end
-  in
-  Array.iter
-    (fun c -> schedule c ~time:(Rng.int rng (config.think_time + 2)))
-    clients;
-  let last_time = ref 0 in
-  let guard = ref 0 in
-  let max_events = 200 * config.duration * config.clients in
-  let rec loop () =
-    incr guard;
-    if !guard > max_events then ()
-    else
-      match Pqueue.pop pq with
-      | Some (time, cid) when time <= config.duration ->
-        last_time := max !last_time time;
-        now := max !now time;
-        proceed clients.(cid) ~time;
-        loop ()
-      | Some _ | None -> ()
-  in
-  loop ();
-  (* Transactions still open when the clock runs out are abandoned
-     in-flight: abort the active ones so they do not linger as waiters
-     (in-doubt ones stay — only a replayed decision may resolve them). *)
-  Array.iter
-    (fun c ->
-      match c.txn with
-      | Some g when Gtxn.is_active g ->
-        Group.abort ~reason:"end of run" group g;
-        drop_txn c
-      | _ -> ())
-    clients;
-  {
-    committed = !m_committed;
-    committed_read_only = !m_committed_ro;
-    committed_multi = !m_multi;
-    committed_single = !m_single;
-    aborted_deadlock = !m_deadlock;
-    aborted_refused = !m_refused;
-    aborted_tpc = !m_tpc_abort;
-    aborted_starved = !m_starved;
-    left_in_doubt = !m_in_doubt;
-    gave_up = !m_gave_up;
-    waits = !m_waits;
-    restarts = !m_restarts;
-    multi_attempts = !m_multi_attempts;
-    ticks = max 1 !last_time;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Open-loop mode: seeded Poisson arrivals at a fixed offered rate,
-   independent of completions — the saturation view a closed loop
-   cannot give, because closed-loop clients self-throttle behind
-   contention. *)
-
-module Metrics = Weihl_obs.Metrics
-
-type open_config = {
-  rate : float;  (** mean arrivals per tick (Poisson) *)
-  o_duration : int;
-  o_op_cost : int;
-  o_wait_backoff : int;
-  o_max_waits : int;
-  o_max_restarts : int;
-  window : int;  (** ticks per time-series window *)
-  o_seed : int;
-  o_activity_base : int;
-}
-
-let default_open_config =
-  {
-    rate = 0.2;
-    o_duration = 2000;
-    o_op_cost = 1;
-    o_wait_backoff = 4;
-    o_max_waits = 50;
-    o_max_restarts = 3;
-    window = 250;
-    o_seed = 42;
-    o_activity_base = 0;
   }
 
 type window = {
@@ -336,52 +32,306 @@ type window = {
   w_arrivals : int;
   w_committed : int;
   w_aborted : int;
-  w_p50 : float;  (** exact, over latencies completing in the window *)
+  w_p50 : float;
   w_p99 : float;
 }
 
-type open_outcome = {
-  offered : float;  (** offered load, arrivals per 1000 ticks *)
-  arrivals : int;
-  o_committed : int;
-  o_committed_multi : int;
-  o_aborted : int;
-  abort_causes : (string * int) list;  (** cause -> count, sorted *)
-  o_in_doubt : int;
-  in_flight_end : int;  (** jobs still open when the clock ran out *)
+type outcome = {
+  started : int;
+  committed : int;
+  committed_read_only : int;
+  committed_multi : int;
+  aborted_deadlock : int;
+  aborted_refused : int;
+  aborted_starved : int;
+  aborted_tpc : int;
+  gave_up : int;
+  in_doubt : int;
+  waits : int;
+  restarts : int;
+  shard_latency : Histogram.t array;
   windows : window list;
-  shard_latency : Metrics.Histogram.t array;
-      (** commit latency by home shard (first-touched shard) *)
-  latency : Metrics.Histogram.t;
-      (** group-wide: {!Metrics.Histogram.merge} over the shards *)
-  o_ticks : int;
+  ticks : int;
+  elapsed : float;
 }
 
-(* Exact percentile of a sorted float array (nearest rank). *)
+let in_flight o = o.started - o.committed - o.gave_up - o.in_doubt
+let latency o = Histogram.merge_all (Array.to_list o.shard_latency)
+
+(* ------------------------------------------------------------------ *)
+(* What both schedulers share: the job, the script-step rule, the
+   deadlock victim and the tally. *)
+
+type scheduler = Events | Rounds
+
+type job = {
+  seat : int;  (* event loop: the client or arrival whose turns run it *)
+  script : Workload.script;
+  home : int;  (* shard of the script's first object *)
+  born : int;  (* tick or round the script was drawn *)
+  mutable steps : Workload.step list;  (* what is left of the program *)
+  mutable txn : Gtxn.t option;
+  mutable restarts_left : int;
+  mutable waits_left : int;
+}
+
+(* One point of the time series: an arrival, a commit with its latency,
+   or a script abandoned (gave up or left in doubt). *)
+type mark = Arrived | Committed of float | Abandoned
+
+type t = {
+  sched : scheduler;
+  group : Group.t;
+  workload : Workload.t;
+  rng : Rng.t;
+  max_restarts : int;
+  max_waits : int;
+  owner : (int, job) Hashtbl.t;  (* gid -> job, so a victim maps back *)
+  mutable names : int;
+  mutable marks : (int * mark) list;  (* newest first *)
+  mutable o : outcome;  (* the tally so far *)
+}
+
+let create sched config group workload =
+  let max_restarts, max_waits =
+    match sched with Events -> (3, 50) | Rounds -> (8, 64)
+  in
+  {
+    sched;
+    group;
+    workload;
+    rng = Rng.create config.seed;
+    max_restarts;
+    max_waits;
+    owner = Hashtbl.create 64;
+    names = config.activity_base;
+    marks = [];
+    o =
+      {
+        started = 0;
+        committed = 0;
+        committed_read_only = 0;
+        committed_multi = 0;
+        aborted_deadlock = 0;
+        aborted_refused = 0;
+        aborted_starved = 0;
+        aborted_tpc = 0;
+        gave_up = 0;
+        in_doubt = 0;
+        waits = 0;
+        restarts = 0;
+        shard_latency =
+          Array.init (Group.shard_count group) (fun _ -> Histogram.create ());
+        windows = [];
+        ticks = 0;
+        elapsed = 0.;
+      };
+  }
+
+let txn j = Option.get j.txn
+
+let draw t ~seat ~time =
+  let script = t.workload.Workload.generate t.rng in
+  let home =
+    match script.Workload.steps with
+    | [] -> 0
+    | step :: _ -> Group.shard_of t.group step.Workload.obj
+  in
+  t.o <- { t.o with started = t.o.started + 1 };
+  t.marks <- (time, Arrived) :: t.marks;
+  {
+    seat;
+    script;
+    home;
+    born = time;
+    steps = script.Workload.steps;
+    txn = None;
+    restarts_left = t.max_restarts;
+    waits_left = t.max_waits;
+  }
+
+let begin_txn t j =
+  t.names <- t.names + 1;
+  let update, read = match t.sched with Events -> ("u", "r") | Rounds -> ("m", "q") in
+  let activity =
+    match j.script.Workload.kind with
+    | `Update -> Activity.update (update ^ string_of_int t.names)
+    | `Read_only -> Activity.read_only (read ^ string_of_int t.names)
+  in
+  let g = Group.begin_txn t.group activity in
+  j.txn <- Some g;
+  Hashtbl.replace t.owner (Gtxn.gid g) j;
+  g
+
+(* Forget the job's transaction and rewind its program. *)
+let drop t j =
+  Option.iter (fun g -> Hashtbl.remove t.owner (Gtxn.gid g)) j.txn;
+  j.txn <- None;
+  j.steps <- j.script.Workload.steps;
+  j.waits_left <- t.max_waits
+
+(* After an abort: rewind for another attempt, or give the script up
+   once its restart budget is spent.  True when it runs again. *)
+let retry t j ~time =
+  drop t j;
+  if j.restarts_left <= 0 then begin
+    t.o <- { t.o with gave_up = t.o.gave_up + 1 };
+    t.marks <- (time, Abandoned) :: t.marks;
+    false
+  end
+  else begin
+    j.restarts_left <- j.restarts_left - 1;
+    t.o <- { t.o with restarts = t.o.restarts + 1 };
+    true
+  end
+
+(* A granted step advances the program, and [continue_if] may end it
+   early.  The event loop's wait budget counts consecutive blocked
+   retries, so a grant refills it.  True when the program is done. *)
+let granted t j step v =
+  if t.sched = Events then j.waits_left <- t.max_waits;
+  j.steps <- List.tl j.steps;
+  (match step.Workload.continue_if with
+  | Some keep when not (keep v) -> j.steps <- []
+  | _ -> ());
+  j.steps = []
+
+let count_wait t = t.o <- { t.o with waits = t.o.waits + 1 }
+
+(* A blocked retry spends the wait budget: the event loop checks before
+   spending, the round loop spends first.  False when it was spent
+   already — the attempt is then aborted as starved. *)
+let within_budget t j g =
+  if t.sched = Rounds then j.waits_left <- j.waits_left - 1;
+  if j.waits_left <= 0 then begin
+    Group.abort ~reason:"starved" t.group g;
+    t.o <- { t.o with aborted_starved = t.o.aborted_starved + 1 };
+    false
+  end
+  else begin
+    if t.sched = Events then j.waits_left <- j.waits_left - 1;
+    true
+  end
+
+let refuse t g =
+  Group.abort ~reason:"refused" t.group g;
+  t.o <- { t.o with aborted_refused = t.o.aborted_refused + 1 }
+
+(* Abort the youngest member of a cross-shard waits-for cycle and hand
+   its job to [restart].  False when there is no cycle to break. *)
+let break_deadlock t ~restart =
+  match Group.find_deadlock t.group with
+  | None -> false
+  | Some cycle -> (
+    let victim = Group.victim cycle in
+    match Hashtbl.find_opt t.owner (Gtxn.gid victim) with
+    | None -> false
+    | Some j ->
+      Group.abort ~reason:"deadlock" t.group victim;
+      t.o <- { t.o with aborted_deadlock = t.o.aborted_deadlock + 1 };
+      restart j;
+      true)
+
+(* Book a commit attempt.  True when the job is done: committed, or
+   parked in doubt — then it is out of the job's hands, held in the
+   group until a decision is replayed.  False when the commit decided
+   abort and the job must retry. *)
+let settle t j g ~time ~multi =
+  match Gtxn.status g with
+  | Gtxn.Committed ->
+    drop t j;
+    let lat = float_of_int (max 1 (time - j.born)) in
+    Histogram.observe t.o.shard_latency.(j.home) lat;
+    t.marks <- (time, Committed lat) :: t.marks;
+    let count b n = if b then n + 1 else n in
+    t.o <-
+      {
+        t.o with
+        committed = t.o.committed + 1;
+        committed_read_only =
+          count (j.script.Workload.kind = `Read_only) t.o.committed_read_only;
+        committed_multi = count multi t.o.committed_multi;
+      };
+    true
+  | Gtxn.In_doubt ->
+    drop t j;
+    t.marks <- (time, Abandoned) :: t.marks;
+    t.o <- { t.o with in_doubt = t.o.in_doubt + 1 };
+    true
+  | Gtxn.Aborted ->
+    t.o <- { t.o with aborted_tpc = t.o.aborted_tpc + 1 };
+    false
+  | Gtxn.Active -> invalid_arg "Sharded_driver: commit left the transaction active"
+
+(* Nearest-rank percentile of a sorted array. *)
 let exact_percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.
   else
-    sorted.(max 0 (min (n - 1)
-      (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1)))
+    sorted.(max 0
+              (min (n - 1) (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1)))
 
-type job = {
-  jid : int;
-  arrival : int;
-  home : int;
-  j_script : Workload.script;
-  mutable j_step : int;
-  mutable j_txn : Gtxn.t option;
-  mutable j_restarts_left : int;
-  mutable j_waits_left : int;
-}
+let windows marks ~width ~horizon =
+  let n = (horizon / width) + 1 in
+  let arrivals = Array.make n 0 and committed = Array.make n 0 in
+  let aborted = Array.make n 0 and lats = Array.make n [] in
+  List.iter
+    (fun (time, m) ->
+      let w = min (n - 1) (time / width) in
+      match m with
+      | Arrived -> arrivals.(w) <- arrivals.(w) + 1
+      | Committed lat ->
+        committed.(w) <- committed.(w) + 1;
+        lats.(w) <- lat :: lats.(w)
+      | Abandoned -> aborted.(w) <- aborted.(w) + 1)
+    marks;
+  List.init n (fun w ->
+      let sorted = Array.of_list lats.(w) in
+      Array.sort Float.compare sorted;
+      {
+        w_start = w * width;
+        w_arrivals = arrivals.(w);
+        w_committed = committed.(w);
+        w_aborted = aborted.(w);
+        w_p50 = exact_percentile sorted 50.;
+        w_p99 = exact_percentile sorted 99.;
+      })
 
-let run_open ?(config = default_open_config) ?tracer group workload =
-  if config.rate <= 0. then
-    invalid_arg "Sharded_driver.run_open: rate must be positive";
+let finish t ~width ~horizon ~ticks ~t0 =
+  let ns = Int64.sub (Monotonic_clock.now ()) t0 in
+  {
+    t.o with
+    windows = windows t.marks ~width ~horizon;
+    ticks;
+    elapsed = Int64.to_float ns /. 1e9;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The event loop: virtual time, one commit at a time *)
+
+(* Ticks per operation, before a blocked retry, and before a client's
+   retry after an abort (plus 0-2 ticks of seeded jitter). *)
+let op_cost = 1
+let wait_backoff = 4
+let restart_backoff = 5
+
+(* A closed-loop client, or one open-loop arrival. *)
+type seat = { sid : int; mutable job : job option; mutable queued : bool }
+
+let run ?(config = default_config) ?tracer
+    ?(on_commit = fun group g ~nth_multi:_ -> Group.commit group g) group
+    workload =
+  let closed, load =
+    match config.arrivals with
+    | Clients n -> (true, n)
+    | Poisson rate ->
+      if rate <= 0. then invalid_arg "Sharded_driver.run: rate must be positive";
+      (false, 1 + int_of_float (rate *. float_of_int config.duration))
+  in
   if config.window <= 0 then
-    invalid_arg "Sharded_driver.run_open: window must be positive";
-  let rng = Rng.create config.o_seed in
+    invalid_arg "Sharded_driver.run: window must be positive";
+  let t = create Events config group workload in
+  let t0 = Monotonic_clock.now () in
   let pq : int Pqueue.t = Pqueue.create () in
   let now = ref 0 in
   (match tracer with
@@ -389,253 +339,235 @@ let run_open ?(config = default_open_config) ?tracer group workload =
   | Some st ->
     Weihl_obs.Shard_trace.set_now st (fun () -> float_of_int !now);
     Group.set_tracer group st);
-  let shards = Group.shard_count group in
-  let shard_latency =
-    Array.init shards (fun _ -> Metrics.Histogram.create ())
-  in
-  let n_windows = (config.o_duration / config.window) + 1 in
-  let w_arrivals = Array.make n_windows 0 in
-  let w_committed = Array.make n_windows 0 in
-  let w_aborted = Array.make n_windows 0 in
-  let w_lats = Array.make n_windows [] in
-  let window_of time = min (n_windows - 1) (time / config.window) in
-  let jobs : (int, job) Hashtbl.t = Hashtbl.create 256 in
-  let owner : (int, job) Hashtbl.t = Hashtbl.create 256 in
-  let m_arrivals = ref 0 in
-  let m_committed = ref 0 in
-  let m_multi = ref 0 in
-  let m_aborted = ref 0 in
-  let m_in_doubt = ref 0 in
-  let causes : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let cause name =
-    Hashtbl.replace causes name
-      (1 + Option.value ~default:0 (Hashtbl.find_opt causes name))
-  in
-  let activity_counter = ref config.o_activity_base in
-  let fresh_activity kind =
-    incr activity_counter;
-    match kind with
-    | `Update -> Activity.update (Fmt.str "u%d" !activity_counter)
-    | `Read_only -> Activity.read_only (Fmt.str "r%d" !activity_counter)
-  in
-  (* Job ids double as queue payloads; the arrival process itself is
+  (* Seat ids double as queue payloads; the arrival process itself is
      the reserved payload [-1]. *)
-  let next_jid = ref 0 in
-  let arrival_clock = ref 0. in
-  let push_next_arrival () =
-    let u = Rng.float rng 1.0 in
-    let dt = -.log (1. -. u) /. config.rate in
-    arrival_clock := !arrival_clock +. dt;
-    let time = int_of_float !arrival_clock in
-    if time <= config.o_duration then Pqueue.push pq ~time (-1)
+  let seats : (int, seat) Hashtbl.t = Hashtbl.create 256 in
+  let next_sid = ref 0 in
+  let new_seat () =
+    let s = { sid = !next_sid; job = None; queued = false } in
+    incr next_sid;
+    Hashtbl.replace seats s.sid s;
+    s
   in
-  let finish_job j ~time ~committed ~why =
-    (match j.j_txn with
-    | Some g -> Hashtbl.remove owner (Gtxn.gid g)
-    | None -> ());
-    j.j_txn <- None;
-    Hashtbl.remove jobs j.jid;
-    let w = window_of time in
-    if committed then begin
-      incr m_committed;
-      w_committed.(w) <- w_committed.(w) + 1;
-      let lat = float_of_int (max 1 (time - j.arrival)) in
-      Metrics.Histogram.observe shard_latency.(j.home) lat;
-      w_lats.(w) <- lat :: w_lats.(w)
-    end
-    else begin
-      incr m_aborted;
-      w_aborted.(w) <- w_aborted.(w) + 1;
-      cause why
+  (* A client has at most one pending turn.  An arrival may hold
+     several — a deadlock restart re-queues a job already waiting for
+     its retry — and the seeded open-loop series depend on that. *)
+  let schedule s ~time =
+    if not (closed && s.queued) then begin
+      s.queued <- true;
+      Pqueue.push pq ~time s.sid
     end
   in
-  let restart_or_abandon j ~time ~why =
-    (match j.j_txn with
-    | Some g -> Hashtbl.remove owner (Gtxn.gid g)
-    | None -> ());
-    j.j_txn <- None;
-    j.j_step <- 0;
-    j.j_waits_left <- config.o_max_waits;
-    if j.j_restarts_left <= 0 then finish_job j ~time ~committed:false ~why
-    else begin
-      j.j_restarts_left <- j.j_restarts_left - 1;
-      Pqueue.push pq ~time:(time + config.o_wait_backoff) j.jid
+  (* The seat's job is over: a client draws its next script at [time],
+     an arrival leaves. *)
+  let vacate s ~time =
+    if closed then begin
+      s.job <- None;
+      schedule s ~time
     end
+    else Hashtbl.remove seats s.sid
   in
-  let break_deadlock ~time =
-    match Group.find_deadlock group with
-    | None -> false
-    | Some cycle -> (
-      let victim = Group.victim cycle in
-      match Hashtbl.find_opt owner (Gtxn.gid victim) with
-      | Some vj ->
-        Group.abort ~reason:"deadlock" group victim;
-        restart_or_abandon vj ~time ~why:"deadlock";
-        true
-      | None -> false)
-  in
-  let proceed j ~time =
-    (match j.j_txn with
-    | Some g when not (Gtxn.is_active g) ->
-      (* A shard crash or deadlock victimization took the transaction
-         down between our turns. *)
-      Hashtbl.remove owner (Gtxn.gid g);
-      j.j_txn <- None;
-      j.j_step <- 0
-    | _ -> ());
-    let g =
-      match j.j_txn with
-      | Some g -> g
-      | None ->
-        let g =
-          Group.begin_txn group (fresh_activity j.j_script.Workload.kind)
-        in
-        j.j_txn <- Some g;
-        Hashtbl.replace owner (Gtxn.gid g) j;
-        g
+  (* A client retries after a jittered backoff, an arrival after the
+     wait backoff. *)
+  let after_abort ~time j =
+    let s = Hashtbl.find seats j.seat in
+    let again = retry t j ~time in
+    let time =
+      if closed then time + restart_backoff + Rng.int t.rng 3
+      else time + wait_backoff
     in
-    match List.nth_opt j.j_script.Workload.steps j.j_step with
-    | None -> (
-      let fanout = Gtxn.fanout g in
-      ignore (Group.commit group g);
-      match Gtxn.status g with
-      | Gtxn.Committed ->
-        if fanout >= 2 then incr m_multi;
-        finish_job j ~time ~committed:true ~why:""
-      | Gtxn.Aborted -> restart_or_abandon j ~time ~why:"tpc"
-      | Gtxn.In_doubt ->
-        incr m_in_doubt;
-        finish_job j ~time ~committed:false ~why:"in-doubt"
-      | Gtxn.Active ->
-        invalid_arg "Sharded_driver.run_open: commit left txn active")
-    | Some step -> (
+    if again then schedule s ~time else vacate s ~time
+  in
+  let multi_attempts = ref 0 in
+  let commit s j g ~time =
+    let multi = Gtxn.fanout g >= 2 in
+    if multi then incr multi_attempts;
+    ignore (on_commit group g ~nth_multi:!multi_attempts);
+    if settle t j g ~time ~multi then vacate s ~time:(time + op_cost)
+    else after_abort ~time j
+  in
+  let turn s ~time =
+    s.queued <- false;
+    let j =
+      match s.job with
+      | Some j -> j
+      | None ->
+        let j = draw t ~seat:s.sid ~time in
+        s.job <- Some j;
+        j
+    in
+    (* A shard crash may have aborted the transaction between turns;
+       rerun the script against the surviving shards. *)
+    (match j.txn with
+    | Some g when not (Gtxn.is_active g) -> drop t j
+    | _ -> ());
+    let g = match j.txn with Some g -> g | None -> begin_txn t j in
+    match j.steps with
+    | [] -> commit s j g ~time
+    | step :: _ -> (
       match Group.invoke group g step.Workload.obj step.Workload.op with
       | Group.Granted v ->
-        j.j_waits_left <- config.o_max_waits;
-        let continue =
-          match step.Workload.continue_if with
-          | None -> true
-          | Some pred -> pred v
-        in
-        if continue then j.j_step <- j.j_step + 1
-        else j.j_step <- List.length j.j_script.Workload.steps;
-        Pqueue.push pq ~time:(time + config.o_op_cost) j.jid
+        (* A client commits as soon as its program is done, an arrival
+           on its next turn. *)
+        let ready = granted t j step v in
+        if ready && closed then commit s j g ~time:(time + op_cost)
+        else schedule s ~time:(time + op_cost)
       | Group.Wait _ ->
-        if break_deadlock ~time then Pqueue.push pq ~time:(time + 1) j.jid
-        else if j.j_waits_left <= 0 then begin
-          Group.abort ~reason:"starved" group g;
-          restart_or_abandon j ~time ~why:"starved"
-        end
-        else begin
-          j.j_waits_left <- j.j_waits_left - 1;
-          Pqueue.push pq ~time:(time + config.o_wait_backoff) j.jid
-        end
+        count_wait t;
+        if break_deadlock t ~restart:(after_abort ~time) then
+          schedule s ~time:(time + 1)
+        else if within_budget t j g then
+          schedule s ~time:(time + wait_backoff)
+        else after_abort ~time j
       | Group.Refused _ ->
-        Group.abort ~reason:"refused" group g;
-        restart_or_abandon j ~time ~why:"refused")
+        refuse t g;
+        after_abort ~time j)
+  in
+  let arrival_clock = ref 0. in
+  let next_arrival () =
+    match config.arrivals with
+    | Clients _ -> ()
+    | Poisson rate ->
+      let u = Rng.float t.rng 1.0 in
+      arrival_clock := !arrival_clock +. (-.log (1. -. u) /. rate);
+      let time = int_of_float !arrival_clock in
+      if time <= config.duration then Pqueue.push pq ~time (-1)
   in
   let arrive ~time =
-    let script = workload.Workload.generate rng in
-    let home =
-      match script.Workload.steps with
-      | [] -> 0
-      | step :: _ -> Group.shard_of group step.Workload.obj
-    in
-    let j =
-      {
-        jid = !next_jid;
-        arrival = time;
-        home;
-        j_script = script;
-        j_step = 0;
-        j_txn = None;
-        j_restarts_left = config.o_max_restarts;
-        j_waits_left = config.o_max_waits;
-      }
-    in
-    incr next_jid;
-    incr m_arrivals;
-    w_arrivals.(window_of time) <- w_arrivals.(window_of time) + 1;
-    Hashtbl.replace jobs j.jid j;
-    Pqueue.push pq ~time j.jid;
-    push_next_arrival ()
+    let s = new_seat () in
+    s.job <- Some (draw t ~seat:s.sid ~time);
+    schedule s ~time;
+    next_arrival ()
   in
-  push_next_arrival ();
+  if closed then
+    for _ = 1 to load do
+      schedule (new_seat ()) ~time:(Rng.int t.rng 2)
+    done;
+  next_arrival ();
   let last_time = ref 0 in
-  let guard = ref 0 in
-  let max_events =
-    200 * config.o_duration
-    * (1 + int_of_float (config.rate *. float_of_int config.o_duration))
-  in
+  let events = ref 0 in
+  let max_events = 200 * config.duration * load in
   let rec loop () =
-    incr guard;
-    if !guard > max_events then ()
-    else
+    incr events;
+    if !events <= max_events then
       match Pqueue.pop pq with
-      | Some (time, payload) when time <= config.o_duration ->
+      | Some (time, sid) when time <= config.duration ->
         last_time := max !last_time time;
         now := max !now time;
-        (if payload = -1 then arrive ~time
-         else
-           match Hashtbl.find_opt jobs payload with
-           | Some j -> proceed j ~time
-           | None -> ());
+        (if sid < 0 then arrive ~time
+         else Option.iter (turn ~time) (Hashtbl.find_opt seats sid));
         loop ()
       | Some _ | None -> ()
   in
   loop ();
-  (* Jobs still open at the end of the run: abort the active ones so
-     the group quiesces; they count as in flight, not aborted. *)
-  let open_jobs = Hashtbl.fold (fun _ j acc -> j :: acc) jobs [] in
-  List.iter
-    (fun j ->
-      match j.j_txn with
-      | Some g when Gtxn.is_active g -> Group.abort ~reason:"end of run" group g
-      | _ -> ())
-    open_jobs;
-  let windows =
-    List.init n_windows (fun w ->
-        let sorted = Array.of_list (w_lats.(w)) in
-        Array.sort Float.compare sorted;
-        {
-          w_start = w * config.window;
-          w_arrivals = w_arrivals.(w);
-          w_committed = w_committed.(w);
-          w_aborted = w_aborted.(w);
-          w_p50 = exact_percentile sorted 50.;
-          w_p99 = exact_percentile sorted 99.;
-        })
-  in
-  {
-    offered = config.rate *. 1000.;
-    arrivals = !m_arrivals;
-    o_committed = !m_committed;
-    o_committed_multi = !m_multi;
-    o_aborted = !m_aborted;
-    abort_causes =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) causes []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-    o_in_doubt = !m_in_doubt;
-    in_flight_end = List.length open_jobs;
-    windows;
-    shard_latency;
-    latency = Metrics.Histogram.merge_all (Array.to_list shard_latency);
-    o_ticks = max 1 !last_time;
-  }
+  (* Transactions still open when the clock runs out are abandoned in
+     flight: abort the active ones so they do not linger as waiters
+     (in-doubt ones stay — only a replayed decision may resolve them). *)
+  for sid = 0 to !next_sid - 1 do
+    match Hashtbl.find_opt seats sid with
+    | Some { job = Some { txn = Some g; _ }; _ } when Gtxn.is_active g ->
+      Group.abort ~reason:"end of run" group g
+    | _ -> ()
+  done;
+  finish t ~width:config.window ~horizon:config.duration
+    ~ticks:(max 1 !last_time) ~t0
+
+(* ------------------------------------------------------------------ *)
+(* The round loop: batched invokes, one commit wave per round *)
+
+let run_rounds ?(config = default_config) group workload =
+  if config.jobs < 0 then
+    invalid_arg "Sharded_driver.run_rounds: jobs must be >= 0";
+  if config.inflight <= 0 then
+    invalid_arg "Sharded_driver.run_rounds: inflight must be positive";
+  if config.window <= 0 then
+    invalid_arg "Sharded_driver.run_rounds: window must be positive";
+  let t = create Rounds config group workload in
+  let t0 = Monotonic_clock.now () in
+  (* A restarted job reopens its transaction at once, so the next round
+     batches its first step again. *)
+  let restart ~time j = if retry t j ~time then ignore (begin_txn t j) in
+  let live = ref [] in
+  let rounds = ref 0 in
+  while t.o.committed + t.o.gave_up + t.o.in_doubt < config.jobs do
+    incr rounds;
+    let time = !rounds in
+    (* refill the window, in generator order *)
+    let room = config.inflight - List.length !live in
+    let fresh =
+      List.init
+        (max 0 (min room (config.jobs - t.o.started)))
+        (fun _ ->
+          let j = draw t ~seat:t.o.started ~time in
+          ignore (begin_txn t j);
+          j)
+    in
+    live := !live @ fresh;
+    (* one pending operation per running job, batched across shards *)
+    let entries =
+      List.filter_map
+        (fun j -> match j.steps with st :: _ -> Some (j, st) | [] -> None)
+        !live
+    in
+    let results =
+      Group.invoke_batch group
+        (List.map
+           (fun (j, st) -> (txn j, st.Workload.obj, st.Workload.op))
+           entries)
+    in
+    let blocked = ref false in
+    List.iter2
+      (fun (j, st) r ->
+        match r with
+        | Group.Granted v -> ignore (granted t j st v)
+        | Group.Wait _ ->
+          blocked := true;
+          count_wait t;
+          if not (within_budget t j (txn j)) then restart ~time j
+        | Group.Refused _ ->
+          refuse t (txn j);
+          restart ~time j)
+      entries results;
+    (* cross-shard cycles can only involve waiters, and every waiter
+       just surfaced in this round's results *)
+    if !blocked then
+      while break_deadlock t ~restart:(restart ~time) do
+        ()
+      done;
+    (* commit every finished program as one batch — one sync per shard
+       covers all of them *)
+    let ready = List.filter (fun j -> j.txn <> None && j.steps = []) !live in
+    if ready <> [] then begin
+      let fanouts = List.map (fun j -> (j, Gtxn.fanout (txn j))) ready in
+      Group.commit_batch group (List.map txn ready);
+      List.iter
+        (fun (j, fanout) ->
+          if not (settle t j (txn j) ~time ~multi:(fanout >= 2)) then
+            restart ~time j)
+        fanouts
+    end;
+    live := List.filter (fun j -> j.txn <> None) !live
+  done;
+  finish t ~width:config.window ~horizon:!rounds ~ticks:!rounds ~t0
 
 let pp_window ppf w =
   Fmt.pf ppf "[%5d) arr %3d commit %3d abort %3d p50 %5.1f p99 %5.1f"
     w.w_start w.w_arrivals w.w_committed w.w_aborted w.w_p50 w.w_p99
 
-let pp_open_outcome ppf o =
+let pp ppf o =
+  let throughput =
+    if o.elapsed > 0. then float_of_int o.committed /. o.elapsed else 0.
+  in
   Fmt.pf ppf
-    "@[<v>offered %.1f/1000t: %d arrivals, %d committed (%d 2pc), %d \
-     aborted, %d in-doubt, %d in flight@,\
+    "@[<v>started %d, committed %d (read-only %d, 2pc %d), in flight %d@,\
+     aborted: %d deadlock, %d refused, %d starved, %d tpc; gave up %d; \
+     in doubt %d@,\
+     waits %d, restarts %d; %d ticks in %.3fs (%.0f txn/s)@,\
      latency: %a@,\
-     aborts: %a@,%a@]"
-    o.offered o.arrivals o.o_committed o.o_committed_multi o.o_aborted
-    o.o_in_doubt o.in_flight_end Metrics.Histogram.pp o.latency
-    Fmt.(list ~sep:comma (pair ~sep:(any ":") string int))
-    o.abort_causes
+     %a@]"
+    o.started o.committed o.committed_read_only o.committed_multi
+    (in_flight o) o.aborted_deadlock o.aborted_refused o.aborted_starved
+    o.aborted_tpc o.gave_up o.in_doubt o.waits o.restarts o.ticks o.elapsed
+    throughput Histogram.pp (latency o)
     Fmt.(list ~sep:cut pp_window)
     o.windows

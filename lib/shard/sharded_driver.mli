@@ -1,30 +1,52 @@
-(** A deterministic closed-loop client driver over a shard {!Group}.
+(** The deterministic workload driver over a shard {!Group}.
 
-    The sharded twin of {!Weihl_sim.Driver}: N clients draw transaction
-    scripts from a {!Weihl_sim.Workload}, execute them against the
-    group facade — legs opening on whichever shards the router picks —
-    and commit through the group's fast path or 2PC.  Virtual time,
-    conflicts and retries are all driven from one seeded RNG, so a
-    [(seed, workload, group)] triple replays the same schedule exactly.
+    Transactions are scripts drawn from a {!Weihl_sim.Workload}; each
+    runs against the group facade — legs opening on whichever shards
+    the router picks — and commits through the fast path or 2PC.  One
+    job record, one script-step rule (grant, [continue_if], wait
+    budget, refusal, restart, give-up), one deadlock-victim routine and
+    one outcome serve two schedulers:
 
-    Cross-shard deadlocks are broken by victimizing the youngest
-    transaction of a cycle found in the merged waits-for graph.  A
-    client blocked with no cycle to break — typically behind an
-    in-doubt prepared leg that only recovery can resolve — aborts as
-    {e starved} after [max_waits] retries, so the run always
-    terminates.  The [on_commit] hook lets a fault harness swap in a
-    faulty 2PC round at a chosen multi-shard commit. *)
+    - {!run}, the virtual-time event loop.  Arrivals are a closed loop
+      of [Clients n] that each draw their next script when the last one
+      finishes, or an open loop of seeded [Poisson rate] arrivals that
+      keep coming however many are already in flight — the view that
+      shows where the group saturates, which a self-throttling closed
+      loop cannot.  Each transaction commits on its own through
+      [on_commit] ({!Group.commit} by default).
+    - {!run_rounds}, the round loop.  An in-flight window of [inflight]
+      transactions advances one operation per round through
+      {!Group.invoke_batch} (one mailbox job per shard, in parallel on
+      the shard domains), cross-shard deadlocks are broken between
+      rounds, and every finished program commits in the round's single
+      {!Group.commit_batch}, so one WAL sync per shard covers the whole
+      wave.
+
+    Both are deterministic per seed: scripts, arrivals and retries draw
+    from one generator, and deadlock victims are picked by gid.  The
+    round loop's batch order is start order and per-shard execution
+    order equals batch order at any domain count, so its outcome is the
+    same at [~domains:1] and [~domains:8] — only [elapsed] changes.
+
+    Cross-shard deadlocks are broken by aborting the youngest member of
+    a cycle in the merged waits-for graph.  A transaction blocked with
+    no cycle to break — typically behind an in-doubt prepared leg that
+    only recovery can resolve — aborts as starved once its wait budget
+    is spent, so every run terminates.  Retry budgets are constants of
+    each scheduler: 3 restarts and 50 consecutive blocked retries in the
+    event loop; 8 restarts and 64 blocked rounds per attempt in the
+    round loop. *)
+
+type arrivals =
+  | Clients of int  (** closed loop: this many clients *)
+  | Poisson of float  (** open loop: mean arrivals per tick *)
 
 type config = {
-  clients : int;
-  duration : int;  (** virtual ticks *)
-  op_cost : int;
-  think_time : int;
-  restart_backoff : int;
-  max_restarts : int;  (** per script, before the client gives up *)
-  wait_backoff : int;
-  max_waits : int;
-      (** blocked retries before the transaction aborts as starved *)
+  arrivals : arrivals;  (** event loop *)
+  duration : int;  (** event loop: virtual ticks *)
+  window : int;  (** ticks (or rounds) per time-series window *)
+  jobs : int;  (** round loop: transactions to run to completion *)
+  inflight : int;  (** round loop: open-transaction window *)
   activity_base : int;
       (** offset for generated activity names — keeps phases of a
           crash/recovery schedule from colliding *)
@@ -32,26 +54,44 @@ type config = {
 }
 
 val default_config : config
-(** 6 clients, 1500 ticks, 3 restarts, 50 blocked retries, seed 42. *)
+(** 6 clients, 1500 ticks, windows of 250, 400 jobs in a window of 32,
+    seed 42. *)
 
-type outcome = {
-  committed : int;
-  committed_read_only : int;
-  committed_multi : int;  (** commits that ran a 2PC round (fanout >= 2) *)
-  committed_single : int;  (** fast-path commits (fanout <= 1) *)
-  aborted_deadlock : int;
-  aborted_refused : int;
-  aborted_tpc : int;  (** 2PC rounds that decided abort *)
-  aborted_starved : int;
-  left_in_doubt : int;  (** transactions whose 2PC round ended in-doubt *)
-  gave_up : int;
-  waits : int;
-  restarts : int;
-  multi_attempts : int;  (** multi-shard commit attempts, incl. faulty ones *)
-  ticks : int;
+type window = {
+  w_start : int;
+  w_arrivals : int;
+  w_committed : int;
+  w_aborted : int;  (** gave up or left in doubt *)
+  w_p50 : float;  (** exact, over latencies completing in the window *)
+  w_p99 : float;
 }
 
-val pp_outcome : Format.formatter -> outcome -> unit
+type outcome = {
+  started : int;  (** scripts drawn from the workload *)
+  committed : int;
+  committed_read_only : int;
+  committed_multi : int;  (** commits that ran 2PC (fanout >= 2) *)
+  aborted_deadlock : int;
+  aborted_refused : int;
+  aborted_starved : int;
+  aborted_tpc : int;  (** commits that decided abort *)
+  gave_up : int;  (** scripts abandoned with their restart budget spent *)
+  in_doubt : int;  (** transactions whose commit ended in doubt *)
+  waits : int;
+  restarts : int;
+  shard_latency : Weihl_obs.Metrics.Histogram.t array;
+      (** commit latency (commit time - draw time) by home shard — the
+          shard of the script's first object *)
+  windows : window list;
+  ticks : int;  (** virtual ticks, or rounds in the round loop *)
+  elapsed : float;  (** monotonic wall-clock seconds *)
+}
+
+val in_flight : outcome -> int
+(** Scripts still open when the run ended. *)
+
+val latency : outcome -> Weihl_obs.Metrics.Histogram.t
+(** Group-wide commit latency: the per-shard histograms merged. *)
 
 val run :
   ?config:config ->
@@ -60,76 +100,21 @@ val run :
   Group.t ->
   Weihl_sim.Workload.t ->
   outcome
-(** Drive the workload against the group.  [on_commit] intercepts every
-    commit; [nth_multi] counts multi-shard attempts (1-based), so a
-    harness can inject a fault into exactly the k-th 2PC round.  The
-    default commits cleanly.  With [tracer], the driver points its
-    virtual clock at the trace and installs it on the group
+(** The event loop.  [on_commit] intercepts every commit; [nth_multi]
+    counts multi-shard attempts (1-based), so a harness can inject a
+    fault into exactly the k-th 2PC round.  With [tracer], the driver
+    points its virtual clock at the trace and installs it on the group
     ({!Group.set_tracer}), so the run yields a merged cross-shard
-    Chrome trace. *)
+    Chrome trace.
+    @raise Invalid_argument unless the Poisson rate and the window are
+    positive. *)
 
-(** {1 Open-loop mode}
+val run_rounds : ?config:config -> Group.t -> Weihl_sim.Workload.t -> outcome
+(** The round loop, until [config.jobs] transactions have finished
+    (committed, given up or left in doubt).  The caller owns the group:
+    create it with the desired [domains] / [group_commit] / [sync_cost]
+    and {!Group.shutdown} it afterwards.
+    @raise Invalid_argument if [jobs] is negative or [inflight] or
+    [window] not positive. *)
 
-    Arrivals are a seeded Poisson process at a fixed offered rate,
-    independent of completions — the closed loop above self-throttles
-    behind contention, so it can never show where the group saturates.
-    Each arrival runs its script to completion (with bounded blocked
-    retries and restarts), however many are already in flight. *)
-
-type open_config = {
-  rate : float;  (** mean arrivals per tick (Poisson) *)
-  o_duration : int;
-  o_op_cost : int;
-  o_wait_backoff : int;
-  o_max_waits : int;
-  o_max_restarts : int;
-  window : int;  (** ticks per time-series window *)
-  o_seed : int;
-  o_activity_base : int;
-}
-
-val default_open_config : open_config
-(** rate 0.2/tick, 2000 ticks, window 250, seed 42. *)
-
-type window = {
-  w_start : int;
-  w_arrivals : int;
-  w_committed : int;
-  w_aborted : int;
-  w_p50 : float;  (** exact, over latencies completing in the window *)
-  w_p99 : float;
-}
-
-type open_outcome = {
-  offered : float;  (** offered load, arrivals per 1000 ticks *)
-  arrivals : int;
-  o_committed : int;
-  o_committed_multi : int;
-  o_aborted : int;
-  abort_causes : (string * int) list;  (** cause -> count, sorted *)
-  o_in_doubt : int;
-  in_flight_end : int;  (** jobs still open when the clock ran out *)
-  windows : window list;
-  shard_latency : Weihl_obs.Metrics.Histogram.t array;
-      (** commit latency (commit tick - arrival tick) by home shard —
-          the shard of the script's first object *)
-  latency : Weihl_obs.Metrics.Histogram.t;
-      (** group-wide, {!Weihl_obs.Metrics.Histogram.merge} over the
-          per-shard histograms *)
-  o_ticks : int;
-}
-
-val run_open :
-  ?config:open_config ->
-  ?tracer:Weihl_obs.Shard_trace.t ->
-  Group.t ->
-  Weihl_sim.Workload.t ->
-  open_outcome
-(** Drive the open-loop workload.  Deterministic per seed: arrivals,
-    scripts and retries all draw from one generator, so a
-    [(config, group, workload)] triple replays the same windowed
-    series exactly.
-    @raise Invalid_argument unless [rate] and [window] are positive. *)
-
-val pp_window : Format.formatter -> window -> unit
-val pp_open_outcome : Format.formatter -> open_outcome -> unit
+val pp : Format.formatter -> outcome -> unit

@@ -27,7 +27,7 @@ let run_traffic ?(seed = 7) ?(duration = 300) ?(every = 25) proto =
   let config =
     {
       Sharded_driver.default_config with
-      clients = 4;
+      arrivals = Clients 4;
       duration;
       seed = (seed * 17) + 1;
     }

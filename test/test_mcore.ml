@@ -199,6 +199,75 @@ let test_synced_commits_survive_crash () =
     (Shard_group.committed_count g);
   check_int "no stuck legs" 0 (Shard_group.in_doubt_count g)
 
+let balance g x =
+  let t = Shard_group.begin_txn g (Activity.read_only "audit") in
+  let v = granted (Shard_group.invoke g t x Bank_account.balance) in
+  Shard_group.abort g t;
+  v
+
+let crash_and_recover g s =
+  let wal = Shard_group.crash_shard g s in
+  match Shard_group.recover_shard g s wal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Fmt.str "%a" Recovery.pp_failure e)
+
+(* [Shard_group.commit], not just the batch path, must sync before it
+   acknowledges under group commit. *)
+let test_fast_path_commit_synced () =
+  let g = rw_group ~group_commit:true () in
+  let x = List.hd accounts in
+  let t1 = Shard_group.begin_txn g (Activity.update "fast") in
+  ignore (granted (Shard_group.invoke g t1 x (Bank_account.deposit 7)));
+  ignore (Shard_group.commit g t1);
+  check_bool "acknowledged" true (Gtxn.status t1 = Gtxn.Committed);
+  crash_and_recover g (Shard_group.shard_of g x);
+  check_bool "the acknowledged deposit survived" true
+    (balance g x = Value.Int 7)
+
+let test_two_phase_commit_synced () =
+  let g = rw_group ~group_commit:true ~shards:2 () in
+  let on s = List.find (fun x -> Shard_group.shard_of g x = s) accounts in
+  let x = on 0 and y = on 1 in
+  let t1 = Shard_group.begin_txn g (Activity.update "both") in
+  ignore (granted (Shard_group.invoke g t1 x (Bank_account.deposit 3)));
+  ignore (granted (Shard_group.invoke g t1 y (Bank_account.deposit 4)));
+  ignore (Shard_group.commit g t1);
+  check_bool "acknowledged" true (Gtxn.status t1 = Gtxn.Committed);
+  crash_and_recover g 0;
+  crash_and_recover g 1;
+  (* all or nothing: each shard kept its leg *)
+  check_bool "shard 0 kept its leg" true (balance g x = Value.Int 3);
+  check_bool "shard 1 kept its leg" true (balance g y = Value.Int 4);
+  check_int "nothing left in doubt" 0 (Shard_group.in_doubt_count g)
+
+(* The synthesized account protocol's conflict table is built lazily;
+   grant decisions on two shard domains at once must not race to
+   build it. *)
+let test_derived_account_across_domains () =
+  let proto = Option.get (Fault_harness.find_protocol "derived_account") in
+  let g = Shard_group.create ~domains:2 ~shards:2 () in
+  Fun.protect ~finally:(fun () -> Shard_group.shutdown g) @@ fun () ->
+  let on s = List.find (fun x -> Shard_group.shard_of g x = s) accounts in
+  let x = on 0 and y = on 1 in
+  List.iter
+    (fun a -> Shard_group.add_object g a proto.Fault_harness.make_object)
+    [ x; y ];
+  let ts =
+    List.init 4 (fun i ->
+        Shard_group.begin_txn g (Activity.update (Fmt.str "d%d" i)))
+  in
+  (* the second deposit on each shard consults the table *)
+  Shard_group.invoke_batch g
+    (List.map2
+       (fun t (a, n) -> (t, a, Bank_account.deposit n))
+       ts
+       [ (x, 5); (x, 2); (y, 5); (y, 2) ])
+  |> List.iter (fun r -> ignore (granted r));
+  Shard_group.commit_batch g ts;
+  List.iter
+    (fun t -> check_bool "committed" true (Gtxn.status t = Gtxn.Committed))
+    ts
+
 let test_batch_apis_match_serial_calls () =
   (* one multi-shard transaction and one single-shard transaction
      through the batch APIs, cross-checked against plain invoke *)
@@ -257,9 +326,9 @@ let test_classic_path_domain_independent () =
 let mcore_fingerprint ~domains seed =
   let g = rw_group ~seed ~shards:4 ~domains ~group_commit:true () in
   let config =
-    { Mcore_driver.default_config with jobs = 120; inflight = 16; seed }
+    { Sharded_driver.default_config with jobs = 120; inflight = 16; seed }
   in
-  let o = Mcore_driver.run ~config g (Workload.banking ()) in
+  let o = Sharded_driver.run_rounds ~config g (Workload.banking ()) in
   let projection =
     Fmt.str "%a"
       (Fmt.list (fun ppf (a, ops) ->
@@ -280,9 +349,10 @@ let prop_mcore_domain_independent =
     (fun seed ->
       let o1, p1, w1 = mcore_fingerprint ~domains:1 seed in
       let o4, p4, w4 = mcore_fingerprint ~domains:4 seed in
-      (* elapsed/throughput are 0 under the default clock, so plain
-         structural equality covers the whole outcome record *)
-      o1 = o4 && p1 = p4 && List.for_all2 String.equal w1 w4)
+      (* everything but the wall clock: the printed outcome with
+         elapsed zeroed covers every counter, histogram and window *)
+      let show o = Fmt.str "%a" Sharded_driver.pp { o with Sharded_driver.elapsed = 0. } in
+      show o1 = show o4 && p1 = p4 && List.for_all2 String.equal w1 w4)
 
 (* --- the 4-domain stress test ---------------------------------------- *)
 
@@ -310,13 +380,16 @@ let test_four_domain_banking_stress () =
           Op_locking.rw log id (module Bank_account)))
     accounts;
   let config =
-    { Mcore_driver.default_config with jobs = 300; inflight = 48; seed = 11 }
+    { Sharded_driver.default_config with jobs = 300; inflight = 48; seed = 11 }
   in
-  let o = Mcore_driver.run ~config g (Workload.banking ~accounts:64 ()) in
-  check_bool "made progress" true (o.Mcore_driver.committed > 100);
-  check_bool "2pc transfers happened" true (o.Mcore_driver.committed_multi > 0);
+  let o =
+    Sharded_driver.run_rounds ~config g (Workload.banking ~accounts:64 ())
+  in
+  check_bool "made progress" true (o.Sharded_driver.committed > 100);
+  check_bool "2pc transfers happened" true
+    (o.Sharded_driver.committed_multi > 0);
   check_int "no stuck in-doubt legs" 0 (Shard_group.in_doubt_count g);
-  check_int "tally matches" o.Mcore_driver.committed
+  check_int "tally matches" o.Sharded_driver.committed
     (Shard_group.committed_count g);
   (* conservation: the balances the shards answer now must equal the
      money the committed projection says entered minus what left — a
@@ -361,8 +434,14 @@ let suite =
       `Quick test_crash_before_sync_never_acknowledged;
     Alcotest.test_case "group commit: acknowledged commits survive" `Quick
       test_synced_commits_survive_crash;
+    Alcotest.test_case "group commit: Group.commit syncs the fast path"
+      `Quick test_fast_path_commit_synced;
+    Alcotest.test_case "group commit: Group.commit syncs 2PC votes" `Quick
+      test_two_phase_commit_synced;
     Alcotest.test_case "batch APIs agree with serial calls" `Quick
       test_batch_apis_match_serial_calls;
+    Alcotest.test_case "derived_account grants on two domains at once"
+      `Quick test_derived_account_across_domains;
     Alcotest.test_case "classic path: WALs identical at 1 and 4 domains"
       `Quick test_classic_path_domain_independent;
     QCheck_alcotest.to_alcotest prop_mcore_domain_independent;

@@ -25,7 +25,7 @@ let drive ?(clients = 4) ?(duration = 200) ?(base = 0) ?(seed = 5) group w =
   let config =
     {
       Sharded_driver.default_config with
-      clients;
+      arrivals = Clients clients;
       duration;
       activity_base = base;
       seed;

@@ -308,8 +308,8 @@ let test_driver_clean_run () =
   check_bool "multi-shard commits happened" true
     (o.Sharded_driver.committed_multi > 0);
   check_bool "fast-path commits happened" true
-    (o.Sharded_driver.committed_single > 0);
-  check_int "none in doubt" 0 o.Sharded_driver.left_in_doubt;
+    (o.Sharded_driver.committed > o.Sharded_driver.committed_multi);
+  check_int "none in doubt" 0 o.Sharded_driver.in_doubt;
   check_int "none stuck" 0 (Shard_group.in_doubt_count g);
   check_int "tally matches" o.Sharded_driver.committed
     (Shard_group.committed_count g)
@@ -462,23 +462,23 @@ let test_traced_run_round_trips_and_attributes () =
 
 let open_cfg =
   {
-    Sharded_driver.default_open_config with
-    rate = 0.3;
-    o_duration = 800;
+    Sharded_driver.default_config with
+    arrivals = Poisson 0.3;
+    duration = 800;
     window = 200;
-    o_seed = 9;
+    seed = 9;
   }
 
 let test_open_loop_deterministic () =
   let run () =
     let g = rw_group ~seed:2 ~shards:3 () in
-    Sharded_driver.run_open ~config:open_cfg g (Workload.banking ())
+    Sharded_driver.run ~config:open_cfg g (Workload.banking ())
   in
   let a = run () and b = run () in
-  check_int "same arrivals" a.Sharded_driver.arrivals b.Sharded_driver.arrivals;
-  check_int "same commits" a.Sharded_driver.o_committed
-    b.Sharded_driver.o_committed;
-  check_int "same aborts" a.Sharded_driver.o_aborted b.Sharded_driver.o_aborted;
+  check_int "same arrivals" a.Sharded_driver.started b.Sharded_driver.started;
+  check_int "same commits" a.Sharded_driver.committed
+    b.Sharded_driver.committed;
+  check_int "same give-ups" a.Sharded_driver.gave_up b.Sharded_driver.gave_up;
   check_int "same number of windows"
     (List.length a.Sharded_driver.windows)
     (List.length b.Sharded_driver.windows);
@@ -498,19 +498,125 @@ let test_open_loop_deterministic () =
 
 let test_open_loop_group_latency_is_shard_merge () =
   let g = rw_group ~seed:4 ~shards:3 () in
-  let o = Sharded_driver.run_open ~config:open_cfg g (Workload.banking ()) in
-  check_bool "made progress" true (o.Sharded_driver.o_committed > 0);
+  let o = Sharded_driver.run ~config:open_cfg g (Workload.banking ()) in
+  check_bool "made progress" true (o.Sharded_driver.committed > 0);
   let module H = Obs.Metrics.Histogram in
-  let merged = H.merge_all (Array.to_list o.Sharded_driver.shard_latency) in
-  let latency = o.Sharded_driver.latency in
-  check_int "group count = merged shard counts" (H.count merged)
+  let shards = Array.to_list o.Sharded_driver.shard_latency in
+  let latency = Sharded_driver.latency o in
+  check_int "group count = shard counts summed"
+    (List.fold_left (fun n h -> n + H.count h) 0 shards)
     (H.count latency);
-  Alcotest.(check (float 1e-9)) "group sum" (H.sum merged) (H.sum latency);
-  List.iter2
-    (fun (_, m) (_, l) -> check_int "bucket" m l)
-    (H.buckets merged) (H.buckets latency);
+  Alcotest.(check (float 1e-9))
+    "group sum"
+    (List.fold_left (fun n h -> n +. H.sum h) 0. shards)
+    (H.sum latency);
   (* Every commit's latency landed in exactly one home shard. *)
-  check_int "commits all measured" o.Sharded_driver.o_committed (H.count latency)
+  check_int "commits all measured" o.Sharded_driver.committed (H.count latency);
+  check_int "windows count every commit" o.Sharded_driver.committed
+    (List.fold_left
+       (fun n w -> n + w.Sharded_driver.w_committed)
+       0 o.Sharded_driver.windows)
+
+(* --- pinned seeded outcomes ------------------------------------------- *)
+
+(* Exact outcomes of three seeded runs, one per way of driving the
+   group: a closed loop with 2PC faults injected through [on_commit] —
+   a participant crash at the 4th multi-shard attempt, a coordinator
+   crash at the 9th — a Poisson open loop, and the round loop at 1 and
+   2 domains.  Gids pick deadlock victims and the generator's draw
+   order picks scripts, so any change to either shows up here. *)
+let closed_fingerprint () =
+  let g = rw_group ~seed:3 ~shards:3 () in
+  let on_commit g gt ~nth_multi =
+    match nth_multi with
+    | 4 ->
+      Shard_group.commit
+        ~fault:{ Tpc.no_fault with f_participant_crash = Some (1, `After_vote) }
+        g gt
+    | 9 ->
+      Shard_group.commit
+        ~fault:{ Tpc.no_fault with f_coordinator_crash = Tpc.After_prepare }
+        g gt
+    | _ -> Shard_group.commit g gt
+  in
+  let config =
+    {
+      Sharded_driver.default_config with
+      arrivals = Clients 6;
+      duration = 600;
+      seed = 5;
+    }
+  in
+  let o = Sharded_driver.run ~config ~on_commit g (Workload.banking ()) in
+  Fmt.str "%d %d %d dl%d rf%d tpc%d st%d id%d gu%d w%d r%d t%d"
+    o.Sharded_driver.committed o.Sharded_driver.committed_read_only
+    o.Sharded_driver.committed_multi o.Sharded_driver.aborted_deadlock
+    o.Sharded_driver.aborted_refused o.Sharded_driver.aborted_tpc
+    o.Sharded_driver.aborted_starved o.Sharded_driver.in_doubt
+    o.Sharded_driver.gave_up o.Sharded_driver.waits o.Sharded_driver.restarts
+    o.Sharded_driver.ticks
+
+let poisson_fingerprint () =
+  let g = rw_group ~seed:2 ~shards:3 () in
+  let o = Sharded_driver.run ~config:open_cfg g (Workload.banking ()) in
+  let h = Sharded_driver.latency o in
+  Fmt.str "%d %d %d ab%d id%d t%d p50=%g p99=%g mean=%g [%s]"
+    o.Sharded_driver.started o.Sharded_driver.committed
+    o.Sharded_driver.committed_multi
+    (o.Sharded_driver.gave_up + o.Sharded_driver.in_doubt)
+    o.Sharded_driver.in_doubt o.Sharded_driver.ticks
+    (Obs.Metrics.Histogram.percentile h 50.)
+    (Obs.Metrics.Histogram.percentile h 99.)
+    (Obs.Metrics.Histogram.mean h)
+    (String.concat "; "
+       (List.map
+          (fun (w : Sharded_driver.window) ->
+            Fmt.str "%d %d %d %d %g %g" w.Sharded_driver.w_start
+              w.Sharded_driver.w_arrivals w.Sharded_driver.w_committed
+              w.Sharded_driver.w_aborted w.Sharded_driver.w_p50
+              w.Sharded_driver.w_p99)
+          o.Sharded_driver.windows))
+
+let rounds_fingerprint ~domains =
+  let g =
+    Shard_group.create ~seed:11 ~shards:4 ~domains ~group_commit:true ()
+  in
+  let accounts = Workload.account_ids 32 in
+  List.iter
+    (fun x ->
+      Shard_group.add_object g x (fun log id ->
+          Op_locking.rw log id (module Bank_account)))
+    accounts;
+  let config =
+    { Sharded_driver.default_config with jobs = 200; inflight = 24; seed = 5 }
+  in
+  let o =
+    Sharded_driver.run_rounds ~config g (Workload.banking ~accounts:32 ())
+  in
+  Shard_group.shutdown g;
+  Fmt.str "%d %d dl%d st%d rf%d lost%d gu%d w%d r%d rounds%d"
+    o.Sharded_driver.committed o.Sharded_driver.committed_multi
+    o.Sharded_driver.aborted_deadlock o.Sharded_driver.aborted_starved
+    o.Sharded_driver.aborted_refused
+    (o.Sharded_driver.aborted_tpc + o.Sharded_driver.in_doubt)
+    o.Sharded_driver.gave_up o.Sharded_driver.waits o.Sharded_driver.restarts
+    o.Sharded_driver.ticks
+
+let test_driver_pinned () =
+  let check = Alcotest.(check string) in
+  check "closed loop with 2PC faults"
+    "36 1 9 dl2 rf10 tpc0 st10 id1 gu1 w856 r21 t600" (closed_fingerprint ());
+  check "Poisson open loop"
+    "251 239 145 ab5 id0 t800 p50=2.25 p99=51 mean=6.35146 [0 60 59 0 2 17; \
+     200 60 60 0 2 22; 400 62 60 1 6 37; 600 69 60 4 2 51; 800 0 0 0 0 0]"
+    (poisson_fingerprint ());
+  List.iter
+    (fun domains ->
+      check
+        (Fmt.str "round loop, %d domain(s)" domains)
+        "199 90 dl15 st12 rf0 lost0 gu1 w2329 r26 rounds169"
+        (rounds_fingerprint ~domains))
+    [ 1; 2 ]
 
 (* --- the merged-projection property --------------------------------- *)
 
@@ -592,5 +698,8 @@ let suite =
       test_open_loop_deterministic;
     Alcotest.test_case "open loop: group latency merges the shards" `Quick
       test_open_loop_group_latency_is_shard_merge;
+    Alcotest.test_case "driver: seeded outcomes pinned (closed, Poisson, \
+                        rounds)" `Quick
+      test_driver_pinned;
     to_alcotest prop_merged_projection_replays;
   ]
