@@ -1511,7 +1511,7 @@ let recovery_section ~quick =
   let w = proto.Fault_harness.workload () in
   let group =
     Shard_group.create ~policy:proto.Fault_harness.policy ~seed:9 ~shards
-      ~checkpoint:{ Shard_group.default_checkpoint with every; archive = true }
+      ~checkpoint:{ Shard_group.every; archive = true }
       ()
   in
   List.iter
@@ -1629,9 +1629,8 @@ let replication_section ~quick =
       ~make_object:proto.Fault_harness.make_object group
   in
   let on_commit g gt ~nth_multi:_ =
-    let r = Shard_group.commit g gt in
-    Replica_tier.pump tier;
-    r
+    Shard_group.commit g gt;
+    Replica_tier.pump tier
   in
   let config =
     { Sharded_driver.default_config with arrivals = Clients 4; duration; seed = 11 }
@@ -1726,6 +1725,44 @@ let jstr = function Some (J.Str s) -> Some s | _ -> None
    scheduling regression — never runner noise.  Wall-clock
    micro-benchmark numbers stay advisory. *)
 let regression_tolerance = 0.5
+
+(* The seeded sections are functions of (seed, config) apart from their
+   wall-clock fields, so a run in the baseline's mode must reproduce
+   every other field exactly. *)
+let exact_sections =
+  [ "sim"; "synth"; "open_loop"; "multicore"; "recovery"; "replication" ]
+
+let wall_clock_field name =
+  String.ends_with ~suffix:"_wall_ms" name
+  || List.mem name [ "elapsed_s"; "throughput_txn_s"; "speedup_vs_1" ]
+
+(* Where [current] departs from [base], wall-clock fields aside. *)
+let rec exact_diffs path base current =
+  match (base, current) with
+  | J.Obj bs, J.Obj cs ->
+    List.concat_map
+      (fun name ->
+        let at = path ^ "." ^ name in
+        if wall_clock_field name then []
+        else
+          match (List.assoc_opt name bs, List.assoc_opt name cs) with
+          | Some b, Some c -> exact_diffs at b c
+          | Some _, None -> [ at ^ " is missing from this run" ]
+          | None, Some _ -> [ at ^ " is not in the baseline" ]
+          | None, None -> [])
+      (List.sort_uniq String.compare (List.map fst bs @ List.map fst cs))
+  | J.List bs, J.List cs when List.length bs = List.length cs ->
+    List.concat
+      (List.mapi
+         (fun i (b, c) -> exact_diffs (Fmt.str "%s[%d]" path i) b c)
+         (List.combine bs cs))
+  | _ ->
+    if J.equal base current then []
+    else
+      [
+        Fmt.str "%s is %s, baseline %s" path (J.to_string current)
+          (J.to_string base);
+      ]
 
 let compare_to_baseline ~current ~base =
   match (jstr (jfield "mode" base), jstr (jfield "mode" current)) with
@@ -1937,8 +1974,21 @@ let compare_to_baseline ~current ~base =
         scaling @ sweep
       | _ -> []
     in
+    let exact_regressions =
+      match (jstr (jfield "mode" base), jstr (jfield "mode" current)) with
+      | Some _, Some _ ->
+        List.concat_map
+          (fun name ->
+            match (jfield name base, jfield name current) with
+            | Some b, Some c -> exact_diffs name b c
+            | Some _, None -> [ name ^ " is missing from this run" ]
+            | None, _ -> [])
+          exact_sections
+      | _ -> []
+    in
     sim_regressions @ synth_regressions @ open_loop_regressions
     @ multicore_regressions @ recovery_regressions @ replication_regressions
+    @ exact_regressions
 
 let json_mode ~file ~quick ~baseline =
   let sections =
@@ -1985,7 +2035,9 @@ let json_mode ~file ~quick ~baseline =
   | Some base -> (
     match compare_to_baseline ~current:doc ~base with
     | [] ->
-      Fmt.pr "regression gate: ok (every scenario within %.0f%% of baseline)@."
+      Fmt.pr
+        "regression gate: ok (seeded fields equal the baseline's, every \
+         scenario within %.0f%% of it)@."
         (regression_tolerance *. 100.);
       0
     | regressions ->

@@ -863,7 +863,7 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
     in
     let checkpoint =
       Option.map
-        (fun every -> { Shard_group.default_checkpoint with every; archive })
+        (fun every -> { Shard_group.every; archive })
         checkpoint_every
     in
     if archive && checkpoint = None then
@@ -1040,9 +1040,8 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
       let on_commit =
         Option.map
           (fun t g gt ~nth_multi:_ ->
-            let r = Shard_group.commit g gt in
-            Replica_tier.pump t;
-            r)
+            Shard_group.commit g gt;
+            Replica_tier.pump t)
           tier
       in
       let tracer =

@@ -78,7 +78,7 @@ let run_setup group a b ops =
   let rec go = function
     | [] -> (
       match Group.commit group g with
-      | (_ : Group.commit_outcome) -> Some ()
+      | () -> Some ()
       | exception _ -> None)
     | op :: rest -> (
       match (Group.invoke group g a op, Group.invoke group g b op) with
@@ -122,17 +122,17 @@ let run_pattern entry ~t2_read_only setup p q ~(completion : completion) =
     match
       (match completion with
       | `CC ->
-        ignore (Group.commit group t1);
-        ignore (Group.commit group t2)
+        Group.commit group t1;
+        Group.commit group t2
       | `CC_rev ->
-        ignore (Group.commit group t2);
-        ignore (Group.commit group t1)
+        Group.commit group t2;
+        Group.commit group t1
       | `C1A2 ->
-        ignore (Group.commit group t1);
+        Group.commit group t1;
         Group.abort group t2
       | `A1C2 ->
         Group.abort group t1;
-        ignore (Group.commit group t2))
+        Group.commit group t2)
     with
     | () -> `Completed (group, a, b, t1, t2)
     | exception exn -> `Crashed (Printexc.to_string exn))
@@ -257,7 +257,7 @@ let run_setup_n group ids ops =
   let rec go = function
     | [] -> (
       match Group.commit group g with
-      | (_ : Group.commit_outcome) -> Some ()
+      | () -> Some ()
       | exception _ -> None)
     | op :: rest ->
       if
@@ -304,7 +304,7 @@ let run_wide entry setup p q ~crash =
       if crash then begin
         (* Participant 1 (in first-touch order: the middle shard) dies
            after voting yes; the decision is reached without it. *)
-        ignore (Group.commit ~fault:participant_crash group t1);
+        Group.commit ~fault:participant_crash group t1;
         List.iter
           (fun s ->
             if Group.shard_crashed group s then begin
@@ -318,11 +318,11 @@ let run_wide entry setup p q ~crash =
         ignore (Group.resolve_in_doubt group);
         (* The crash killed T2's surviving legs; commit it only if it
            is somehow still active. *)
-        if Gtxn.is_active t2 then ignore (Group.commit group t2)
+        if Gtxn.is_active t2 then Group.commit group t2
       end
       else begin
-        ignore (Group.commit group t1);
-        ignore (Group.commit group t2)
+        Group.commit group t1;
+        Group.commit group t2
       end
     with
     | () -> `Completed (group, ids, [ t1; t2 ])

@@ -85,25 +85,46 @@ let control_of_text text =
     | _ -> Error "unparseable control: bad checkpointed record")
   | _ -> Error "unparseable control record"
 
+(* An event's notation names its activity but not the activity's kind;
+   the parser reads the kind off the name by the paper's convention (r,
+   s, t read-only).  An event whose activity breaks the convention is
+   written with an explicit kind tag, ["r "] or ["u "], before its
+   notation.  Conventional events stay untagged, byte for byte. *)
+let event_text e =
+  let act = Event.activity e in
+  let ro = Activity.is_read_only act in
+  let text = Event.to_string e in
+  if ro = Notation.default_read_only (Activity.name act) then text
+  else (if ro then "r " else "u ") ^ text
+
 let record_text = function
-  | Event e -> Event.to_string e
+  | Event e -> event_text e
   | Control c -> control_text c
 
 let record_of_text text =
-  if String.length text > 0 && text.[0] = '!' then (
+  let n = String.length text in
+  if n > 0 && text.[0] = '!' then (
     match control_of_text text with
     | Ok c -> Ok (Control c)
     | Error m -> Error m)
-  else (
-    match Notation.event_of_string text with
+  else
+    let parsed =
+      if n > 2 && (text.[0] = 'r' || text.[0] = 'u') && text.[1] = ' ' then
+        let ro = text.[0] = 'r' in
+        Notation.event_of_string
+          ~read_only:(fun _ -> ro)
+          (String.sub text 2 (n - 2))
+      else Notation.event_of_string text
+    in
+    match parsed with
     | Ok e -> Ok (Event e)
-    | Error m -> Error ("unparseable event: " ^ m))
+    | Error m -> Error ("unparseable event: " ^ m)
 
 (* A truncated log keeps the absolute sequence numbers of its surviving
    records; the header records where they start ("weihl-wal 1 shard-3
    @512").  The ['@'] prefix keeps the base token distinguishable from a
    label, which may not contain one as its last space-separated token. *)
-let header_line ?(base = 0) label =
+let header_line ~base label =
   (match label with
   | Some l when String.contains l '\n' ->
     invalid_arg "Wal.encode_records: label contains a newline"
@@ -315,91 +336,3 @@ let decode text =
       List.filter_map (function Event e -> Some e | Control _ -> None) records
     in
     Ok (History.of_list events, status)
-
-(* Append/sync decoupling for group commit.  [append] buffers a framed
-   record in volatile memory; [sync] moves everything buffered into the
-   durable image in one device operation.  The durable image after a
-   crash is exactly [synced_text] — appended-but-unsynced records are
-   gone, which is why a commit must not be acknowledged before the sync
-   that covers it returns. *)
-module Writer = struct
-  type t = {
-    m : Mutex.t;
-    durable : Buffer.t; (* header + synced records *)
-    mutable tail : record list; (* appended, unsynced (newest first) *)
-    mutable next_seq : int;
-    mutable synced_records : int;
-    mutable appends : int;
-    mutable syncs : int;
-    sync_cost : unit -> unit; (* paid inside every [sync] *)
-  }
-
-  let create ?label ?(sync_cost = Fun.id) () =
-    let durable = Buffer.create 256 in
-    Buffer.add_string durable (header_line label);
-    Buffer.add_char durable '\n';
-    {
-      m = Mutex.create ();
-      durable;
-      tail = [];
-      next_seq = 0;
-      synced_records = 0;
-      appends = 0;
-      syncs = 0;
-      sync_cost;
-    }
-
-  let locked t f =
-    Mutex.lock t.m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-  let append t r =
-    locked t (fun () ->
-        t.tail <- r :: t.tail;
-        t.appends <- t.appends + 1)
-
-  let append_list t rs = List.iter (append t) rs
-
-  let sync t =
-    let batch =
-      locked t (fun () ->
-          let batch = List.rev t.tail in
-          List.iter
-            (fun r ->
-              let body = Printf.sprintf "%d %s" t.next_seq (record_text r) in
-              Buffer.add_string t.durable
-                (Printf.sprintf "%08x %s\n" (crc32 body) body);
-              t.next_seq <- t.next_seq + 1)
-            batch;
-          t.tail <- [];
-          let n = List.length batch in
-          t.synced_records <- t.synced_records + n;
-          t.syncs <- t.syncs + 1;
-          n)
-    in
-    (* The device latency is paid outside the lock: syncs on different
-       writers (one per shard) overlap in wall-clock time. *)
-    t.sync_cost ();
-    batch
-
-  let pending t = locked t (fun () -> List.length t.tail)
-  let synced_text t = locked t (fun () -> Buffer.contents t.durable)
-
-  let text t =
-    locked t (fun () ->
-        let buf = Buffer.create (Buffer.length t.durable + 64) in
-        Buffer.add_buffer buf t.durable;
-        let seq = ref t.next_seq in
-        List.iter
-          (fun r ->
-            let body = Printf.sprintf "%d %s" !seq (record_text r) in
-            Buffer.add_string buf
-              (Printf.sprintf "%08x %s\n" (crc32 body) body);
-            incr seq)
-          (List.rev t.tail);
-        Buffer.contents buf)
-
-  let synced_records t = locked t (fun () -> t.synced_records)
-  let appends t = locked t (fun () -> t.appends)
-  let syncs t = locked t (fun () -> t.syncs)
-end

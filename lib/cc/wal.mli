@@ -9,6 +9,14 @@
       <crc32:8 hex> <sequence> <event in the paper's notation>
     v}
 
+    The notation names an event's activity but not its kind, which the
+    parser reads off the name by the paper's convention
+    ({!Weihl_event.Notation.default_read_only}).  An event whose
+    activity breaks the convention — an update named [seed1], a
+    read-only [q12] — is written with an explicit kind tag, [r] or
+    [u], before its notation, so it decodes with the kind it was
+    written with.
+
     The checksum covers the sequence number and the event text, so a
     torn write (a record cut short by a crash mid-write), a truncated
     file, or a flipped bit is detected rather than replayed.
@@ -144,55 +152,3 @@ val label : string -> string option
 val base : string -> int
 (** The first sequence number of a durable text (0 unless the log was
     truncated behind a checkpoint). *)
-
-(** {1 Group commit}
-
-    A {!Writer} splits the WAL's write path into its two real halves:
-    {!Writer.append} buffers a framed record in volatile memory, and
-    {!Writer.sync} makes {e everything} buffered durable in one device
-    operation.  Concurrently-committing transactions on a shard append
-    their records and a single leader syncs once for the whole batch —
-    classic group commit, amortizing the device latency so that
-    syncs/commit drops below 1 under load.
-
-    The contract that makes this safe: the durable image after a crash
-    is exactly {!Writer.synced_text}; records appended but not yet
-    covered by a returned [sync] are {e lost}.  A commit therefore must
-    not be acknowledged until the sync covering its records returns.
-    Writers are domain-safe (mutex-guarded), and the device latency
-    [sync_cost] is paid outside the lock so syncs on different shards'
-    writers overlap in wall-clock time. *)
-
-module Writer : sig
-  type t
-
-  val create : ?label:string -> ?sync_cost:(unit -> unit) -> unit -> t
-  (** An empty log (header only).  [sync_cost] models the device sync
-      latency (e.g. a 200µs sleep standing in for an fsync); it is paid
-      once per {!sync}, not per record.
-      @raise Invalid_argument if the label contains a newline. *)
-
-  val append : t -> record -> unit
-  (** Buffer one record.  Volatile until the next {!sync} returns. *)
-
-  val append_list : t -> record list -> unit
-
-  val sync : t -> int
-  (** Make every buffered record durable; returns the batch size (the
-      number of records this sync covered, possibly 0). *)
-
-  val pending : t -> int
-  (** Records appended but not yet durable. *)
-
-  val synced_text : t -> string
-  (** The durable image — what a crash right now would leave behind.
-      Always decodes {!Intact}. *)
-
-  val text : t -> string
-  (** The full image including the unsynced tail (what a sync right now
-      would make durable).  For inspection, not recovery. *)
-
-  val synced_records : t -> int
-  val appends : t -> int
-  val syncs : t -> int
-end

@@ -401,13 +401,6 @@ let atomic_commitment o =
   let aborted = List.exists (( = ) Aborted) o.statuses in
   not (committed && aborted)
 
-let atomic_decision d =
-  let committed =
-    List.exists (function Committed _ -> true | _ -> false) d.outcomes
-  in
-  let aborted = List.exists (( = ) Aborted) d.outcomes in
-  not (committed && aborted)
-
 let pp_status ppf = function
   | Committed ts -> Fmt.pf ppf "committed(%d)" ts
   | Aborted -> Fmt.string ppf "aborted"
@@ -420,10 +413,3 @@ let pp_outcome ppf o =
     o.commit_ts
     Fmt.(list ~sep:comma pp_status)
     o.statuses o.messages o.duration
-
-let pp_decision ppf d =
-  Fmt.pf ppf "@[<v>decision: %a@,sites: %a@,messages: %d, duration: %d@]"
-    Fmt.(option ~none:(any "abort") int)
-    d.decision_ts
-    Fmt.(list ~sep:comma pp_status)
-    d.outcomes d.decision_messages d.decision_duration

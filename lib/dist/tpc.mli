@@ -142,11 +142,6 @@ type tracer = {
     timer firings carry a [timer.] prefix and [src = dst]).  The
     sharded runtime turns these into Chrome-trace flow events. *)
 
-val atomic_decision : decision -> bool
-(** {!atomic_commitment} over a {!decision}. *)
-
-val pp_decision : Format.formatter -> decision -> unit
-
 module Driver : sig
   val commit :
     ?timeout:int ->

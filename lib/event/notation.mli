@@ -27,6 +27,10 @@
 
 type error = { line : int; message : string }
 
+val default_read_only : string -> bool
+(** The paper's naming convention for activities: a name starting with
+    'r', 's' or 't' is read-only, any other an update. *)
+
 val pp_error : Format.formatter -> error -> unit
 
 val event_of_string :
@@ -35,9 +39,8 @@ val event_of_string :
   string ->
   (Event.t, string) result
 (** Parse one event.  [read_only] classifies activity names
-    (default: names starting with 'r', 's' or 't' are read-only, the
-    paper's convention).  [results] lists identifiers to read as
-    symbolic results rather than invocations (default: ["ok";
+    (default: {!default_read_only}).  [results] lists identifiers to
+    read as symbolic results rather than invocations (default: ["ok";
     "insufficient_funds"; "empty"; "none"]). *)
 
 val history_of_string :

@@ -10,7 +10,7 @@
 
 type shard = {
   committed_local : Metrics.Counter.t;
-      (** single-shard fast-path commits *)
+      (** single-shard commits (no 2PC round) *)
   committed_tpc : Metrics.Counter.t;  (** commits decided by 2PC *)
   aborted : Metrics.Counter.t;
   prepared : Metrics.Counter.t;  (** yes-votes (prepare records) *)

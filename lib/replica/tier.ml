@@ -52,7 +52,6 @@ type t = {
   make_object : Cc.Event_log.t -> Object_id.t -> Cc.Atomic_object.t;
   replicas : int;
   stale : stale_policy;
-  segment_records : int;
   mutable sim : msg Msim.t;
   states : rstate array array;  (** [replica].[shard] *)
   acked : int array array;  (** [replica].[shard] feed-side resume point *)
@@ -119,6 +118,9 @@ let corrupt_text text =
     Bytes.to_string b
   end
 
+(* Records per shipped segment at most. *)
+let segment_records = 64
+
 (* Cut and send one segment to replica [i] for shard [s], resuming from
    the feed's acked position.  Unacked data is simply re-sent each
    round; the replica trims overlaps, so lost segments and lost acks
@@ -131,7 +133,7 @@ let send_to t i s =
     let records = Group.shard_records t.group s in
     let len = List.length records in
     let from = min t.acked.(i).(s) len in
-    let slice = Cc.Wal.take t.segment_records (Cc.Wal.drop_n from records) in
+    let slice = Cc.Wal.take segment_records (Cc.Wal.drop_n from records) in
     let reaches_end = from + List.length slice = len in
     let text = Cc.Wal.segment ~label:(Group.shard_label s) ~base:from slice in
     let text =
@@ -259,8 +261,8 @@ let on_replica t i = function
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(segment_records = 64)
-    ?(seed = 1) ?metrics ~replicas ~make_object group =
+let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(seed = 1) ?metrics
+    ~replicas ~make_object group =
   if replicas <= 0 then invalid_arg "Tier.create: replicas must be positive";
   if Group.domain_count group > 1 then
     invalid_arg
@@ -279,7 +281,6 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(segment_records = 64)
       make_object;
       replicas;
       stale;
-      segment_records;
       sim;
       states =
         Array.init replicas (fun _ -> Array.init shards (fun _ -> fresh_state 0));
@@ -410,7 +411,7 @@ let sync t =
     for s = 0 to shards - 1 do
       total := !total + feed_pos t ~shard:s
     done;
-    (3 * !total / t.segment_records) + 8
+    (3 * !total / segment_records) + 8
   in
   go (progress ()) (64 + feed_rounds + Array.fold_left ( + ) 0 t.lag)
 

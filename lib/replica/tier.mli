@@ -62,7 +62,6 @@ type stale_policy =
 val create :
   ?faults:Msim.faults ->
   ?stale:stale_policy ->
-  ?segment_records:int ->
   ?seed:int ->
   ?metrics:Weihl_obs.Shard_metrics.t ->
   replicas:int ->
@@ -72,7 +71,6 @@ val create :
 (** A tier of [replicas] replicas over the group.  [faults] (default
     none) injects drop/duplicate/reorder on the shipping channel;
     [stale] (default [`Wait 4]) picks the stale-read policy;
-    [segment_records] (default 64) caps records per shipped segment;
     [seed] (default the group's seed is not visible, so 1) drives the
     channel's delays and faults.  [make_object] rebuilds objects for
     snapshot systems — the same constructor registered with the group.
@@ -87,7 +85,8 @@ val replica_count : t -> int
 
 val pump : t -> unit
 (** One shipping round: per live shard and live replica, cut one
-    segment from the replica's acked position and deliver the channel
+    segment of at most 64 records from the replica's acked position
+    and deliver the channel
     to quiescence (acks, resyncs and retransmit responses included). *)
 
 val sync : t -> unit

@@ -98,7 +98,7 @@ let invoke t g x op =
 
 let commit t g =
   locked t (fun () ->
-      let (_ : Shard.Group.commit_outcome) = Shard.Group.commit t.group g in
+      Shard.Group.commit t.group g;
       Condition.broadcast t.completed;
       match Shard.Gtxn.status g with
       | Shard.Gtxn.Committed -> ()

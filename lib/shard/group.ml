@@ -9,17 +9,17 @@ type invoke_result =
   | Wait of Gtxn.t list
   | Refused of string
 
-type commit_outcome =
-  | Fast
-  | Distributed of Tpc.decision * int list (* participant shards, in order *)
-
 type checkpoint_config = {
   every : int;  (* auto-checkpoint a shard every [every] commits *)
-  retain : int;  (* checkpoint files kept per shard *)
   archive : bool;  (* keep truncated WAL prefixes instead of dropping them *)
 }
 
-let default_checkpoint = { every = 100; retain = 2; archive = false }
+let default_checkpoint = { every = 100; archive = false }
+
+(* Checkpoint files kept per shard.  Truncation runs behind the older
+   of the two, so the newest is never the only path to the truncated
+   prefix. *)
+let checkpoint_retain = 2
 
 type t = {
   policy : Cc.System.ts_policy;
@@ -57,7 +57,7 @@ type t = {
   checkpoint : checkpoint_config option; (* None: never auto-checkpoint *)
   ckpts : (int * string) list array;
       (* per shard, newest first: (covered, checkpoint file) — the
-         shard's checkpoint directory, bounded by [retain] *)
+         shard's checkpoint directory, bounded by [checkpoint_retain] *)
   wal_base : int array;
       (* per shard: records truncated off the head of the durable WAL
          (behind the oldest retained checkpoint's redo point) *)
@@ -77,8 +77,8 @@ let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
     ?(group_commit = false) ?(sync_cost = ignore) ?checkpoint ~shards () =
   if shards <= 0 then invalid_arg "Group.create: shards must be positive";
   (match checkpoint with
-  | Some c when c.every <= 0 || c.retain <= 0 ->
-    invalid_arg "Group.create: checkpoint every/retain must be positive"
+  | Some c when c.every <= 0 ->
+    invalid_arg "Group.create: checkpoint every must be positive"
   | _ -> ());
   (match metrics with
   | Some m when Weihl_obs.Shard_metrics.shard_count m <> shards ->
@@ -183,10 +183,11 @@ let ctx_args g =
 
 (* Close the coordinator-side transaction span.  Every global
    transaction gets exactly one E event on pid 0, whatever its fate. *)
-let trace_end t g ~ts ~outcome =
+let trace_end ?ts t g ~outcome =
   match t.tracer with
   | None -> ()
   | Some st ->
+    let ts = match ts with Some ts -> ts | None -> St.now st in
     St.end_span (St.coord st) ~name:(txn_span_name g) ~cat:"txn" ~ts
       ~tid:(Gtxn.gid g)
       ~args:(ctx_args g @ [ ("outcome", Json.Str outcome) ])
@@ -232,61 +233,12 @@ let require_active g =
   if not (Gtxn.is_active g) then
     invalid_arg (Fmt.str "Group: transaction %a is not active" Gtxn.pp g)
 
-let leg_for t g s =
-  match Gtxn.leg g s with
-  | Some txn -> txn
-  | None ->
-    let txn =
-      on_shard t s (fun () ->
-          Cc.System.begin_txn ?ts:(Gtxn.init_ts g) t.shards.(s) (Gtxn.activity g))
-    in
-    Gtxn.set_leg g s txn;
-    Hashtbl.replace t.local_index.(s) (Cc.Txn.id txn) g;
-    txn
-
 let journal_append t g entry =
   let gid = Gtxn.gid g in
   let prev = Option.value ~default:[] (Hashtbl.find_opt t.journal gid) in
   Hashtbl.replace t.journal gid (entry :: prev)
 
-let invoke t g x op =
-  require_active g;
-  let s = shard_of t x in
-  if t.crashed.(s) then Refused "shard down"
-  else
-    let txn = leg_for t g s in
-    match on_shard t s (fun () -> Cc.System.invoke t.shards.(s) txn x op) with
-    | Cc.Atomic_object.Granted v ->
-      journal_append t g (x, op, v);
-      Granted v
-    | Cc.Atomic_object.Wait blockers ->
-      metrics_count Weihl_obs.Shard_metrics.conflict_at t s;
-      Wait
-        (List.filter_map
-           (fun b -> Hashtbl.find_opt t.local_index.(s) (Cc.Txn.id b))
-           blockers)
-    | Cc.Atomic_object.Refused why -> Refused why
-
 let drop_leg t s txn = Hashtbl.remove t.local_index.(s) (Cc.Txn.id txn)
-
-let abort ?reason t g =
-  require_active g;
-  List.iter
-    (fun (s, txn) ->
-      if (not t.crashed.(s)) && Cc.Txn.is_active txn then begin
-        on_shard t s (fun () -> Cc.System.abort ?reason t.shards.(s) txn);
-        metrics_count Weihl_obs.Shard_metrics.abort_at t s
-      end;
-      drop_leg t s txn)
-    (Gtxn.legs g);
-  Gtxn.set_status g Gtxn.Aborted;
-  (match t.tracer with
-  | None -> ()
-  | Some st ->
-    trace_end t g ~ts:(St.now st)
-      ~outcome:(Option.value ~default:"abort" reason));
-  Hashtbl.remove t.gtxns (Gtxn.gid g);
-  Hashtbl.remove t.journal (Gtxn.gid g)
 
 (* The timestamp by which a committed transaction is ordered in the
    merged replay: commit order needs none (dynamic), static replays in
@@ -313,14 +265,83 @@ let maybe_prune t g =
     in
     if not unresolved then begin
       List.iter (fun (s, txn) -> drop_leg t s txn) (Gtxn.legs g);
-      Hashtbl.remove t.gtxns (Gtxn.gid g);
-      if Gtxn.status g = Gtxn.Aborted then
-        Hashtbl.remove t.journal (Gtxn.gid g)
+      Hashtbl.remove t.gtxns (Gtxn.gid g)
     end
 
 let append_control t s c =
   t.controls.(s) <-
     (Cc.Event_log.length (Cc.System.log t.shards.(s)), c) :: t.controls.(s)
+
+(* ------------------------------------------------------------------ *)
+(* Leg steps: the commit discipline, written once for both 2PC
+   schedulers (the message round and the batched wave) and for
+   in-doubt resolution *)
+
+(* A leg that is still active aborts at its shard. *)
+let abort_leg ?reason t s txn =
+  on_shard t s (fun () -> Cc.System.abort ?reason t.shards.(s) txn);
+  metrics_count Weihl_obs.Shard_metrics.abort_at t s;
+  drop_leg t s txn
+
+(* The leg at shard [s] has prepared: its [Prepared] record is the
+   point of no return, appended before the yes vote leaves the site. *)
+let mark_prepared t g s =
+  append_control t s
+    (Cc.Wal.Prepared { gid = Gtxn.gid g; activity = Gtxn.activity g });
+  metrics_count Weihl_obs.Shard_metrics.prepare_at t s
+
+(* The global transaction takes its verdict: a commit enters the
+   committed projection at its agreed timestamp, an abort drops its
+   journal. *)
+let record_verdict t g = function
+  | `Commit ts ->
+    Gtxn.set_commit_ts g (Timestamp.v ts);
+    Gtxn.set_status g Gtxn.Committed;
+    record_commit t g
+  | `Abort ->
+    Gtxn.set_status g Gtxn.Aborted;
+    Hashtbl.remove t.journal (Gtxn.gid g)
+
+(* A prepared leg learns its verdict: the [Decided] record goes to the
+   WAL before the shard applies it.  Returns the step to run on the
+   shard, so a wave can queue it and a single leg can run it now. *)
+let learn_verdict ?reason t g s txn verdict =
+  let gid = Gtxn.gid g and sys = t.shards.(s) in
+  drop_leg t s txn;
+  match verdict with
+  | `Commit ts ->
+    let cts = Timestamp.v ts in
+    append_control t s (Cc.Wal.Decided { gid; verdict = `Commit (Some cts) });
+    metrics_count Weihl_obs.Shard_metrics.tpc_commit_at t s;
+    fun () -> Cc.System.commit_prepared ~commit_ts:cts sys txn
+  | `Abort ->
+    append_control t s (Cc.Wal.Decided { gid; verdict = `Abort });
+    metrics_count Weihl_obs.Shard_metrics.abort_at t s;
+    fun () -> Cc.System.abort_prepared ?reason sys txn
+
+(* The in-doubt gauge: prepared, undecided legs on every live shard. *)
+let refresh_in_doubt t =
+  match t.metrics with
+  | None -> ()
+  | Some m ->
+    Array.iteri
+      (fun s sys ->
+        if not t.crashed.(s) then
+          Weihl_obs.Shard_metrics.set_in_doubt m s
+            (List.length (Cc.System.prepared_txns sys)))
+      t.shards
+
+let abort ?reason t g =
+  require_active g;
+  List.iter
+    (fun (s, txn) ->
+      if (not t.crashed.(s)) && Cc.Txn.is_active txn then
+        abort_leg ?reason t s txn
+      else drop_leg t s txn)
+    (Gtxn.legs g);
+  record_verdict t g `Abort;
+  trace_end t g ~outcome:(Option.value ~default:"abort" reason);
+  Hashtbl.remove t.gtxns (Gtxn.gid g)
 
 (* ------------------------------------------------------------------ *)
 (* Durability: WAL sync, fuzzy checkpoints, truncation *)
@@ -390,8 +411,10 @@ let sync_shards t involved =
           ~args:[ ("batch", St.num records) ])
     involved
 
-let checkpoint_retain t =
-  match t.checkpoint with Some c -> c.retain | None -> default_checkpoint.retain
+(* The one sync rule: under group commit a commit path syncs the shards
+   it appended to before it acknowledges anything; without it every
+   append is already durable. *)
+let sync_before_ack t involved = if t.group_commit then sync_shards t involved
 
 (* Write one fuzzy checkpoint of shard [s] without stopping traffic:
    capture the durable record stream mid-flight, encode it to a file,
@@ -419,7 +442,7 @@ let checkpoint_shard ?(lose_marker = false) t s =
   let file = Cc.Checkpoint.encode ckpt in
   let covered = Cc.Checkpoint.covered ckpt in
   t.ckpts.(s) <-
-    Cc.Wal.take (checkpoint_retain t) ((covered, file) :: t.ckpts.(s));
+    Cc.Wal.take checkpoint_retain ((covered, file) :: t.ckpts.(s));
   if not lose_marker then begin
     let digest = Cc.Checkpoint.digest file in
     append_control t s (Cc.Wal.Checkpointed { seq = covered; digest });
@@ -429,11 +452,9 @@ let checkpoint_shard ?(lose_marker = false) t s =
        behind a lone checkpoint would make that one file a single point
        of failure: damage it and the log can no longer reach the
        truncation point from record zero. *)
-    if List.length t.ckpts.(s) = checkpoint_retain t then begin
-    let oldest =
-      List.fold_left (fun _ (c, _) -> c) covered t.ckpts.(s)
-    in
-    if oldest > t.wal_base.(s) then begin
+    let oldest = List.fold_left (fun _ (c, _) -> c) covered t.ckpts.(s) in
+    if List.length t.ckpts.(s) = checkpoint_retain && oldest > t.wal_base.(s)
+    then begin
       (match t.checkpoint with
       | Some { archive = true; _ } ->
         let base = t.wal_base.(s) in
@@ -444,7 +465,6 @@ let checkpoint_shard ?(lose_marker = false) t s =
         t.archived.(s) <- segment :: t.archived.(s)
       | _ -> ());
       t.wal_base.(s) <- oldest
-    end
     end
   end;
   let age = List.length records - covered in
@@ -499,38 +519,6 @@ let archived_segments t s =
     invalid_arg "Group.archived_segments: shard out of range";
   List.rev t.archived.(s)
 
-(* Single-shard fast path: no 2PC round, but hybrid updates still draw
-   their commit timestamp from the group clock — local clocks drift
-   independently, and hybrid atomicity needs the global timestamp order
-   of committed updates consistent with [precedes] across shards. *)
-let commit_fast t g s txn =
-  let sys = t.shards.(s) in
-  (match t.policy with
-  | `Hybrid when not (Gtxn.is_read_only g) ->
-    Cc.Lamport_clock.observe t.clock (Cc.Lamport_clock.now (Cc.System.clock sys));
-    let cts = Cc.Lamport_clock.next t.clock in
-    Gtxn.set_commit_ts g cts;
-    on_shard t s (fun () ->
-        Cc.System.prepare sys txn;
-        Cc.System.commit_prepared ~commit_ts:cts sys txn)
-  | `None_ | `Static | `Hybrid ->
-    on_shard t s (fun () -> Cc.System.commit sys txn));
-  (* Under group commit only synced records are durable: sync the
-     commit record before acknowledging it. *)
-  if t.group_commit then sync_shards t [ (s, 1) ];
-  metrics_count Weihl_obs.Shard_metrics.local_commit t s;
-  Gtxn.set_status g Gtxn.Committed;
-  record_commit t g;
-  (match t.tracer with
-  | None -> ()
-  | Some st ->
-    St.instant (St.coord st) ~name:"commit.fast" ~cat:"tpc"
-      ~ts:(St.now st) ~tid:(Gtxn.gid g) ~args:(ctx_args g);
-    trace_end t g ~ts:(St.now st) ~outcome:"commit");
-  drop_leg t s txn;
-  Hashtbl.remove t.gtxns (Gtxn.gid g);
-  bump_checkpoint t s
-
 (* A crashed shard takes its volatile state down: every active global
    transaction with a leg there can no longer complete, so it aborts at
    its surviving shards.  Prepared legs elsewhere are untouched — their
@@ -543,6 +531,9 @@ let sweep_crashed t s =
       t.gtxns []
   in
   List.iter (fun g -> abort ~reason:"shard crash" t g) victims
+
+(* ------------------------------------------------------------------ *)
+(* The message round: one multi-shard transaction's 2PC over Msim *)
 
 let commit_2pc ?(fault = Tpc.no_fault) ?(votes_no = []) t g legs =
   let gid = Gtxn.gid g in
@@ -615,41 +606,24 @@ let commit_2pc ?(fault = Tpc.no_fault) ?(votes_no = []) t g legs =
           prepare =
             (fun () ->
               if List.mem i votes_no then begin
-                on_shard t s (fun () ->
-                    Cc.System.abort ~reason:"vote no" t.shards.(s) txn);
-                metrics_count Weihl_obs.Shard_metrics.abort_at t s;
-                drop_leg t s txn;
+                abort_leg ~reason:"vote no" t s txn;
                 Tpc.No
               end
               else begin
-                (* Vote durable before it leaves the site: the WAL's
-                   Prepared record is the point of no return. *)
                 on_shard t s (fun () -> Cc.System.prepare t.shards.(s) txn);
-                append_control t s
-                  (Cc.Wal.Prepared { gid; activity = Gtxn.activity g });
-                if t.group_commit then sync_shards t [ (s, 1) ];
+                mark_prepared t g s;
+                sync_before_ack t [ (s, 1) ];
                 wal_mark s "prepared";
-                metrics_count Weihl_obs.Shard_metrics.prepare_at t s;
                 Tpc.Yes
               end);
           learn =
-            (function
-            | `Commit ts ->
-              let cts = Timestamp.v ts in
-              append_control t s
-                (Cc.Wal.Decided { gid; verdict = `Commit (Some cts) });
-              wal_mark s "decided.commit";
-              on_shard t s (fun () ->
-                  Cc.System.commit_prepared ~commit_ts:cts t.shards.(s) txn);
-              metrics_count Weihl_obs.Shard_metrics.tpc_commit_at t s;
-              drop_leg t s txn
-            | `Abort ->
-              append_control t s (Cc.Wal.Decided { gid; verdict = `Abort });
-              wal_mark s "decided.abort";
-              on_shard t s (fun () ->
-                  Cc.System.abort_prepared t.shards.(s) txn);
-              metrics_count Weihl_obs.Shard_metrics.abort_at t s;
-              drop_leg t s txn);
+            (fun verdict ->
+              let apply = learn_verdict t g s txn verdict in
+              wal_mark s
+                (match verdict with
+                | `Commit _ -> "decided.commit"
+                | `Abort -> "decided.abort");
+              on_shard t s apply);
         })
       legs
   in
@@ -663,12 +637,7 @@ let commit_2pc ?(fault = Tpc.no_fault) ?(votes_no = []) t g legs =
   in
   let on_decide d =
     Hashtbl.replace t.decisions gid d;
-    match d with
-    | `Commit ts ->
-      Gtxn.set_commit_ts g (Timestamp.v ts);
-      Gtxn.set_status g Gtxn.Committed;
-      record_commit t g
-    | `Abort -> Gtxn.set_status g Gtxn.Aborted
+    record_verdict t g d
   in
   t.rounds <- t.rounds + 1;
   let seed = (t.seed * 1_000_003) + t.rounds in
@@ -687,31 +656,17 @@ let commit_2pc ?(fault = Tpc.no_fault) ?(votes_no = []) t g legs =
       | Tpc.Aborted ->
         (* Voted no or learned abort (handled in the callbacks) — or
            never engaged (presumed abort), leaving the leg active. *)
-        if Cc.Txn.is_active txn then begin
-          on_shard t s (fun () ->
-              Cc.System.abort ~reason:"presumed abort" t.shards.(s) txn);
-          metrics_count Weihl_obs.Shard_metrics.abort_at t s;
-          drop_leg t s txn
-        end
+        if Cc.Txn.is_active txn then abort_leg ~reason:"presumed abort" t s txn
       | Tpc.Committed _ | Tpc.Blocked -> ())
     legs;
   (* No decision was reached (coordinator died first): the transaction
-     is in-doubt iff some leg got as far as prepared. *)
+     is in-doubt iff some leg got as far as prepared.  Otherwise it is
+     aborted, and the loop above has already aborted every live leg —
+     a site the round never engaged reports [Aborted]. *)
   if not (Hashtbl.mem t.decisions gid) then
     if List.exists (fun (_, txn) -> Cc.Txn.is_prepared txn) legs then
       Gtxn.set_status g Gtxn.In_doubt
-    else begin
-      Gtxn.set_status g Gtxn.Aborted;
-      List.iter
-        (fun (s, txn) ->
-          if (not t.crashed.(s)) && Cc.Txn.is_active txn then begin
-            on_shard t s (fun () ->
-                Cc.System.abort ~reason:"presumed abort" t.shards.(s) txn);
-            drop_leg t s txn
-          end)
-        legs
-    end;
-  if Gtxn.status g = Gtxn.Aborted then Hashtbl.remove t.journal gid;
+    else record_verdict t g `Abort;
   (* Only now that [g]'s fate is settled: shards that died mid-round
      take every other active transaction with a leg there down too. *)
   List.iteri
@@ -723,13 +678,8 @@ let commit_2pc ?(fault = Tpc.no_fault) ?(votes_no = []) t g legs =
   | Some m ->
     Weihl_obs.Shard_metrics.tpc_round m ~committed:decision.Tpc.committed
       ~messages:decision.Tpc.decision_messages
-      ~duration:decision.Tpc.decision_duration ~fanout:(List.length legs);
-    Array.iteri
-      (fun s sys ->
-        if not t.crashed.(s) then
-          Weihl_obs.Shard_metrics.set_in_doubt m s
-            (List.length (Cc.System.prepared_txns sys)))
-      t.shards);
+      ~duration:decision.Tpc.decision_duration ~fanout:(List.length legs));
+  refresh_in_doubt t;
   (* Phase spans on the coordinator timeline: prepare+voting runs until
      the first DECIDE leaves; the round's observable extent is the last
      real message delivery — quiescence time always includes the
@@ -787,24 +737,7 @@ let commit_2pc ?(fault = Tpc.no_fault) ?(votes_no = []) t g legs =
     trace_end t g ~ts:(t0 +. dur) ~outcome);
   maybe_prune t g;
   if decision.Tpc.committed then
-    List.iter (fun s -> bump_checkpoint t s) part_shards;
-  Distributed (decision, part_shards)
-
-let commit ?fault ?votes_no t g =
-  require_active g;
-  match Gtxn.legs g with
-  | [] ->
-    Gtxn.set_status g Gtxn.Committed;
-    record_commit t g;
-    (match t.tracer with
-    | None -> ()
-    | Some st -> trace_end t g ~ts:(St.now st) ~outcome:"commit");
-    Hashtbl.remove t.gtxns (Gtxn.gid g);
-    Fast
-  | [ (s, txn) ] ->
-    commit_fast t g s txn;
-    Fast
-  | legs -> commit_2pc ?fault ?votes_no t g legs
+    List.iter (fun s -> bump_checkpoint t s) part_shards
 
 (* ------------------------------------------------------------------ *)
 (* In-doubt resolution *)
@@ -815,34 +748,12 @@ let resolve_gtxn t g verdict =
     (fun (s, txn) ->
       if (not t.crashed.(s)) && Cc.Txn.is_prepared txn then begin
         incr resolved;
-        match verdict with
-        | `Commit ts ->
-          let cts = Timestamp.v ts in
-          append_control t s
-            (Cc.Wal.Decided { gid = Gtxn.gid g; verdict = `Commit (Some cts) });
-          on_shard t s (fun () ->
-              Cc.System.commit_prepared ~commit_ts:cts t.shards.(s) txn);
-          metrics_count Weihl_obs.Shard_metrics.tpc_commit_at t s;
-          drop_leg t s txn
-        | `Abort ->
-          append_control t s
-            (Cc.Wal.Decided { gid = Gtxn.gid g; verdict = `Abort });
-          on_shard t s (fun () ->
-              Cc.System.abort_prepared ~reason:"late decision" t.shards.(s) txn);
-          metrics_count Weihl_obs.Shard_metrics.abort_at t s;
-          drop_leg t s txn
+        on_shard t s (learn_verdict ~reason:"late decision" t g s txn verdict)
       end)
     (Gtxn.legs g);
   (match Gtxn.status g with
   | Gtxn.In_doubt | Gtxn.Active ->
-    (match verdict with
-    | `Commit ts ->
-      Gtxn.set_commit_ts g (Timestamp.v ts);
-      Gtxn.set_status g Gtxn.Committed;
-      record_commit t g
-    | `Abort ->
-      Gtxn.set_status g Gtxn.Aborted;
-      Hashtbl.remove t.journal (Gtxn.gid g));
+    record_verdict t g verdict;
     (match t.tracer with
     | None -> ()
     | Some st ->
@@ -991,11 +902,10 @@ let recover_shard ?resolve t s text =
        fully resolved. *)
     let all = Hashtbl.fold (fun _ g acc -> g :: acc) t.gtxns [] in
     List.iter (fun g -> maybe_prune t g) all;
+    refresh_in_doubt t;
     (match t.metrics with
     | None -> ()
     | Some m ->
-      Weihl_obs.Shard_metrics.set_in_doubt m s
-        (List.length (Cc.System.prepared_txns sys));
       Weihl_obs.Shard_metrics.recovery_done m
         ~duration:(us_since t0)
         ~records:report.Cc.Recovery.replayed_records);
@@ -1203,6 +1113,8 @@ let invoke_batch t entries =
     promises;
   Array.to_list results
 
+let invoke t g x op = List.hd (invoke_batch t [ (g, x, op) ])
+
 (* Commit a batch of transactions with group commit and a batched,
    synchronous 2PC:
 
@@ -1214,12 +1126,12 @@ let invoke_batch t entries =
      the coordinator decides, and a second per-shard job wave applies
      the decisions under Decided records followed by the wave-2 sync.
 
-   Nothing is acknowledged — no status flips to Committed, nothing
-   enters the committed projection — until the sync covering its
-   records has returned.  [crash_before_sync] injects the classic
-   group-commit fault: the listed shards die after appending their
-   wave-1 records but before syncing them, so those records are lost
-   and the transactions they belonged to are never acknowledged. *)
+   Under group commit nothing is acknowledged — no status flips to
+   Committed, nothing enters the committed projection — until the sync
+   covering its records has returned.  [crash_before_sync] injects the
+   classic group-commit fault: the listed shards die after appending
+   their wave-1 records but before syncing them, so those records are
+   lost and the transactions they belonged to are never acknowledged. *)
 let commit_batch ?(crash_before_sync = []) t gs =
   List.iter require_active gs;
   let shards_n = Array.length t.shards in
@@ -1241,53 +1153,46 @@ let commit_batch ?(crash_before_sync = []) t gs =
     (fun g ->
       Gtxn.set_status g Gtxn.Committed;
       record_commit t g;
+      trace_end t g ~outcome:"commit";
       Hashtbl.remove t.gtxns (Gtxn.gid g))
     trivial;
-  (* Hybrid single-shard updates draw their commit timestamp from the
-     group clock coordinator-side — the fast path's discipline — and
-     the shard job runs prepare + commit_prepared at that timestamp. *)
-  let singles =
-    List.map
-      (fun ((g, s, _txn) as item) ->
-        let mode =
-          match t.policy with
-          | `Hybrid when not (Gtxn.is_read_only g) ->
-            Cc.Lamport_clock.observe t.clock
-              (Cc.Lamport_clock.now (Cc.System.clock t.shards.(s)));
-            let cts = Cc.Lamport_clock.next t.clock in
-            Gtxn.set_commit_ts g cts;
-            `Commit_prepared cts
-          | `None_ | `Static | `Hybrid -> `Commit
-        in
-        (item, mode))
-      singles
+  (* A phase queues shard steps per shard, counting the records each
+     shard's sync will cover. *)
+  let enqueue work count s step =
+    work.(s) <- step :: work.(s);
+    count.(s) <- count.(s) + 1
   in
   (* Phase 1, one job per shard: single-shard commits execute and every
      multi-shard leg prepares, appending records to the volatile log
-     tail in batch order. *)
+     tail in batch order.  A single-shard commit runs no coordination
+     round, but a hybrid update still draws its commit timestamp from
+     the group clock, coordinator-side: local clocks drift
+     independently, and hybrid atomicity needs the global timestamp
+     order of committed updates consistent with [precedes] across
+     shards. *)
   let phase1 = Array.make shards_n [] in
   let batch1 = Array.make shards_n 0 in
   List.iter
-    (fun ((_g, s, txn), mode) ->
+    (fun (g, s, txn) ->
       let sys = t.shards.(s) in
-      let thunk =
-        match mode with
-        | `Commit -> fun () -> Cc.System.commit sys txn
-        | `Commit_prepared cts ->
-          fun () ->
+      match t.policy with
+      | `Hybrid when not (Gtxn.is_read_only g) ->
+        Cc.Lamport_clock.observe t.clock
+          (Cc.Lamport_clock.now (Cc.System.clock sys));
+        let cts = Cc.Lamport_clock.next t.clock in
+        Gtxn.set_commit_ts g cts;
+        enqueue phase1 batch1 s (fun () ->
             Cc.System.prepare sys txn;
-            Cc.System.commit_prepared ~commit_ts:cts sys txn
-      in
-      phase1.(s) <- thunk :: phase1.(s);
-      batch1.(s) <- batch1.(s) + 1)
+            Cc.System.commit_prepared ~commit_ts:cts sys txn)
+      | `None_ | `Static | `Hybrid ->
+        enqueue phase1 batch1 s (fun () -> Cc.System.commit sys txn))
     singles;
   List.iter
     (fun (_g, legs) ->
       List.iter
         (fun (s, txn) ->
           let sys = t.shards.(s) in
-          phase1.(s) <- (fun () -> Cc.System.prepare sys txn) :: phase1.(s);
-          batch1.(s) <- batch1.(s) + 1)
+          enqueue phase1 batch1 s (fun () -> Cc.System.prepare sys txn))
         legs)
     multis;
   let run_phase work =
@@ -1304,29 +1209,23 @@ let commit_batch ?(crash_before_sync = []) t gs =
     in
     List.iter Exec.await jobs
   in
-  run_phase phase1;
-  (* Durable vote markers for every prepared leg. *)
-  List.iter
-    (fun (g, legs) ->
-      List.iter
-        (fun (s, _txn) ->
-          append_control t s
-            (Cc.Wal.Prepared { gid = Gtxn.gid g; activity = Gtxn.activity g });
-          metrics_count Weihl_obs.Shard_metrics.prepare_at t s)
-        legs)
-    multis;
-  (* Group commit, wave 1: one sync per involved shard covers every
-     commit record and vote appended above.  A fault-injected shard
-     dies here instead — after append, before sync — losing its
-     unsynced tail. *)
-  let involved1 =
+  (* The shards a phase appended to, with their record counts, less
+     those dying before the sync. *)
+  let involved batch =
     List.filter_map
       (fun s ->
-        if batch1.(s) > 0 && not (crash_set s) then Some (s, batch1.(s))
+        if batch.(s) > 0 && not (crash_set s) then Some (s, batch.(s))
         else None)
       (List.init shards_n Fun.id)
   in
-  sync_shards t involved1;
+  run_phase phase1;
+  List.iter
+    (fun (g, legs) -> List.iter (fun (s, _txn) -> mark_prepared t g s) legs)
+    multis;
+  (* Wave 1: one sync per involved shard covers every commit record and
+     vote appended above.  A fault-injected shard dies here instead —
+     after append, before sync — losing its unsynced tail. *)
+  sync_before_ack t (involved batch1);
   let crashed_now =
     List.filter
       (fun s -> batch1.(s) > 0 && crash_set s)
@@ -1337,15 +1236,18 @@ let commit_batch ?(crash_before_sync = []) t gs =
      returned.  A commit whose shard died before the sync was never
      durable: it is not acknowledged, full stop. *)
   List.iter
-    (fun ((g, s, txn), _mode) ->
-      if t.crashed.(s) then begin
-        Gtxn.set_status g Gtxn.Aborted;
-        Hashtbl.remove t.journal (Gtxn.gid g)
-      end
+    (fun (g, s, txn) ->
+      if t.crashed.(s) then record_verdict t g `Abort
       else begin
         metrics_count Weihl_obs.Shard_metrics.local_commit t s;
         Gtxn.set_status g Gtxn.Committed;
-        record_commit t g
+        record_commit t g;
+        match t.tracer with
+        | None -> ()
+        | Some st ->
+          St.instant (St.coord st) ~name:"commit.fast" ~cat:"tpc"
+            ~ts:(St.now st) ~tid:(Gtxn.gid g) ~args:(ctx_args g);
+          trace_end t g ~outcome:"commit"
       end;
       drop_leg t s txn;
       Hashtbl.remove t.gtxns (Gtxn.gid g))
@@ -1357,10 +1259,8 @@ let commit_batch ?(crash_before_sync = []) t gs =
   let decided =
     List.map
       (fun (g, legs) ->
-        let gid = Gtxn.gid g in
-        let doomed = List.exists (fun (s, _) -> t.crashed.(s)) legs in
         let verdict =
-          if doomed then `Abort
+          if List.exists (fun (s, _) -> t.crashed.(s)) legs then `Abort
           else begin
             List.iter
               (fun (s, _) ->
@@ -1370,61 +1270,28 @@ let commit_batch ?(crash_before_sync = []) t gs =
             `Commit (Timestamp.to_int (Cc.Lamport_clock.next t.clock))
           end
         in
-        Hashtbl.replace t.decisions gid verdict;
-        (match verdict with
-        | `Commit ts ->
-          Gtxn.set_commit_ts g (Timestamp.v ts);
-          Gtxn.set_status g Gtxn.Committed;
-          record_commit t g
-        | `Abort ->
-          Gtxn.set_status g Gtxn.Aborted;
-          Hashtbl.remove t.journal gid);
+        Hashtbl.replace t.decisions (Gtxn.gid g) verdict;
+        record_verdict t g verdict;
         (g, legs, verdict))
       multis
   in
-  (* Phase 2, one job per shard: apply the decisions under durable
-     Decided records, then the wave-2 sync. *)
+  (* Phase 2, one job per shard: every live leg learns its verdict,
+     then the wave-2 sync. *)
   let phase2 = Array.make shards_n [] in
   let batch2 = Array.make shards_n 0 in
   List.iter
     (fun (g, legs, verdict) ->
-      let gid = Gtxn.gid g in
       List.iter
         (fun (s, txn) ->
-          if not t.crashed.(s) then begin
-            let sys = t.shards.(s) in
-            (match verdict with
-            | `Commit ts ->
-              let cts = Timestamp.v ts in
-              append_control t s
-                (Cc.Wal.Decided { gid; verdict = `Commit (Some cts) });
-              phase2.(s) <-
-                (fun () -> Cc.System.commit_prepared ~commit_ts:cts sys txn)
-                :: phase2.(s);
-              metrics_count Weihl_obs.Shard_metrics.tpc_commit_at t s
-            | `Abort ->
-              append_control t s (Cc.Wal.Decided { gid; verdict = `Abort });
-              phase2.(s) <-
-                (fun () ->
-                  Cc.System.abort_prepared ~reason:"batch abort" sys txn)
-                :: phase2.(s);
-              metrics_count Weihl_obs.Shard_metrics.abort_at t s);
-            batch2.(s) <- batch2.(s) + 1
-          end)
+          if not t.crashed.(s) then
+            enqueue phase2 batch2 s
+              (learn_verdict ~reason:"batch abort" t g s txn verdict))
         legs)
     decided;
   run_phase phase2;
-  let involved2 =
-    List.filter_map
-      (fun s -> if batch2.(s) > 0 then Some (s, batch2.(s)) else None)
-      (List.init shards_n Fun.id)
-  in
-  sync_shards t involved2;
+  sync_before_ack t (involved batch2);
   List.iter
     (fun (g, legs, _verdict) ->
-      List.iter
-        (fun (s, txn) -> if not t.crashed.(s) then drop_leg t s txn)
-        legs;
       (match t.metrics with
       | None -> ()
       | Some m ->
@@ -1438,7 +1305,7 @@ let commit_batch ?(crash_before_sync = []) t gs =
   List.iter (fun s -> sweep_crashed t s) crashed_now;
   (* Commit-count checkpoint scheduling, once the batch has settled. *)
   List.iter
-    (fun ((g, s, _txn), _mode) ->
+    (fun (g, s, _txn) ->
       if Gtxn.status g = Gtxn.Committed then bump_checkpoint t s)
     singles;
   List.iter
@@ -1447,12 +1314,12 @@ let commit_batch ?(crash_before_sync = []) t gs =
       | `Commit _ -> List.iter (fun (s, _) -> bump_checkpoint t s) legs
       | `Abort -> ())
     decided;
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    Array.iteri
-      (fun s sys ->
-        if not t.crashed.(s) then
-          Weihl_obs.Shard_metrics.set_in_doubt m s
-            (List.length (Cc.System.prepared_txns sys)))
-      t.shards
+  (* Only multi-shard transactions pass through the prepared state. *)
+  if multis <> [] then refresh_in_doubt t
+
+let commit ?fault ?votes_no t g =
+  match Gtxn.legs g with
+  | _ :: _ :: _ as legs ->
+    require_active g;
+    commit_2pc ?fault ?votes_no t g legs
+  | [] | [ _ ] -> commit_batch t [ g ]

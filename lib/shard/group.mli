@@ -4,21 +4,29 @@
     Each shard owns its own event log, Lamport clock and durable WAL;
     the {!Router} places every object on exactly one shard.  A global
     transaction ({!Gtxn}) lazily opens a shard-local leg on first
-    contact with each shard.  Commit takes one of two paths:
+    contact with each shard.
 
-    - {e fast path} — a transaction that touched a single shard commits
-      locally, with no coordination round (hybrid updates still draw
-      their commit timestamp from the group clock, which keeps the
-      global timestamp order of updates consistent with [precedes]);
-    - {e 2PC} — a multi-shard transaction runs a real two-phase commit
-      round over {!Weihl_dist.Tpc.Driver}: every leg votes after
-      writing a durable [Prepared] control record, the coordinator
-      chooses the commit timestamp as one past the max of the
-      participants' clock readings routed through the group clock, and
-      each leg applies the decision under a durable [Decided] record.
+    The single-call API is a batch of one: {!invoke} is a one-entry
+    {!invoke_batch}, and {!commit} of a transaction with at most one
+    leg is a one-transaction {!commit_batch} — a single-shard commit
+    runs no coordination round (hybrid updates still draw their commit
+    timestamp from the group clock, which keeps the global timestamp
+    order of updates consistent with [precedes]).  A multi-shard
+    transaction commits by two-phase commit under one discipline,
+    written once: every leg votes after a durable [Prepared] control
+    record, the coordinator chooses the commit timestamp as one past
+    the max of the participants' clock readings routed through the
+    group clock, and each leg applies the decision under a durable
+    [Decided] record.  Two schedulers run it:
+
+    - {!commit}, a real message round over {!Weihl_dist.Tpc.Driver} —
+      the path that takes coordinator and participant crashes,
+      partitions, message faults, forced no-votes and flow tracing;
+    - {!commit_batch}, a synchronous two-wave decision over a whole
+      batch, one WAL sync per shard per wave.
 
     All timestamps — static/hybrid-read-only initiation timestamps,
-    fast-path hybrid commit timestamps, and 2PC-agreed commit
+    single-shard hybrid commit timestamps, and 2PC-agreed commit
     timestamps — are drawn from the single group clock, so they are
     globally unique and the merged commit order is well defined.
 
@@ -41,24 +49,17 @@ type invoke_result =
           translated from the home shard's local graph). *)
   | Refused of string
 
-type commit_outcome =
-  | Fast  (** single-shard local commit — no coordination round *)
-  | Distributed of Tpc.decision * int list
-      (** the 2PC decision record and the participant shards, in the
-          order the transaction first touched them *)
-
 type checkpoint_config = {
   every : int;
       (** auto-checkpoint a shard after every [every] commits that land
           on it *)
-  retain : int;  (** checkpoint files kept per shard (the newest N) *)
   archive : bool;
       (** archive truncated WAL prefixes (see {!archived_segments})
           instead of dropping them *)
 }
 
 val default_checkpoint : checkpoint_config
-(** [{ every = 100; retain = 2; archive = false }]. *)
+(** [{ every = 100; archive = false }]. *)
 
 val create :
   ?policy:Cc.System.ts_policy ->
@@ -83,26 +84,28 @@ val create :
     timing does.  Call {!shutdown} when done with a multi-domain group.
 
     [group_commit] (default false) switches the WAL durability model
-    from everything-appended-is-durable to the synced-prefix model
-    used by {!commit_batch}: {!durable_shard} then returns only
-    records covered by a sync, and a crash loses the unsynced tail.
-    {!commit} then syncs before it acknowledges: the fast path after
-    the commit record, 2PC after each participant's [Prepared] record
-    and before its yes vote.  [sync_cost] is the simulated device sync
-    latency, paid once per
-    per-shard sync on that shard's domain (so syncs overlap across
-    domains).
+    from everything-appended-is-durable to the synced-prefix model:
+    the group marks, per shard, the event-log and control-record
+    prefix the last sync covered, {!durable_shard} returns only that
+    prefix, and a crash loses the unsynced tail.  One sync rule holds
+    on every commit path: a commit syncs the shards it appended to
+    before it acknowledges if and only if [group_commit] is on — a
+    wave after its commit records and votes and again after its
+    [Decided] records, the message round after each participant's
+    [Prepared] record and before its yes vote.  [sync_cost] is the
+    simulated device sync latency, paid once per per-shard sync on
+    that shard's domain (so syncs overlap across domains).
 
     [checkpoint] turns on fuzzy checkpointing: each shard writes a
     checkpoint file after every [every] commits that land on it
     (staggered across shards so the group never checkpoints in
-    lock-step), keeps the newest [retain] files, and truncates its WAL
-    behind the oldest retained checkpoint's redo point.  Without it the
-    group never checkpoints on its own — {!checkpoint_shard} still
-    works on demand.
+    lock-step), keeps the newest two files, and truncates its WAL
+    behind the older one's redo point.  Without it the group never
+    checkpoints on its own — {!checkpoint_shard} still works on
+    demand.
 
     @raise Invalid_argument if [shards <= 0], the metrics were built
-    for a different shard count, or the checkpoint config is not
+    for a different shard count, or [checkpoint.every] is not
     positive. *)
 
 val shutdown : t -> unit
@@ -167,17 +170,21 @@ val begin_txn : t -> Activity.t -> Gtxn.t
 
 val invoke : t -> Gtxn.t -> Object_id.t -> Operation.t -> invoke_result
 (** Route the operation to the object's home shard, opening a leg there
-    on first contact.  Refuses with ["shard down"] when the home shard
-    is crashed.  @raise Invalid_argument if the transaction is not
-    active or the object is unknown to its home shard. *)
+    on first contact — {!invoke_batch} of one entry.  Refuses with
+    ["shard down"] when the home shard is crashed.  @raise
+    Invalid_argument if the transaction is not active or the object is
+    unknown to its home shard. *)
 
-val commit : ?fault:Tpc.fault -> ?votes_no:int list -> t -> Gtxn.t -> commit_outcome
-(** Commit: fast path for [<= 1] legs, 2PC otherwise.  [fault] injects
-    failures into the 2PC round (crashes, message faults, partitions);
+val commit : ?fault:Tpc.fault -> ?votes_no:int list -> t -> Gtxn.t -> unit
+(** Commit one transaction.  With at most one leg this is
+    {!commit_batch} of one, and [fault] and [votes_no] do not apply.
+    A multi-shard transaction runs a 2PC message round: [fault]
+    injects failures into it (crashes, message faults, partitions);
     [votes_no] forces the listed participant indices (positions in
     {!Gtxn.shards} order) to vote no.  After a faulty round the
     transaction may be left {!Gtxn.status.In_doubt} (some leg prepared,
-    no decision reached) and shards may be marked crashed.
+    no decision reached) and shards may be marked crashed.  Outcomes
+    are read back via {!Gtxn.status}.
     @raise Invalid_argument if the transaction is not active. *)
 
 val abort : ?reason:string -> t -> Gtxn.t -> unit
@@ -202,13 +209,13 @@ val invoke_batch :
 val commit_batch : ?crash_before_sync:int list -> t -> Gtxn.t list -> unit
 (** Commit a batch with group commit and batched synchronous 2PC:
     single-shard commits and multi-shard prepares execute in one job
-    wave (one WAL sync per shard covers the whole batch — the
-    [group_commit.batch_size] histogram observes it), the coordinator
-    decides every multi-shard transaction after the vote sync, and a
-    second wave applies decisions under [Decided] records and a final
-    sync.  No transaction is acknowledged (status [Committed], entry
-    in the committed projection) before the sync covering its records
-    has returned.
+    wave (under [group_commit], one WAL sync per shard covers the whole
+    batch — the [group_commit.batch_size] histogram observes it), the
+    coordinator decides every multi-shard transaction after the vote
+    sync, and a second wave applies decisions under [Decided] records
+    and a final sync.  Under [group_commit] no transaction is
+    acknowledged (status [Committed], entry in the committed
+    projection) before the sync covering its records has returned.
 
     [crash_before_sync] injects the group-commit fault: the listed
     shards die after appending their wave-1 records but before the
@@ -259,8 +266,8 @@ val checkpoint_shard : ?lose_marker:bool -> t -> int -> int
     traffic: capture the durable record stream
     ({!Cc.Checkpoint.capture}), store the encoded file, append and sync
     the WAL [Checkpointed] marker that makes it official, then — once
-    [retain] files exist — truncate the WAL behind the oldest retained
-    checkpoint's redo point (archiving the prefix under
+    two files exist — truncate the WAL behind the older one's redo
+    point (archiving the prefix under
     [checkpoint.archive]).  Returns the new checkpoint's redo point.
 
     [lose_marker] (default false) simulates the crash window where the

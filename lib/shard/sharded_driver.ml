@@ -382,7 +382,7 @@ let run ?(config = default_config) ?tracer
   let commit s j g ~time =
     let multi = Gtxn.fanout g >= 2 in
     if multi then incr multi_attempts;
-    ignore (on_commit group g ~nth_multi:!multi_attempts);
+    on_commit group g ~nth_multi:!multi_attempts;
     if settle t j g ~time ~multi then vacate s ~time:(time + op_cost)
     else after_abort ~time j
   in

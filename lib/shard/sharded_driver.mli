@@ -2,10 +2,11 @@
 
     Transactions are scripts drawn from a {!Weihl_sim.Workload}; each
     runs against the group facade — legs opening on whichever shards
-    the router picks — and commits through the fast path or 2PC.  One
-    job record, one script-step rule (grant, [continue_if], wait
-    budget, refusal, restart, give-up), one deadlock-victim routine and
-    one outcome serve two schedulers:
+    the router picks — and commits with no coordination round on one
+    shard or by 2PC across several.  One job record, one script-step
+    rule (grant, [continue_if], wait budget, refusal, restart,
+    give-up), one deadlock-victim routine and one outcome serve two
+    schedulers:
 
     - {!run}, the virtual-time event loop.  Arrivals are a closed loop
       of [Clients n] that each draw their next script when the last one
@@ -96,7 +97,7 @@ val latency : outcome -> Weihl_obs.Metrics.Histogram.t
 val run :
   ?config:config ->
   ?tracer:Weihl_obs.Shard_trace.t ->
-  ?on_commit:(Group.t -> Gtxn.t -> nth_multi:int -> Group.commit_outcome) ->
+  ?on_commit:(Group.t -> Gtxn.t -> nth_multi:int -> unit) ->
   Group.t ->
   Weihl_sim.Workload.t ->
   outcome

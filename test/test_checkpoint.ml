@@ -17,7 +17,7 @@ let protocols = Shard_harness.protocols
 let run_traffic ?(seed = 7) ?(duration = 300) ?(every = 25) proto =
   let group =
     Shard_group.create ~policy:proto.Fault_harness.policy ~seed ~shards:3
-      ~checkpoint:{ Shard_group.default_checkpoint with every; archive = true }
+      ~checkpoint:{ Shard_group.every; archive = true }
       ()
   in
   let w = proto.Fault_harness.workload () in

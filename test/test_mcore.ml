@@ -1,7 +1,8 @@
-(* The multicore runtime: mailbox/executor plumbing, the group-commit
-   writer's synced-before-acknowledged contract, crash-before-sync
-   fault injection, domain-count independence of results (the
-   determinism boundary), and the 4-domain banking stress test. *)
+(* The multicore runtime: mailbox/executor plumbing, the group's
+   synced-before-acknowledged contract under group commit,
+   crash-before-sync fault injection, domain-count independence of
+   results (the determinism boundary), and the 4-domain banking stress
+   test. *)
 
 open Core
 
@@ -88,64 +89,13 @@ let test_exec_inline_is_direct () =
   check_int "no mailbox" 0 (Shard_exec.mailbox_depth exec ~shard:1);
   Shard_exec.shutdown exec
 
-(* --- the group-commit writer ---------------------------------------- *)
-
-let a1 = Activity.update "a1"
-let x1 = Object_id.v "x"
+(* --- group commit at the group level -------------------------------- *)
 
 let records_of text =
   match Wal.decode_records text with
   | Ok (records, Wal.Intact) -> records
   | Ok (_, _) -> Alcotest.fail "durable image not intact"
   | Error e -> Alcotest.fail (Fmt.str "%a" Wal.pp_error e)
-
-let test_writer_append_is_volatile () =
-  let synced = ref 0 in
-  let w = Wal.Writer.create ~label:"t" ~sync_cost:(fun () -> incr synced) () in
-  Wal.Writer.append w (Wal.Event (Event.invoke a1 x1 (Bank_account.deposit 3)));
-  Wal.Writer.append w (Wal.Event (Event.respond a1 x1 Value.ok));
-  check_int "buffered, not durable" 2 (Wal.Writer.pending w);
-  check_int "durable image is empty" 0
-    (List.length (records_of (Wal.Writer.synced_text w)));
-  check_int "full image has the tail" 2
-    (List.length (records_of (Wal.Writer.text w)));
-  check_int "sync covers the batch" 2 (Wal.Writer.sync w);
-  check_int "device paid once" 1 !synced;
-  check_int "nothing pending" 0 (Wal.Writer.pending w);
-  check_int "now durable" 2
-    (List.length (records_of (Wal.Writer.synced_text w)));
-  check_int "empty sync" 0 (Wal.Writer.sync w);
-  check_int "counters" 2 (Wal.Writer.appends w);
-  check_int "counters" 2 (Wal.Writer.syncs w)
-
-let test_writer_crash_window () =
-  let w = Wal.Writer.create () in
-  Wal.Writer.append_list w
-    [
-      Wal.Event (Event.invoke a1 x1 (Bank_account.deposit 3));
-      Wal.Event (Event.respond a1 x1 Value.ok);
-      Wal.Event (Event.commit a1 x1);
-    ];
-  ignore (Wal.Writer.sync w);
-  (* the second transaction crashes in the window between append and
-     sync: its commit must not be in the durable image *)
-  let a2 = Activity.update "a2" in
-  Wal.Writer.append_list w
-    [
-      Wal.Event (Event.invoke a2 x1 (Bank_account.deposit 9));
-      Wal.Event (Event.respond a2 x1 Value.ok);
-      Wal.Event (Event.commit a2 x1);
-    ];
-  let durable = records_of (Wal.Writer.synced_text w) in
-  check_int "only the synced transaction" 3 (List.length durable);
-  check_bool "a2 is lost" true
-    (List.for_all
-       (function
-         | Wal.Event e -> Activity.equal (Event.activity e) a1
-         | Wal.Control _ -> true)
-       durable)
-
-(* --- group commit at the group level -------------------------------- *)
 
 let test_crash_before_sync_never_acknowledged () =
   let g = rw_group ~group_commit:true () in
@@ -218,7 +168,7 @@ let test_fast_path_commit_synced () =
   let x = List.hd accounts in
   let t1 = Shard_group.begin_txn g (Activity.update "fast") in
   ignore (granted (Shard_group.invoke g t1 x (Bank_account.deposit 7)));
-  ignore (Shard_group.commit g t1);
+  Shard_group.commit g t1;
   check_bool "acknowledged" true (Gtxn.status t1 = Gtxn.Committed);
   crash_and_recover g (Shard_group.shard_of g x);
   check_bool "the acknowledged deposit survived" true
@@ -231,7 +181,7 @@ let test_two_phase_commit_synced () =
   let t1 = Shard_group.begin_txn g (Activity.update "both") in
   ignore (granted (Shard_group.invoke g t1 x (Bank_account.deposit 3)));
   ignore (granted (Shard_group.invoke g t1 y (Bank_account.deposit 4)));
-  ignore (Shard_group.commit g t1);
+  Shard_group.commit g t1;
   check_bool "acknowledged" true (Gtxn.status t1 = Gtxn.Committed);
   crash_and_recover g 0;
   crash_and_recover g 1;
@@ -426,10 +376,6 @@ let suite =
       test_exec_per_shard_order;
     Alcotest.test_case "exec: inline mode is a direct call" `Quick
       test_exec_inline_is_direct;
-    Alcotest.test_case "writer: append is volatile until sync" `Quick
-      test_writer_append_is_volatile;
-    Alcotest.test_case "writer: crash window loses the unsynced tail" `Quick
-      test_writer_crash_window;
     Alcotest.test_case "group commit: crash before sync never acknowledged"
       `Quick test_crash_before_sync_never_acknowledged;
     Alcotest.test_case "group commit: acknowledged commits survive" `Quick

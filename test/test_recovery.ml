@@ -119,6 +119,84 @@ let test_divergence_detected () =
       (contains msg "divergence" || contains msg "refused"
       || contains msg "stalled")
 
+(* The WAL's event records carry each activity's kind.  The paper's
+   naming convention (r, s, t read-only) covers most names; an update
+   named [seed1] or [transfer7] and a read-only [q12] break it, and
+   must still decode with the kind they were written with. *)
+let test_wal_keeps_activity_kinds () =
+  let seed1 = Activity.update "seed1"
+  and transfer7 = Activity.update "transfer7"
+  and q12 = Activity.read_only "q12" in
+  let records =
+    List.map
+      (fun e -> Wal.Event e)
+      [
+        Event.invoke seed1 y (Bank_account.deposit 5);
+        Event.respond seed1 y Value.ok;
+        Event.commit seed1 y;
+        Event.invoke transfer7 y (Bank_account.withdraw 1);
+        Event.invoke q12 y Bank_account.balance;
+        Event.invoke a y (Bank_account.deposit 2);
+        Event.invoke r y Bank_account.balance;
+      ]
+  in
+  let text = Wal.encode_records records in
+  match Wal.decode_records text with
+  | Ok (decoded, Wal.Intact) ->
+    List.iter2
+      (fun written read ->
+        match (written, read) with
+        | Wal.Event w, Wal.Event e ->
+          check_bool
+            (Fmt.str "%a keeps its kind" Event.pp w)
+            (Activity.is_read_only (Event.activity w))
+            (Activity.is_read_only (Event.activity e))
+        | _ -> Alcotest.fail "an event decoded as a control record")
+      records decoded;
+    (* Only records that break the convention carry a kind tag.  A
+       record's body follows its 8-digit checksum and a space. *)
+    let lines = String.split_on_char '\n' text in
+    List.iter
+      (fun body ->
+        check_bool body true
+          (List.exists
+             (fun l ->
+               String.length l >= 9
+               && String.sub l 9 (String.length l - 9) = body)
+             lines))
+      [
+        "0 u <deposit(5),y,seed1>";
+        "4 r <balance,y,q12>";
+        "5 <deposit(2),y,a>";
+        "6 <balance,y,r>";
+      ]
+  | Ok (_, Wal.Torn _) -> Alcotest.fail "unexpected torn tail"
+  | Error e -> Alcotest.fail (Fmt.str "decode failed: %a" Wal.pp_error e)
+
+(* A hybrid shard commits an update whose name reads as read-only by
+   the convention; recovery from its WAL must replay it as an update. *)
+let test_hybrid_recovers_unconventional_update () =
+  let g = Shard_group.create ~policy:`Hybrid ~shards:1 () in
+  Shard_group.add_object g y (fun log id ->
+      Hybrid.of_adt log id (module Bank_account));
+  let t = Shard_group.begin_txn g (Activity.update "seed1") in
+  (match Shard_group.invoke g t y (Bank_account.deposit 5) with
+  | Shard_group.Granted _ -> ()
+  | Shard_group.Wait _ | Shard_group.Refused _ ->
+    Alcotest.fail "deposit not granted");
+  Shard_group.commit g t;
+  let wal = Shard_group.crash_shard g 0 in
+  (match Shard_group.recover_shard g 0 wal with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Fmt.str "%a" Recovery.pp_failure e));
+  let audit = Shard_group.begin_txn g (Activity.read_only "audit") in
+  (match Shard_group.invoke g audit y Bank_account.balance with
+  | Shard_group.Granted v ->
+    check_bool "the deposit survived" true (Value.equal v (Value.Int 5))
+  | Shard_group.Wait _ | Shard_group.Refused _ ->
+    Alcotest.fail "balance not granted");
+  Shard_group.abort g audit
+
 let suite =
   [
     Alcotest.test_case "escrow crash/restart" `Quick test_escrow_crash_restart;
@@ -127,4 +205,8 @@ let suite =
     Alcotest.test_case "static recovery in timestamp order" `Quick
       test_static_recovery_in_timestamp_order;
     Alcotest.test_case "divergence detected" `Quick test_divergence_detected;
+    Alcotest.test_case "WAL keeps each activity's kind" `Quick
+      test_wal_keeps_activity_kinds;
+    Alcotest.test_case "hybrid shard recovers an update named seed1" `Quick
+      test_hybrid_recovers_unconventional_update;
   ]

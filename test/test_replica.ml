@@ -133,7 +133,7 @@ let test_stale_read_bounces () =
     (match Shard_group.invoke group g acct (Bank_account.deposit n) with
     | Shard_group.Granted _ -> ()
     | _ -> Alcotest.fail "deposit refused");
-    ignore (Shard_group.commit group g)
+    Shard_group.commit group g
   in
   let tier = tier_of ~stale:`Bounce p ~replicas:1 group in
   deposit 100;

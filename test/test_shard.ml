@@ -77,9 +77,8 @@ let test_single_shard_fast_path () =
   let a, _ = cross_pair in
   let t = Shard_group.begin_txn g (Activity.update "t1") in
   deposit g t a 10;
-  (match Shard_group.commit g t with
-  | Shard_group.Fast -> ()
-  | Shard_group.Distributed _ -> Alcotest.fail "expected the fast path");
+  Shard_group.commit g t;
+  check_int "one leg" 1 (Gtxn.fanout t);
   check_int "no 2pc round ran" 0 (Shard_group.tpc_rounds g);
   check_int "one committed" 1 (Shard_group.committed_count g);
   check_bool "committed" true (Gtxn.status t = Gtxn.Committed)
@@ -89,10 +88,10 @@ let test_hybrid_fast_path_draws_group_ts () =
   let a, b = cross_pair in
   let t1 = Shard_group.begin_txn g (Activity.update "t1") in
   deposit g t1 a 10;
-  ignore (Shard_group.commit g t1);
+  Shard_group.commit g t1;
   let t2 = Shard_group.begin_txn g (Activity.update "t2") in
   deposit g t2 b 10;
-  ignore (Shard_group.commit g t2);
+  Shard_group.commit g t2;
   match (Gtxn.commit_ts t1, Gtxn.commit_ts t2) with
   | Some ts1, Some ts2 ->
     (* Different shards, one clock: the later commit gets the later,
@@ -109,14 +108,15 @@ let test_cross_shard_commit () =
   let t = Shard_group.begin_txn g (Activity.update "t1") in
   deposit g t a 5;
   deposit g t b 7;
-  (match Shard_group.commit g t with
-  | Shard_group.Distributed (d, parts) ->
-    check_bool "decided commit" true d.Tpc.committed;
-    check_int "two participants" 2 (List.length parts);
-    check_bool "atomic" true (Tpc.atomic_decision d)
-  | Shard_group.Fast -> Alcotest.fail "expected a 2PC round");
+  Shard_group.commit g t;
+  check_int "one 2pc round" 1 (Shard_group.tpc_rounds g);
+  check_int "two participants" 2 (Gtxn.fanout t);
+  check_bool "decided commit" true
+    (match Shard_group.decision_of g (Gtxn.gid t) with
+    | Some (`Commit _) -> true
+    | Some `Abort | None -> false);
   check_bool "committed" true (Gtxn.status t = Gtxn.Committed);
-  (* Both shard histories record the commit. *)
+  (* Atomic: both shard histories record the commit. *)
   List.iter
     (fun s ->
       check_bool
@@ -132,7 +132,7 @@ let test_agreed_commit_ts_across_shards () =
   let t = Shard_group.begin_txn g (Activity.update "t1") in
   deposit g t a 5;
   deposit g t b 7;
-  ignore (Shard_group.commit g t);
+  Shard_group.commit g t;
   let ts_at s =
     History.timestamp_of
       (System.history (Shard_group.system g s))
@@ -150,10 +150,10 @@ let test_vote_no_aborts_everywhere () =
   let t = Shard_group.begin_txn g (Activity.update "t1") in
   deposit g t a 5;
   deposit g t b 7;
-  (match Shard_group.commit ~votes_no:[ 1 ] g t with
-  | Shard_group.Distributed (d, _) ->
-    check_bool "decided abort" false d.Tpc.committed
-  | Shard_group.Fast -> Alcotest.fail "expected a 2PC round");
+  Shard_group.commit ~votes_no:[ 1 ] g t;
+  check_int "one 2pc round" 1 (Shard_group.tpc_rounds g);
+  check_bool "decided abort" true
+    (Shard_group.decision_of g (Gtxn.gid t) = Some `Abort);
   check_bool "aborted" true (Gtxn.status t = Gtxn.Aborted);
   List.iter
     (fun s ->
@@ -178,7 +178,7 @@ let test_coordinator_crash_leaves_in_doubt () =
   deposit g t a 5;
   deposit g t b 7;
   let fault = { Tpc.no_fault with f_coordinator_crash = Tpc.After_prepare } in
-  ignore (Shard_group.commit ~fault g t);
+  Shard_group.commit ~fault g t;
   check_bool "in doubt" true (Gtxn.status t = Gtxn.In_doubt);
   check_int "both legs prepared" 2 (Shard_group.in_doubt_count g);
   check_bool "no decision recorded" true
@@ -219,10 +219,11 @@ let test_participant_crash_recovers_to_commit () =
   let fault =
     { Tpc.no_fault with f_participant_crash = Some (crash_idx, `After_vote) }
   in
-  (match Shard_group.commit ~fault g t with
-  | Shard_group.Distributed (d, _) ->
-    check_bool "coordinator decided commit" true d.Tpc.committed
-  | Shard_group.Fast -> Alcotest.fail "expected a 2PC round");
+  Shard_group.commit ~fault g t;
+  check_bool "coordinator decided commit" true
+    (match Shard_group.decision_of g (Gtxn.gid t) with
+    | Some (`Commit _) -> true
+    | Some `Abort | None -> false);
   check_bool "shard 1 crashed" true (Shard_group.shard_crashed g 1);
   (* The surviving shard committed; the crashed one is held by its WAL. *)
   let wal = Shard_group.durable_shard g 1 in
@@ -248,7 +249,7 @@ let test_participant_crash_held_in_doubt_then_aborts () =
   (* Coordinator dies undecided AND shard 1 then crashes: recovery must
      hold the reinstated leg in doubt until a decision resolves it. *)
   let fault = { Tpc.no_fault with f_coordinator_crash = Tpc.After_prepare } in
-  ignore (Shard_group.commit ~fault g t);
+  Shard_group.commit ~fault g t;
   check_bool "in doubt" true (Gtxn.status t = Gtxn.In_doubt);
   let report =
     crash_and_recover ~resolve:(Some (fun _ -> `Unknown)) g 1
