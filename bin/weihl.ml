@@ -904,9 +904,9 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
     in
     if mcore then begin
       (* The wall-clock batched runtime: group commit on, a simulated
-         device sync per shard, one domain per shard when --domains
-         says so.  Results are domain-count independent; only the
-         elapsed time changes. *)
+         device sync per shard, shards spread over --domains domains.
+         Results are domain-count independent; only the elapsed time
+         changes. *)
       let group, sm =
         mk_group ~group_commit:true
           ~sync_cost:(fun () -> Unix.sleepf (float_of_int sync_us *. 1e-6))
@@ -1688,9 +1688,11 @@ let shard_term =
       value & opt int 1
       & info [ "domains" ] ~docv:"N"
           ~doc:
-            "Worker domains for shard execution (capped at the shard \
-             count).  1 is the deterministic inline mode; results are \
-             identical at any value — only wall-clock time changes.")
+            "Domains executing shard work, the caller's included (capped \
+             at the shard count): N spawns N-1 worker domains and the \
+             caller runs its own share of the shards.  1 is the \
+             deterministic inline mode; results are identical at any \
+             value — only wall-clock time changes.")
   in
   let replicas =
     Arg.(

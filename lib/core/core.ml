@@ -112,7 +112,6 @@ module Waits_for = Weihl_cc.Waits_for
 module System = Weihl_cc.System
 
 module Concurrent = Weihl_runtime.Concurrent
-module Sharded = Weihl_runtime.Sharded
 
 module Msim = Weihl_dist.Msim
 module Tpc = Weihl_dist.Tpc

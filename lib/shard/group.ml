@@ -21,20 +21,69 @@ let default_checkpoint = { every = 100; archive = false }
    prefix. *)
 let checkpoint_retain = 2
 
+module Int_map = Map.Make (Int)
+
+(* Leg id -> global transaction.  Leg ids count up from 0 per shard
+   incarnation, so they are their own hash; the deadlock search does
+   one lookup per waits-for edge. *)
+module Leg_index = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
+
+(* A growable array: one column of the committed log. *)
+module Column = struct
+  type 'a t = { mutable data : 'a array; mutable len : int }
+
+  let create () = { data = [||]; len = 0 }
+  let length c = c.len
+  let get c i = c.data.(i)
+
+  let push c x =
+    if c.len = Array.length c.data then begin
+      let data = Array.make (max 64 (2 * c.len)) x in
+      Array.blit c.data 0 data 0 c.len;
+      c.data <- data
+    end;
+    c.data.(c.len) <- x;
+    c.len <- c.len + 1
+end
+
+(* Every committed global transaction in commit order, by column: per
+   commit its activity, its replay-order timestamp (-1 for none) and
+   the position of its first op; per op, in program order, the object,
+   the operation and its result.  A few words per commit, where a list
+   of tuples and a table entry cost several times that. *)
+type committed = {
+  activities : Activity.t Column.t;
+  order_ts : int Column.t;
+  first_op : int Column.t;
+  objs : Object_id.t Column.t;
+  ops : Operation.t Column.t;
+  values : Value.t Column.t;
+}
+
 type t = {
   policy : Cc.System.ts_policy;
   shards : Cc.System.t array;
   clock : Cc.Lamport_clock.t; (* the group's timestamp authority *)
   mutable next_gid : int;
   gtxns : (int, Gtxn.t) Hashtbl.t; (* live or unresolved *)
-  local_index : (int, Gtxn.t) Hashtbl.t array; (* per shard: leg id -> gtxn *)
+  local_index : Gtxn.t Leg_index.t array; (* per shard: leg id -> gtxn *)
+  waits : (Cc.Txn.t * Cc.Txn.t list) Int_map.t array;
+      (* per shard, the coordinator's mirror of the shard's waits-for
+         edges: waiter leg id -> (waiter leg, raw blocker legs), written
+         from the [Wait] results [invoke_batch] folds *)
+  mutable dfs_epoch : int; (* the last deadlock search's colour stamp *)
   decisions : (int, [ `Commit of int | `Abort ]) Hashtbl.t;
       (* the coordinator's durable decision log; absence = presumed abort *)
-  mutable commit_seq : (int * Activity.t * Timestamp.t option) list;
-      (* committed gtxns, newest first, with their replay-order timestamp *)
+  committed : committed;
   journal : (int, (Object_id.t * Operation.t * Value.t) list) Hashtbl.t;
-      (* per gtxn, granted ops newest first — global program order,
-         which per-shard logs cannot reconstruct *)
+      (* per live gtxn, granted ops newest first — global program order,
+         which per-shard logs cannot reconstruct; moved into [committed]
+         at the commit verdict *)
   mutable controls : (int * Cc.Wal.control) list array;
       (* per shard, newest first: (event-log length at append, record) *)
   constructors :
@@ -47,7 +96,7 @@ type t = {
   crashed : bool array;
   exec : Exec.t;
       (* where shard work runs: inline (domains = 1, the deterministic
-         sequential semantics) or one worker domain per shard *)
+         sequential semantics) or over the caller and worker domains *)
   group_commit : bool;
       (* strict durability accounting: the durable image is the synced
          prefix, not everything appended *)
@@ -90,9 +139,19 @@ let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
     clock = Cc.Lamport_clock.create ();
     next_gid = 0;
     gtxns = Hashtbl.create 64;
-    local_index = Array.init shards (fun _ -> Hashtbl.create 64);
+    local_index = Array.init shards (fun _ -> Leg_index.create 64);
+    waits = Array.make shards Int_map.empty;
+    dfs_epoch = 0;
     decisions = Hashtbl.create 64;
-    commit_seq = [];
+    committed =
+      {
+        activities = Column.create ();
+        order_ts = Column.create ();
+        first_op = Column.create ();
+        objs = Column.create ();
+        ops = Column.create ();
+        values = Column.create ();
+      };
     journal = Hashtbl.create 64;
     controls = Array.make shards [];
     constructors = Hashtbl.create 16;
@@ -118,16 +177,17 @@ let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
   }
 
 (* Every touch of a shard's (non-thread-safe) [Cc.System.t] goes
-   through here, so the system only ever runs on its owner domain.  At
-   [domains = 1] this is a direct call — the pre-multicore sequential
-   code path.  The coordinator may still *read* shard state directly
-   (clocks, log lengths, prepared lists): a shard is quiescent between
-   the coordinator's joins, and the join's mutex gives the
-   happens-before edge. *)
+   through here or through an [Exec.run_phase], so the system only ever
+   runs on its owner domain.  At [domains = 1], and for the shards the
+   calling domain owns, this is a direct call.  The coordinator may
+   still *read* shard state directly (clocks, log lengths, prepared
+   lists): a shard is quiescent between the coordinator's joins, and
+   the join's mutex gives the happens-before edge. *)
 let on_shard t s f = Exec.call t.exec ~shard:s f
 
 let shutdown t = Exec.shutdown t.exec
 let domain_count t = Exec.domain_count t.exec
+let jobs_posted t = Exec.jobs_posted t.exec
 let mailbox_depth t s = Exec.mailbox_depth t.exec ~shard:s
 let mailbox_max_depth t s = Exec.mailbox_max_depth t.exec ~shard:s
 let policy t = t.policy
@@ -238,7 +298,15 @@ let journal_append t g entry =
   let prev = Option.value ~default:[] (Hashtbl.find_opt t.journal gid) in
   Hashtbl.replace t.journal gid (entry :: prev)
 
-let drop_leg t s txn = Hashtbl.remove t.local_index.(s) (Cc.Txn.id txn)
+(* The leg no longer waits.  The mirror is touched only when it holds
+   some waiter, which keeps wait-free workloads off the map. *)
+let forget_wait t s txn =
+  let w = t.waits.(s) in
+  if not (Int_map.is_empty w) then t.waits.(s) <- Int_map.remove (Cc.Txn.id txn) w
+
+let drop_leg t s txn =
+  Leg_index.remove t.local_index.(s) (Cc.Txn.id txn);
+  forget_wait t s txn
 
 (* The timestamp by which a committed transaction is ordered in the
    merged replay: commit order needs none (dynamic), static replays in
@@ -251,8 +319,23 @@ let order_ts t g =
   | `Hybrid ->
     if Gtxn.is_read_only g then Gtxn.init_ts g else Gtxn.commit_ts g
 
+(* The commit enters the committed log, taking its journal with it. *)
 let record_commit t g =
-  t.commit_seq <- (Gtxn.gid g, Gtxn.activity g, order_ts t g) :: t.commit_seq
+  let c = t.committed and gid = Gtxn.gid g in
+  Column.push c.activities (Gtxn.activity g);
+  Column.push c.order_ts
+    (match order_ts t g with Some ts -> Timestamp.to_int ts | None -> -1);
+  Column.push c.first_op (Column.length c.objs);
+  match Hashtbl.find_opt t.journal gid with
+  | None -> ()
+  | Some newest_first ->
+    Hashtbl.remove t.journal gid;
+    List.iter
+      (fun (x, op, v) ->
+        Column.push c.objs x;
+        Column.push c.ops op;
+        Column.push c.values v)
+      (List.rev newest_first)
 
 let maybe_prune t g =
   match Gtxn.status g with
@@ -285,9 +368,11 @@ let abort_leg ?reason t s txn =
 
 (* The leg at shard [s] has prepared: its [Prepared] record is the
    point of no return, appended before the yes vote leaves the site. *)
+let prepared_record g =
+  Cc.Wal.Prepared { gid = Gtxn.gid g; activity = Gtxn.activity g }
+
 let mark_prepared t g s =
-  append_control t s
-    (Cc.Wal.Prepared { gid = Gtxn.gid g; activity = Gtxn.activity g });
+  append_control t s (prepared_record g);
   metrics_count Weihl_obs.Shard_metrics.prepare_at t s
 
 (* The global transaction takes its verdict: a commit enters the
@@ -384,32 +469,29 @@ let durable_shard t s =
   Cc.Wal.encode_records ~label:(shard_label s) ~base
     (Cc.Wal.drop_n base (shard_records t s))
 
-(* One WAL device sync per involved shard, all in flight at once: each
-   sync's latency is paid on its shard's own domain, so the syncs
-   overlap in wall-clock time.  [records] is the number of transactions
-   whose records the shard's sync covers — the group commit batch size.
-   Marks advance to the current end of the shard's record stream:
-   everything appended so far becomes durable in one device operation. *)
+(* Shard [s]'s device sync has returned: the marks advance to the
+   current end of its record stream, so everything appended so far is
+   durable.  [records] is the number of transactions the sync covered —
+   the group commit batch size.  Coordinator-side, after the join. *)
+let mark_synced t (s, records) =
+  t.synced_events.(s) <- Cc.Event_log.length (Cc.System.log t.shards.(s));
+  t.synced_ctrls.(s) <- List.length t.controls.(s);
+  (match t.metrics with
+  | None -> ()
+  | Some m -> Weihl_obs.Shard_metrics.wal_sync m ~records);
+  match t.tracer with
+  | None -> ()
+  | Some st ->
+    St.span (St.shard st s) ~name:"wal.sync" ~cat:"wal" ~ts:(St.now st)
+      ~dur:0. ~tid:0
+      ~args:[ ("batch", St.num records) ]
+
+(* One WAL device sync per involved shard, all in one phase: each
+   sync's latency is paid on its shard's owner domain, so the syncs
+   overlap in wall-clock time. *)
 let sync_shards t involved =
-  let promises =
-    List.map (fun (s, _) -> Exec.submit t.exec ~shard:s t.sync_cost) involved
-  in
-  List.iter Exec.await promises;
-  List.iter
-    (fun (s, records) ->
-      t.synced_events.(s) <-
-        Cc.Event_log.length (Cc.System.log t.shards.(s));
-      t.synced_ctrls.(s) <- List.length t.controls.(s);
-      (match t.metrics with
-      | None -> ()
-      | Some m -> Weihl_obs.Shard_metrics.wal_sync m ~records);
-      match t.tracer with
-      | None -> ()
-      | Some st ->
-        St.span (St.shard st s) ~name:"wal.sync" ~cat:"wal" ~ts:(St.now st)
-          ~dur:0. ~tid:0
-          ~args:[ ("batch", St.num records) ])
-    involved
+  Exec.run_phase t.exec (List.map (fun (s, _) -> (s, t.sync_cost)) involved);
+  List.iter (mark_synced t) involved
 
 (* The one sync rule: under group commit a commit path syncs the shards
    it appended to before it acknowledges anything; without it every
@@ -805,7 +887,7 @@ let in_doubt t =
       if not t.crashed.(s) then
         List.iter
           (fun txn ->
-            match Hashtbl.find_opt t.local_index.(s) (Cc.Txn.id txn) with
+            match Leg_index.find_opt t.local_index.(s) (Cc.Txn.id txn) with
             | Some g -> acc := (Gtxn.gid g, s) :: !acc
             | None -> acc := (-1, s) :: !acc)
           (Cc.System.prepared_txns sys))
@@ -858,7 +940,8 @@ let recover_shard ?resolve t s text =
     let shard_report = report.Cc.Recovery.shard in
     t.shards.(s) <- sys;
     install_probe t s;
-    Hashtbl.reset t.local_index.(s);
+    Leg_index.reset t.local_index.(s);
+    t.waits.(s) <- Int_map.empty;
     t.controls.(s) <- [];
     (* The group clock must dominate everything the recovered shard
        replayed, or future commit timestamps could collide. *)
@@ -880,7 +963,7 @@ let recover_shard ?resolve t s text =
         in
         Gtxn.set_leg g s txn;
         if Gtxn.status g = Gtxn.Active then Gtxn.set_status g Gtxn.In_doubt;
-        Hashtbl.replace t.local_index.(s) (Cc.Txn.id txn) g)
+        Leg_index.replace t.local_index.(s) (Cc.Txn.id txn) g)
       shard_report.Cc.Recovery.in_doubt;
     (* Recovery rewrites the WAL (replayed log + re-created Prepared
        markers) durably before the shard returns to service.  The new
@@ -914,64 +997,71 @@ let recover_shard ?resolve t s text =
 (* ------------------------------------------------------------------ *)
 (* Cross-shard deadlock detection *)
 
+(* The global transaction behind a leg on shard [s], while the leg is
+   active and indexed: the filter the merged snapshot of every shard's
+   waits-for graph applied. *)
+let lift t s leg =
+  if Cc.Txn.is_active leg then Leg_index.find_opt t.local_index.(s) (Cc.Txn.id leg)
+  else None
+
+(* The raw blockers of a leg on shard [s] while it waits.  A waiting
+   leg is always indexed: a leg enters the mirror only once indexed,
+   and [drop_leg] and recovery take it out of both. *)
+let blockers_of t s leg =
+  if t.crashed.(s) || not (Cc.Txn.is_active leg) then []
+  else
+    match Int_map.find_opt (Cc.Txn.id leg) t.waits.(s) with
+    | Some (_, blockers) -> blockers
+    | None -> []
+
+(* A DFS over the waits-for mirror, lifted to global transactions; no
+   shard is asked anything.  It visits nodes in the order the merge of
+   the shards' snapshots produced, so the cycle it finds is the same:
+   roots by shard ascending, then waiter leg id ascending; a node's
+   successors leg by leg in descending shard order, each leg's blockers
+   in the shard's order.  Colours are stamped with this search's epoch:
+   [gray] while on the path, [black] once exhausted. *)
 let find_deadlock t =
-  (* Merge the per-shard waits-for graphs through the leg index into a
-     graph over global transactions, then look for a cycle. *)
-  let edges = Hashtbl.create 16 in
-  let nodes = ref [] in
-  Array.iteri
-    (fun s sys ->
-      if not t.crashed.(s) then
-        List.iter
-          (fun (w, bs) ->
-            match Hashtbl.find_opt t.local_index.(s) w with
-            | None -> ()
-            | Some gw ->
-              let targets =
-                List.filter_map
-                  (fun b -> Hashtbl.find_opt t.local_index.(s) b)
-                  bs
-              in
-              let gid = Gtxn.gid gw in
-              if not (Hashtbl.mem edges gid) then nodes := gw :: !nodes;
-              let prev = Option.value ~default:[] (Hashtbl.find_opt edges gid) in
-              Hashtbl.replace edges gid (targets @ prev))
-          (on_shard t s (fun () -> Cc.System.waits_snapshot sys)))
-    t.shards;
-  (* DFS with an explicit path; a back-edge into the path is a cycle. *)
-  let color = Hashtbl.create 16 in
-  let rec dfs path g =
-    let gid = Gtxn.gid g in
-    match Hashtbl.find_opt color gid with
-    | Some `Done -> None
-    | Some `Gray ->
-      (* Cut the path at the first occurrence of [g]. *)
+  let gray = t.dfs_epoch + 1 and black = t.dfs_epoch + 2 in
+  t.dfs_epoch <- black;
+  let exception Cycle of Gtxn.t list in
+  let rec visit path g =
+    let mark = Gtxn.mark g in
+    if mark = gray then begin
+      (* A back-edge: cut the path at [g]. *)
       let rec cut = function
         | [] -> []
-        | x :: _ when Gtxn.equal x g -> [ x ]
+        | x :: _ when x == g -> [ x ]
         | x :: rest -> x :: cut rest
       in
-      Some (List.rev (cut path))
-    | None ->
-      Hashtbl.replace color gid `Gray;
-      let succs = Option.value ~default:[] (Hashtbl.find_opt edges gid) in
-      let rec try_succs = function
-        | [] ->
-          Hashtbl.replace color gid `Done;
-          None
-        | s :: rest -> (
-          match dfs (g :: path) s with
-          | Some _ as c -> c
-          | None -> try_succs rest)
-      in
-      try_succs succs
+      raise (Cycle (List.rev (cut path)))
+    end
+    else if mark <> black then begin
+      Gtxn.set_mark g gray;
+      let path = g :: path in
+      List.iter
+        (fun (s, leg) -> visit_all path s (blockers_of t s leg))
+        (List.sort (fun (a, _) (b, _) -> Int.compare b a) (Gtxn.legs g));
+      Gtxn.set_mark g black
+    end
+  and visit_all path s = function
+    | [] -> ()
+    | b :: rest ->
+      (match lift t s b with Some gb -> visit path gb | None -> ());
+      visit_all path s rest
   in
-  let rec scan = function
-    | [] -> None
-    | g :: rest -> (
-      match dfs [] g with Some _ as c -> c | None -> scan rest)
-  in
-  scan (List.rev !nodes)
+  match
+    Array.iteri
+      (fun s waiters ->
+        if not t.crashed.(s) then
+          Int_map.iter
+            (fun _ (w, _) ->
+              match lift t s w with Some g -> visit [] g | None -> ())
+            waiters)
+      t.waits
+  with
+  | () -> None
+  | exception Cycle cycle -> Some cycle
 
 let victim cycle =
   match cycle with
@@ -984,31 +1074,36 @@ let victim cycle =
 (* The merged committed projection *)
 
 let committed_projection_ts t =
-  let seq = List.rev t.commit_seq in
-  let ordered =
+  let c = t.committed in
+  let n = Column.length c.activities in
+  let order = List.init n Fun.id in
+  let order =
     match t.policy with
-    | `None_ -> seq
+    | `None_ -> order
     | `Static | `Hybrid ->
+      (* -1, no timestamp, sorts first *)
       List.stable_sort
-        (fun (_, _, a) (_, _, b) ->
-          match (a, b) with
-          | Some a, Some b -> Timestamp.compare a b
-          | None, Some _ -> -1
-          | Some _, None -> 1
-          | None, None -> 0)
-        seq
+        (fun a b -> Int.compare (Column.get c.order_ts a) (Column.get c.order_ts b))
+        order
   in
   List.map
-    (fun (gid, activity, ts) ->
-      match Hashtbl.find_opt t.journal gid with
-      | Some ops -> (activity, ts, List.rev ops)
-      | None -> (activity, ts, []))
-    ordered
+    (fun i ->
+      let first = Column.get c.first_op i in
+      let last =
+        if i + 1 < n then Column.get c.first_op (i + 1) else Column.length c.objs
+      in
+      let ts = Column.get c.order_ts i in
+      ( Column.get c.activities i,
+        (if ts < 0 then None else Some (Timestamp.v ts)),
+        List.init (last - first) (fun k ->
+            let j = first + k in
+            (Column.get c.objs j, Column.get c.ops j, Column.get c.values j)) ))
+    order
 
 let committed_projection t =
   List.map (fun (activity, _, ops) -> (activity, ops)) (committed_projection_ts t)
 
-let committed_count t = List.length t.commit_seq
+let committed_count t = Column.length t.committed.activities
 
 let agreed_commit_ts t gid =
   match Hashtbl.find_opt t.decisions gid with
@@ -1021,11 +1116,11 @@ let tpc_rounds t = t.rounds
 (* Batched execution and group commit *)
 
 (* Execute one operation per entry, batched: entries are grouped by
-   home shard, one job per shard runs its sub-list in entry order, and
-   the coordinator joins on all replies before folding them back into
-   group state.  Per-shard execution order is deterministic (entry
-   order), so results are identical at any domain count — only
-   wall-clock timing varies. *)
+   home shard, one phase runs each shard's sub-list in entry order (one
+   job per worker domain), and the coordinator joins before folding the
+   results back into group state.  Per-shard execution order is
+   deterministic (entry order), so results are identical at any domain
+   count — only wall-clock timing varies. *)
 let invoke_batch t entries =
   let entries = Array.of_list entries in
   let n = Array.length entries in
@@ -1045,72 +1140,81 @@ let invoke_batch t entries =
         match List.rev per_shard.(s) with [] -> None | idxs -> Some (s, idxs))
       (List.init shards_n Fun.id)
   in
-  (* One job per shard.  Leg lookups happen coordinator-side; the job
-     creates missing legs (first contact) and returns them with the raw
-     shard results. *)
-  let promises =
-    List.map
-      (fun (s, idxs) ->
-        let sys = t.shards.(s) in
-        let prep =
-          List.map
-            (fun i ->
-              let g, x, op = entries.(i) in
-              (i, Gtxn.gid g, Gtxn.leg g s, Gtxn.init_ts g, Gtxn.activity g, x, op))
-            idxs
-        in
-        ( s,
-          Exec.submit t.exec ~shard:s (fun () ->
-              let fresh = Hashtbl.create 8 in
-              List.map
-                (fun (i, gid, leg, init_ts, activity, x, op) ->
-                  let txn =
-                    match leg with
-                    | Some txn -> txn
-                    | None -> (
-                      match Hashtbl.find_opt fresh gid with
-                      | Some txn -> txn
-                      | None ->
-                        let txn = Cc.System.begin_txn ?ts:init_ts sys activity in
-                        Hashtbl.replace fresh gid txn;
-                        txn)
-                  in
-                  (i, txn, Cc.System.invoke sys txn x op))
-                prep) ))
-      jobs
+  (* Each entry's leg (created on first contact) and raw shard result,
+     written by its shard's owner. *)
+  let raw = Array.make n None in
+  (* Leg lookups happen coordinator-side; the shard's thunk creates
+     missing legs. *)
+  let step (s, idxs) =
+    let sys = t.shards.(s) in
+    let prep =
+      List.map
+        (fun i ->
+          let g, x, op = entries.(i) in
+          (i, Gtxn.gid g, Gtxn.leg g s, Gtxn.init_ts g, Gtxn.activity g, x, op))
+        idxs
+    in
+    ( s,
+      fun () ->
+        let fresh = Hashtbl.create 8 in
+        List.iter
+          (fun (i, gid, leg, init_ts, activity, x, op) ->
+            let txn =
+              match leg with
+              | Some txn -> txn
+              | None -> (
+                match Hashtbl.find_opt fresh gid with
+                | Some txn -> txn
+                | None ->
+                  let txn = Cc.System.begin_txn ?ts:init_ts sys activity in
+                  Hashtbl.replace fresh gid txn;
+                  txn)
+            in
+            raw.(i) <- Some (txn, Cc.System.invoke sys txn x op))
+          prep )
   in
   (* Sample the mailbox depth gauges while the jobs are in flight. *)
-  (match t.metrics with
-  | None -> ()
-  | Some m ->
-    List.iter
-      (fun (s, _) ->
-        Weihl_obs.Shard_metrics.set_mailbox_depth m s (mailbox_depth t s))
-      jobs);
-  List.iter
-    (fun (s, p) ->
+  let on_posted () =
+    match t.metrics with
+    | None -> ()
+    | Some m ->
       List.iter
-        (fun (i, txn, raw) ->
+        (fun (s, _) ->
+          Weihl_obs.Shard_metrics.set_mailbox_depth m s (mailbox_depth t s))
+        jobs
+  in
+  Exec.run_phase ~on_posted t.exec (List.map step jobs);
+  List.iter
+    (fun (s, idxs) ->
+      List.iter
+        (fun i ->
+          let txn, r = Option.get raw.(i) in
           let g, x, op = entries.(i) in
           (match Gtxn.leg g s with
           | Some _ -> ()
           | None ->
             Gtxn.set_leg g s txn;
-            Hashtbl.replace t.local_index.(s) (Cc.Txn.id txn) g);
-          match raw with
+            Leg_index.replace t.local_index.(s) (Cc.Txn.id txn) g);
+          match r with
           | Cc.Atomic_object.Granted v ->
+            forget_wait t s txn;
             journal_append t g (x, op, v);
             results.(i) <- Granted v
           | Cc.Atomic_object.Wait blockers ->
+            (* Raw blockers: one opened in this batch may not be indexed
+               yet; the deadlock search lifts them when it walks. *)
+            t.waits.(s) <- Int_map.add (Cc.Txn.id txn) (txn, blockers) t.waits.(s);
             metrics_count Weihl_obs.Shard_metrics.conflict_at t s;
             results.(i) <-
               Wait
                 (List.filter_map
-                   (fun b -> Hashtbl.find_opt t.local_index.(s) (Cc.Txn.id b))
+                   (fun b -> Leg_index.find_opt t.local_index.(s) (Cc.Txn.id b))
                    blockers)
-          | Cc.Atomic_object.Refused why -> results.(i) <- Refused why)
-        (Exec.await p))
-    promises;
+          | Cc.Atomic_object.Refused why ->
+            forget_wait t s txn;
+            results.(i) <- Refused why)
+        idxs)
+    jobs;
   Array.to_list results
 
 let invoke t g x op = List.hd (invoke_batch t [ (g, x, op) ])
@@ -1119,12 +1223,17 @@ let invoke t g x op = List.hd (invoke_batch t [ (g, x, op) ])
    synchronous 2PC:
 
    - leg-free transactions commit trivially;
-   - single-shard commits execute in one job per shard, then ONE sync
-     per shard covers the whole batch's commit records;
-   - multi-shard transactions prepare in the same per-shard jobs (vote
-     markers appended), the wave-1 sync makes every vote durable before
-     the coordinator decides, and a second per-shard job wave applies
-     the decisions under Decided records followed by the wave-2 sync.
+   - single-shard commits execute in one phase, and ONE sync per shard
+     covers the whole batch's commit records;
+   - multi-shard transactions prepare in the same phase (vote markers
+     appended), the wave-1 sync makes every vote durable before the
+     coordinator decides, and a second phase applies the decisions
+     under Decided records followed by the wave-2 sync.
+
+   Each wave is one [Exec.run_phase]: one job per worker domain runs
+   its shards' steps, and each shard's sync rides at the end of its own
+   steps, so the sync adds no round trip.  The synced marks, metrics
+   and trace markers follow on the coordinator after the join.
 
    Under group commit nothing is acknowledged — no status flips to
    Committed, nothing enters the committed projection — until the sync
@@ -1156,20 +1265,45 @@ let commit_batch ?(crash_before_sync = []) t gs =
       trace_end t g ~outcome:"commit";
       Hashtbl.remove t.gtxns (Gtxn.gid g))
     trivial;
-  (* A phase queues shard steps per shard, counting the records each
+  (* A wave queues shard steps per shard, counting the records each
      shard's sync will cover. *)
   let enqueue work count s step =
     work.(s) <- step :: work.(s);
     count.(s) <- count.(s) + 1
   in
-  (* Phase 1, one job per shard: single-shard commits execute and every
-     multi-shard leg prepares, appending records to the volatile log
-     tail in batch order.  A single-shard commit runs no coordination
-     round, but a hybrid update still draws its commit timestamp from
-     the group clock, coordinator-side: local clocks drift
-     independently, and hybrid atomicity needs the global timestamp
-     order of committed updates consistent with [precedes] across
-     shards. *)
+  (* The shards a wave appended to, with their record counts, less
+     those dying before the sync. *)
+  let involved batch =
+    List.filter_map
+      (fun s ->
+        if batch.(s) > 0 && not (crash_set s) then Some (s, batch.(s))
+        else None)
+      (List.init shards_n Fun.id)
+  in
+  (* One phase runs every shard's steps; under group commit each
+     involved shard's sync follows its steps on its owner domain. *)
+  let run_wave work batch =
+    let synced = if t.group_commit then involved batch else [] in
+    List.iter (fun (s, _) -> work.(s) <- t.sync_cost :: work.(s)) synced;
+    Exec.run_phase t.exec
+      (List.filter_map
+         (fun s ->
+           match List.rev work.(s) with
+           | [] -> None
+           | steps -> Some (s, fun () -> List.iter (fun f -> f ()) steps))
+         (List.init shards_n Fun.id));
+    List.iter (mark_synced t) synced
+  in
+  (* Wave 1: single-shard commits execute and every multi-shard leg
+     prepares and appends its [Prepared] marker, all in batch order on
+     the volatile log tail; then one sync per involved shard covers
+     every commit record and vote.  A fault-injected shard dies instead
+     — after append, before sync — losing its unsynced tail.  A
+     single-shard commit runs no coordination round, but a hybrid
+     update still draws its commit timestamp from the group clock,
+     coordinator-side: local clocks drift independently, and hybrid
+     atomicity needs the global timestamp order of committed updates
+     consistent with [precedes] across shards. *)
   let phase1 = Array.make shards_n [] in
   let batch1 = Array.make shards_n 0 in
   List.iter
@@ -1188,44 +1322,22 @@ let commit_batch ?(crash_before_sync = []) t gs =
         enqueue phase1 batch1 s (fun () -> Cc.System.commit sys txn))
     singles;
   List.iter
-    (fun (_g, legs) ->
+    (fun (g, legs) ->
       List.iter
         (fun (s, txn) ->
           let sys = t.shards.(s) in
-          enqueue phase1 batch1 s (fun () -> Cc.System.prepare sys txn))
+          enqueue phase1 batch1 s (fun () ->
+              Cc.System.prepare sys txn;
+              append_control t s (prepared_record g)))
         legs)
     multis;
-  let run_phase work =
-    let jobs =
-      List.filter_map
-        (fun s ->
-          match List.rev work.(s) with
-          | [] -> None
-          | thunks ->
-            Some
-              (Exec.submit t.exec ~shard:s (fun () ->
-                   List.iter (fun f -> f ()) thunks)))
-        (List.init shards_n Fun.id)
-    in
-    List.iter Exec.await jobs
-  in
-  (* The shards a phase appended to, with their record counts, less
-     those dying before the sync. *)
-  let involved batch =
-    List.filter_map
-      (fun s ->
-        if batch.(s) > 0 && not (crash_set s) then Some (s, batch.(s))
-        else None)
-      (List.init shards_n Fun.id)
-  in
-  run_phase phase1;
+  run_wave phase1 batch1;
   List.iter
-    (fun (g, legs) -> List.iter (fun (s, _txn) -> mark_prepared t g s) legs)
+    (fun (_g, legs) ->
+      List.iter
+        (fun (s, _txn) -> metrics_count Weihl_obs.Shard_metrics.prepare_at t s)
+        legs)
     multis;
-  (* Wave 1: one sync per involved shard covers every commit record and
-     vote appended above.  A fault-injected shard dies here instead —
-     after append, before sync — losing its unsynced tail. *)
-  sync_before_ack t (involved batch1);
   let crashed_now =
     List.filter
       (fun s -> batch1.(s) > 0 && crash_set s)
@@ -1275,8 +1387,7 @@ let commit_batch ?(crash_before_sync = []) t gs =
         (g, legs, verdict))
       multis
   in
-  (* Phase 2, one job per shard: every live leg learns its verdict,
-     then the wave-2 sync. *)
+  (* Wave 2: every live leg learns its verdict, then the wave-2 sync. *)
   let phase2 = Array.make shards_n [] in
   let batch2 = Array.make shards_n 0 in
   List.iter
@@ -1288,8 +1399,7 @@ let commit_batch ?(crash_before_sync = []) t gs =
               (learn_verdict ~reason:"batch abort" t g s txn verdict))
         legs)
     decided;
-  run_phase phase2;
-  sync_before_ack t (involved batch2);
+  run_wave phase2 batch2;
   List.iter
     (fun (g, legs, _verdict) ->
       (match t.metrics with

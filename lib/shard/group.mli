@@ -75,13 +75,16 @@ val create :
 (** A group of [shards] systems under one timestamp policy.  [seed]
     derives each 2PC round's message-simulation seed.
 
-    [domains] (default 1) picks the execution mode: 1 runs every shard
-    call inline on the caller's domain — the deterministic sequential
-    semantics — while [domains > 1] spawns [min domains shards] worker
-    domains, each owning its shards' systems behind a bounded mailbox
-    ({!Exec}).  Per-shard execution order is identical in both modes,
-    so results do not depend on the domain count — only wall-clock
-    timing does.  Call {!shutdown} when done with a multi-domain group.
+    [domains] (default 1) counts the domains executing shard work, the
+    calling domain's included: 1 runs every shard call inline on the
+    caller — the deterministic sequential semantics — while
+    [domains = N > 1] spreads the shards over [min N shards] owners
+    ({!Exec}): shard [s] belongs to owner [s mod N], owner 0 is the
+    domain that calls the group and runs its shards inline, and the
+    other owners are worker domains behind bounded mailboxes.  Per-shard
+    execution order is identical in every mode, so results do not
+    depend on the domain count — only wall-clock timing does.  Call
+    {!shutdown} when done with a multi-domain group.
 
     [group_commit] (default false) switches the WAL durability model
     from everything-appended-is-durable to the synced-prefix model:
@@ -94,7 +97,8 @@ val create :
     [Decided] records, the message round after each participant's
     [Prepared] record and before its yes vote.  [sync_cost] is the
     simulated device sync latency, paid once per per-shard sync on
-    that shard's domain (so syncs overlap across domains).
+    that shard's owner domain (so syncs overlap across domains); a
+    wave's syncs ride on the wave's own jobs.
 
     [checkpoint] turns on fuzzy checkpointing: each shard writes a
     checkpoint file after every [every] commits that land on it
@@ -114,13 +118,21 @@ val shutdown : t -> unit
     mailboxes and the runtime waits for every domain. *)
 
 val domain_count : t -> int
-(** Worker domains executing shard work (1 in inline mode). *)
+(** Domains executing shard work, the caller's included (1 in inline
+    mode). *)
+
+val jobs_posted : t -> int
+(** Jobs posted to worker mailboxes so far: the group's cross-domain
+    round trips (0 at [domains = 1]).  Deterministic for a seeded call
+    sequence. *)
 
 val mailbox_depth : t -> int -> int
-(** Requests queued on the shard's mailbox right now (0 inline). *)
+(** Requests queued right now on the mailbox of the shard's owner (0
+    inline and for the caller's shards). *)
 
 val mailbox_max_depth : t -> int -> int
-(** High-water mark of the shard's mailbox depth (0 inline). *)
+(** High-water mark of that mailbox's depth (0 inline and for the
+    caller's shards). *)
 
 val policy : t -> Cc.System.ts_policy
 val shard_count : t -> int
@@ -194,10 +206,11 @@ val abort : ?reason:string -> t -> Gtxn.t -> unit
 (** {1 Batched execution and group commit}
 
     The multicore hot path.  The coordinator groups work by home
-    shard, posts one job per shard to its mailbox, and joins on all
-    replies — shards execute their sub-lists in parallel on their own
-    domains.  Per-shard order is the batch order, so the outcome is
-    deterministic at any domain count. *)
+    shard and runs each phase as one job per worker domain, running its
+    own shards' share inline meanwhile, then joins — shards execute
+    their sub-lists in parallel on their owner domains.  Per-shard
+    order is the batch order, so the outcome is deterministic at any
+    domain count. *)
 
 val invoke_batch :
   t -> (Gtxn.t * Object_id.t * Operation.t) list -> invoke_result list
@@ -326,7 +339,18 @@ val recover_shard :
 
 val find_deadlock : t -> Gtxn.t list option
 (** A cycle in the union of the live shards' waits-for graphs, lifted
-    to global transactions — cycles invisible to any single shard. *)
+    to global transactions — cycles invisible to any single shard.
+
+    It makes no shard call.  The group mirrors each shard's waits-for
+    edges on the coordinator: every [Wait] result {!invoke_batch} folds
+    records the waiting leg with its raw blocker legs, a grant or
+    refusal clears the entry, and so does the leg's commit, abort or
+    verdict; recovery resets the shard's mirror.  The search lifts legs
+    to global transactions as it walks — a leg counts while it is
+    active and still indexed — and visits them in the order a merge of
+    the shards' snapshots would (shards ascending, waiter legs
+    ascending; a transaction's legs by descending shard), so the cycle,
+    and hence the victim, is the one that merge gives. *)
 
 val victim : Gtxn.t list -> Gtxn.t
 (** The youngest (highest-gid) transaction of a cycle.
@@ -356,6 +380,7 @@ val committed_projection_ts :
     committed state {e as of} a snapshot read's initiation time. *)
 
 val committed_count : t -> int
+(** Committed global transactions so far, in constant time. *)
 
 val agreed_commit_ts : t -> int -> int option
 (** The 2PC-agreed commit timestamp for a gid, if it committed

@@ -13,6 +13,7 @@ type t = {
   mutable legs : (int * Cc.Txn.t) list; (* shard -> local leg, oldest first *)
   mutable commit_ts : Timestamp.t option;
   mutable trace_ctx : trace_ctx option;
+  mutable mark : int; (* colour stamp for graph walks *)
 }
 
 let make ?init_ts ~gid activity =
@@ -24,6 +25,7 @@ let make ?init_ts ~gid activity =
     legs = [];
     commit_ts = None;
     trace_ctx = None;
+    mark = 0;
   }
 
 let trace_ctx t = t.trace_ctx
@@ -45,6 +47,8 @@ let leg t s = List.assoc_opt s t.legs
 let set_leg t s txn =
   t.legs <- (s, txn) :: List.remove_assoc s t.legs
 
+let mark t = t.mark
+let set_mark t m = t.mark <- m
 let fanout t = List.length t.legs
 let equal a b = Int.equal a.gid b.gid
 let compare a b = Int.compare a.gid b.gid

@@ -45,6 +45,12 @@ val leg : t -> int -> Cc.Txn.t option
 val set_leg : t -> int -> Cc.Txn.t -> unit
 (** Add the leg, or replace it (recovery re-links reinstated legs). *)
 
+val mark : t -> int
+val set_mark : t -> int -> unit
+(** An integer that graph walks over global transactions may stamp (0
+    when made): the group's deadlock search keeps its DFS colours here,
+    with a fresh epoch per search, instead of a visited table. *)
+
 val fanout : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int

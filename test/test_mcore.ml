@@ -54,19 +54,16 @@ let test_mailbox_fifo_and_close () =
 let test_exec_per_shard_order () =
   let shards = 4 in
   let exec = Shard_exec.create ~domains:4 ~shards () in
-  check_int "one domain per shard" 4 (Shard_exec.domain_count exec);
+  check_int "four domains, the caller's included" 4
+    (Shard_exec.domain_count exec);
   (* Each list is only ever touched by its shard's owner domain; the
-     await joins give the main domain a consistent view. *)
+     phase's join gives the main domain a consistent view. *)
   let seen = Array.init shards (fun _ -> ref []) in
-  let promises =
-    List.concat_map
-      (fun i ->
-        List.init shards (fun s ->
-            Shard_exec.submit exec ~shard:s (fun () ->
-                seen.(s) := i :: !(seen.(s)))))
-      (List.init 50 (fun i -> i))
-  in
-  List.iter Shard_exec.await promises;
+  Shard_exec.run_phase exec
+    (List.concat_map
+       (fun i ->
+         List.init shards (fun s -> (s, fun () -> seen.(s) := i :: !(seen.(s)))))
+       (List.init 50 (fun i -> i)));
   Array.iter
     (fun l ->
       Alcotest.(check (list int))
@@ -80,6 +77,73 @@ let test_exec_per_shard_order () =
     | exception Failure m -> m = "boom");
   Shard_exec.shutdown exec;
   Shard_exec.shutdown exec (* idempotent *)
+
+(* One phase over shards the caller owns and shards a worker owns:
+   each shard's thunks still run in list order, the caller's on the
+   calling domain and the rest elsewhere. *)
+let test_exec_mixed_owners_keep_order () =
+  let shards = 4 in
+  let exec = Shard_exec.create ~domains:2 ~shards () in
+  let me = (Domain.self () :> int) in
+  let seen = Array.init shards (fun _ -> ref []) in
+  let where = Array.make shards (-1) in
+  Shard_exec.run_phase exec
+    (List.concat_map
+       (fun i ->
+         List.init shards (fun s ->
+             ( s,
+               fun () ->
+                 where.(s) <- (Domain.self () :> int);
+                 seen.(s) := i :: !(seen.(s)) )))
+       (List.init 20 (fun i -> i)));
+  Shard_exec.shutdown exec;
+  Array.iter
+    (fun l ->
+      Alcotest.(check (list int)) "list order per shard"
+        (List.init 20 (fun i -> i))
+        (List.rev !l))
+    seen;
+  check_bool "even shards run on the caller" true
+    (where.(0) = me && where.(2) = me);
+  check_bool "odd shards run on the worker" true
+    (where.(1) <> me && where.(1) = where.(3))
+
+let test_exec_first_failure_after_all () =
+  let exec = Shard_exec.create ~domains:2 ~shards:4 () in
+  let ran = Array.make 4 false in
+  let outcome =
+    match
+      Shard_exec.run_phase exec
+        [
+          (3, fun () -> failwith "first");
+          (0, fun () -> failwith "second");
+          (1, fun () -> ran.(1) <- true);
+          (2, fun () -> ran.(2) <- true);
+        ]
+    with
+    | () -> "no failure"
+    | exception Failure m -> m
+  in
+  Shard_exec.shutdown exec;
+  check_string "the first failure in list order" "first" outcome;
+  check_bool "every other thunk ran" true (ran.(1) && ran.(2))
+
+let test_exec_two_domains_one_worker () =
+  let shards = 8 in
+  let exec = Shard_exec.create ~domains:2 ~shards () in
+  let ids = Array.make shards (-1) in
+  Shard_exec.run_phase exec
+    (List.init shards (fun s -> (s, fun () -> ids.(s) <- (Domain.self () :> int))));
+  let after_phase = Shard_exec.jobs_posted exec in
+  Shard_exec.call exec ~shard:0 ignore;
+  Shard_exec.call exec ~shard:1 ignore;
+  let after_calls = Shard_exec.jobs_posted exec in
+  Shard_exec.shutdown exec;
+  check_int "two domains execute shard work" 2 (Shard_exec.domain_count exec);
+  check_int "the caller and one worker ran the shards" 2
+    (List.length (List.sort_uniq compare (Array.to_list ids)));
+  check_int "one job per worker per phase" 1 after_phase;
+  check_int "a call on the caller's shard costs no job" 1 (after_calls - after_phase)
 
 let test_exec_inline_is_direct () =
   let exec = Shard_exec.create ~shards:3 () in
@@ -304,6 +368,210 @@ let prop_mcore_domain_independent =
       let show o = Fmt.str "%a" Sharded_driver.pp { o with Sharded_driver.elapsed = 0. } in
       show o1 = show o4 && p1 = p4 && List.for_all2 String.equal w1 w4)
 
+(* --- deadlock search: the mirror against the merged snapshots ------- *)
+
+(* The search as it was before the group mirrored waits-for edges:
+   merge every live shard's waits-for snapshot through the leg index,
+   lifted to global transactions, then a DFS with an explicit path.  The
+   test rebuilds the leg index from the transactions it holds, the legs
+   of active ones.  The group also indexes in-doubt legs, but a
+   prepared leg neither waits nor blocks in a snapshot, so leaving them
+   out changes nothing. *)
+let oracle_deadlock g live =
+  let shards = Shard_group.shard_count g in
+  let index = Array.init shards (fun _ -> Hashtbl.create 16) in
+  List.iter
+    (fun t ->
+      if Gtxn.is_active t then
+        List.iter
+          (fun (s, leg) -> Hashtbl.replace index.(s) (Txn.id leg) t)
+          (Gtxn.legs t))
+    live;
+  let edges = Hashtbl.create 16 in
+  let nodes = ref [] in
+  for s = 0 to shards - 1 do
+    if not (Shard_group.shard_crashed g s) then
+      List.iter
+        (fun (w, bs) ->
+          match Hashtbl.find_opt index.(s) w with
+          | None -> ()
+          | Some gw ->
+            let targets = List.filter_map (Hashtbl.find_opt index.(s)) bs in
+            let gid = Gtxn.gid gw in
+            if not (Hashtbl.mem edges gid) then nodes := gw :: !nodes;
+            let prev = Option.value ~default:[] (Hashtbl.find_opt edges gid) in
+            Hashtbl.replace edges gid (targets @ prev))
+        (System.waits_snapshot (Shard_group.system g s))
+  done;
+  let color = Hashtbl.create 16 in
+  let rec dfs path t =
+    let gid = Gtxn.gid t in
+    match Hashtbl.find_opt color gid with
+    | Some `Done -> None
+    | Some `Gray ->
+      let rec cut = function
+        | [] -> []
+        | x :: _ when Gtxn.equal x t -> [ x ]
+        | x :: rest -> x :: cut rest
+      in
+      Some (List.rev (cut path))
+    | None ->
+      Hashtbl.replace color gid `Gray;
+      let rec try_succs = function
+        | [] ->
+          Hashtbl.replace color gid `Done;
+          None
+        | s :: rest -> (
+          match dfs (t :: path) s with Some _ as c -> c | None -> try_succs rest)
+      in
+      try_succs (Option.value ~default:[] (Hashtbl.find_opt edges gid))
+  in
+  List.find_map (dfs []) (List.rev !nodes)
+
+let escrow_group ~domains ~shards accounts =
+  let g = Shard_group.create ~seed:3 ~domains ~shards () in
+  List.iter (fun x -> Shard_group.add_object g x Escrow_account.make) accounts;
+  g
+
+(* A seeded run of random steps — invokes in batches, commits of
+   granted transactions, plain aborts, deadlock-victim aborts, and 2PC
+   rounds whose coordinator dies after PREPARE (resolved later) — over
+   a few escrow accounts on three shards.  After every step the
+   mirror's cycle must be the oracle's.  [None] when they always agree,
+   else the first disagreement. *)
+let deadlock_search_run ~domains seed =
+  let accounts = Workload.account_ids 4 in
+  let g = escrow_group ~domains ~shards:3 accounts in
+  Fun.protect ~finally:(fun () -> Shard_group.shutdown g) @@ fun () ->
+  let rng = Rng.create seed in
+  let live = ref [] and names = ref 0 and pending = Hashtbl.create 16 in
+  let gids = Option.map (List.map Gtxn.gid) in
+  let disagreement = ref None in
+  let check step =
+    let got = gids (Shard_group.find_deadlock g) in
+    let want = gids (oracle_deadlock g !live) in
+    if got <> want && !disagreement = None then
+      disagreement :=
+        Some
+          (Fmt.str "step %d: mirror %a, oracle %a" step
+             Fmt.(option ~none:(any "none") (list ~sep:comma int))
+             got
+             Fmt.(option ~none:(any "none") (list ~sep:comma int))
+             want)
+  in
+  let active () = List.filter Gtxn.is_active !live in
+  let waiting t =
+    List.exists (fun x -> Hashtbl.mem pending (Gtxn.gid t, x)) accounts
+  in
+  let some_of xs = List.filter (fun _ -> Rng.bool rng) xs in
+  let amount () = Rng.int_range rng 1 5 in
+  for step = 1 to 60 do
+    (match Rng.int rng 9 with
+    | 0 | 1 when List.length (active ()) < 8 ->
+      incr names;
+      live :=
+        Shard_group.begin_txn g (Activity.update (Fmt.str "u%d" !names)) :: !live
+    | 0 | 1 | 2 | 3 | 4 ->
+      (* One or two objects per transaction, so a transaction can wait
+         on two shards at once; a waiting transaction retries its
+         pending operation on that object. *)
+      let entries =
+        List.concat_map
+          (fun t ->
+            let x = Rng.pick rng accounts in
+            let xs =
+              if Rng.bool rng then [ x ]
+              else [ x; Rng.pick rng (List.filter (( != ) x) accounts) ]
+            in
+            List.map
+              (fun x ->
+                match Hashtbl.find_opt pending (Gtxn.gid t, x) with
+                | Some op -> (t, x, op)
+                | None ->
+                  let op =
+                    match Rng.int rng 3 with
+                    | 0 -> Bank_account.deposit (amount ())
+                    | 1 -> Bank_account.withdraw (amount ())
+                    | _ -> Bank_account.balance
+                  in
+                  (t, x, op))
+              xs)
+          (some_of (active ()))
+      in
+      List.iter2
+        (fun (t, x, op) r ->
+          match r with
+          | Shard_group.Wait _ -> Hashtbl.replace pending (Gtxn.gid t, x) op
+          | Shard_group.Granted _ -> Hashtbl.remove pending (Gtxn.gid t, x)
+          | Shard_group.Refused _ -> if Gtxn.is_active t then Shard_group.abort g t)
+        entries
+        (Shard_group.invoke_batch g entries)
+    | 5 ->
+      Shard_group.commit_batch g
+        (some_of (List.filter (fun t -> not (waiting t)) (active ())))
+    | 6 -> (
+      match active () with
+      | _ :: _ as ts when Rng.int rng 3 = 0 -> Shard_group.abort g (Rng.pick rng ts)
+      | _ -> ())
+    | 7 -> (
+      match List.filter (fun t -> Gtxn.fanout t >= 2) (active ()) with
+      | t :: _ when Rng.bool rng ->
+        (* The coordinator dies after PREPARE: the legs stay prepared,
+           indexed, and in other transactions' way — a leg that was
+           waiting included. *)
+        Shard_group.commit
+          ~fault:{ Tpc.no_fault with Tpc.f_coordinator_crash = Tpc.After_prepare }
+          g t
+      | _ -> ignore (Shard_group.resolve_in_doubt g))
+    | _ -> (
+      match Shard_group.find_deadlock g with
+      | Some cycle -> Shard_group.abort ~reason:"deadlock" g (Shard_group.victim cycle)
+      | None -> ()));
+    live := active ();
+    check step
+  done;
+  !disagreement
+
+let prop_deadlock_search_matches_oracle =
+  QCheck.Test.make ~count:40
+    ~name:"deadlock search: the mirror finds the merged snapshots' cycle"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      List.for_all
+        (fun domains ->
+          match deadlock_search_run ~domains seed with
+          | None -> true
+          | Some msg -> QCheck.Test.fail_reportf "domains %d: %s" domains msg)
+        [ 1; 2 ])
+
+(* A cross-shard cycle at two domains: the search finds it and posts no
+   job to the worker. *)
+let test_find_deadlock_posts_no_job () =
+  let accounts = Workload.account_ids 8 in
+  let g = escrow_group ~domains:2 ~shards:2 accounts in
+  Fun.protect ~finally:(fun () -> Shard_group.shutdown g) @@ fun () ->
+  let on s = List.find (fun x -> Shard_group.shard_of g x = s) accounts in
+  let x = on 0 and y = on 1 in
+  let t1 = Shard_group.begin_txn g (Activity.update "u1") in
+  let t2 = Shard_group.begin_txn g (Activity.update "u2") in
+  Shard_group.invoke_batch g
+    [ (t1, x, Bank_account.deposit 5); (t2, y, Bank_account.deposit 5) ]
+  |> List.iter (fun r -> ignore (granted r));
+  let waits =
+    Shard_group.invoke_batch g
+      [ (t1, y, Bank_account.withdraw 3); (t2, x, Bank_account.withdraw 3) ]
+  in
+  check_bool "both withdrawals wait" true
+    (List.for_all
+       (function Shard_group.Wait _ -> true | _ -> false)
+       waits);
+  let before = Shard_group.jobs_posted g in
+  let cycle = Shard_group.find_deadlock g in
+  check_int "no job posted" before (Shard_group.jobs_posted g);
+  check_bool "the cross-shard cycle is found" true
+    (Option.map (fun c -> List.sort compare (List.map Gtxn.gid c)) cycle
+    = Some [ Gtxn.gid t1; Gtxn.gid t2 ])
+
 (* --- the 4-domain stress test ---------------------------------------- *)
 
 let money_delta ops =
@@ -376,6 +644,14 @@ let suite =
       test_exec_per_shard_order;
     Alcotest.test_case "exec: inline mode is a direct call" `Quick
       test_exec_inline_is_direct;
+    Alcotest.test_case "exec: a phase mixing caller and worker shards keeps order"
+      `Quick test_exec_mixed_owners_keep_order;
+    Alcotest.test_case "exec: first failure re-raised after every job ran"
+      `Quick test_exec_first_failure_after_all;
+    Alcotest.test_case "exec: two domains over eight shards, one worker"
+      `Quick test_exec_two_domains_one_worker;
+    Alcotest.test_case "find_deadlock posts no job" `Quick
+      test_find_deadlock_posts_no_job;
     Alcotest.test_case "group commit: crash before sync never acknowledged"
       `Quick test_crash_before_sync_never_acknowledged;
     Alcotest.test_case "group commit: acknowledged commits survive" `Quick
@@ -391,6 +667,7 @@ let suite =
     Alcotest.test_case "classic path: WALs identical at 1 and 4 domains"
       `Quick test_classic_path_domain_independent;
     QCheck_alcotest.to_alcotest prop_mcore_domain_independent;
+    QCheck_alcotest.to_alcotest prop_deadlock_search_matches_oracle;
     Alcotest.test_case "4-domain banking stress: conserved and batched" `Slow
       test_four_domain_banking_stress;
   ]

@@ -340,79 +340,6 @@ let test_harness_quick_sweep () =
   check_bool "most schedules converge" true
     (summary.Shard_harness.converged > 12)
 
-(* --- the blocking facade (real domains) ------------------------------ *)
-
-let test_facade_atomically () =
-  let rt = Sharded.create ~shards:2 () in
-  List.iter
-    (fun x ->
-      Sharded.add_object rt x (fun log id ->
-          Op_locking.rw log id (module Bank_account)))
-    accounts;
-  let a, b = cross_pair in
-  (* A cross-shard transfer through the facade runs 2PC behind commit. *)
-  (match
-     Sharded.atomically rt (Activity.update "seed") (fun _ invoke ->
-         ignore (invoke a (Bank_account.deposit 10));
-         invoke b (Bank_account.deposit 5))
-   with
-  | Ok v -> check_bool "deposit ok" true (Value.equal v Value.ok)
-  | Error e -> Alcotest.fail e);
-  (* An unknown operation is refused; atomically aborts cleanly. *)
-  (match
-     Sharded.atomically rt (Activity.update "bad") (fun _ invoke ->
-         invoke a (Operation.make "mystery" []))
-   with
-  | Ok _ -> Alcotest.fail "expected refusal"
-  | Error _ -> ());
-  check_int "one global commit" 1 (Sharded.committed_count rt)
-
-let test_facade_across_domains () =
-  let rt = Sharded.create ~shards:2 () in
-  List.iter
-    (fun x ->
-      Sharded.add_object rt x (fun log id ->
-          Op_locking.rw log id (module Bank_account)))
-    accounts;
-  let a, b = cross_pair in
-  (* Four domains race cross-shard transfers; 2PL plus the group's
-     deadlock breaker must let every one commit or die as a victim. *)
-  let worker i =
-    Domain.spawn (fun () ->
-        let src, dst = if i mod 2 = 0 then (a, b) else (b, a) in
-        let rec go tries =
-          if tries > 25 then Error "starved"
-          else
-            match
-              Sharded.atomically rt
-                (Activity.update (Fmt.str "w%d.%d" i tries))
-                (fun _ invoke ->
-                  ignore (invoke src (Bank_account.deposit 1));
-                  invoke dst (Bank_account.deposit 1))
-            with
-            | Ok _ -> Ok ()
-            | Error "deadlock victim" -> go (tries + 1)
-            | Error e -> Error e
-        in
-        go 0)
-  in
-  let domains = List.init 4 worker in
-  List.iter
-    (fun d ->
-      match Domain.join d with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
-    domains;
-  check_int "every worker committed once" 4 (Sharded.committed_count rt);
-  (* All-or-nothing across the shards under real parallelism. *)
-  let h0 = Sharded.history rt 0 and h1 = Sharded.history rt 1 in
-  check_bool "no activity committed on one shard and aborted on the other"
-    true
-    (Activity.Set.is_empty
-       (Activity.Set.inter (History.committed h0) (History.aborted h1))
-    && Activity.Set.is_empty
-         (Activity.Set.inter (History.committed h1) (History.aborted h0)))
-
 (* --- cross-shard tracing --------------------------------------------- *)
 
 (* A traced multi-shard run: flow arrows pair up s-to-f by id, the
@@ -686,10 +613,6 @@ let suite =
       test_cross_shard_deadlock;
     Alcotest.test_case "driver: clean sharded run" `Quick test_driver_clean_run;
     Alcotest.test_case "driver: per-shard metrics" `Quick test_driver_metrics;
-    Alcotest.test_case "facade: atomically commits and refuses" `Quick
-      test_facade_atomically;
-    Alcotest.test_case "facade: cross-shard transfers across domains" `Quick
-      test_facade_across_domains;
     Alcotest.test_case "harness: quick fault sweep has no divergence" `Slow
       test_harness_quick_sweep;
     Alcotest.test_case "traced run: flows pair, importer round-trips, \
