@@ -1720,6 +1720,104 @@ let replication_section ~quick =
           ] );
     ]
 
+(* Growth: deterministic work counters at N and 4N commits.  A counter
+   whose per-operation value grows with the run grows with the log, so
+   a ratio near 1 between the sizes is the claim and the gate.
+
+   The first counter is shipping's.  A replica-write-shaped run —
+   hybrid atomicity, 4 shards, a 2-replica tier, group commit — commits
+   waves of disjoint two-account deposits (most of them 2PC) and pumps
+   after every wave.  It counts the log entries [Group.records_from]
+   touches per [Tier.pump]: history cells walked plus control entries
+   examined.  A pump reads what is new since the last one, so the count
+   stays flat as the log grows (ratio 1.08); a pump that rebuilt every
+   shard's whole record stream per replica would read 9,217 records per
+   pump at N and 36,057 at 4N (ratio 3.9).  The gate: the 4N/N ratio
+   must stay under [growth_pump_ceiling]. *)
+let growth_pump_ceiling = 1.25
+
+let growth_shards = 4
+let growth_replicas = 2
+let growth_wave = 16 (* transactions per commit wave *)
+
+let growth_pump_run ~commits =
+  let accounts = 256 in
+  let proto =
+    match Fault_harness.find_protocol "hybrid" with
+    | Some p -> p
+    | None -> Fmt.failwith "hybrid protocol missing from the fault catalog"
+  in
+  let group =
+    Shard_group.create ~policy:proto.Fault_harness.policy ~group_commit:true
+      ~shards:growth_shards ()
+  in
+  let ids = Workload.account_ids accounts in
+  List.iter
+    (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)
+    ids;
+  let tier =
+    Replica_tier.create ~replicas:growth_replicas
+      ~make_object:proto.Fault_harness.make_object group
+  in
+  let rng = Rng.create 17 in
+  let pumps = ref 0 and touched = ref 0 and started = ref 0 in
+  while Shard_group.committed_count group < commits do
+    (* Disjoint accounts within a wave, so every deposit is granted. *)
+    let rec pairs = function
+      | x :: y :: rest -> (x, y) :: pairs rest
+      | _ -> []
+    in
+    let entries =
+      List.concat_map
+        (fun (x, y) ->
+          incr started;
+          let g =
+            Shard_group.begin_txn group
+              (Activity.update (Fmt.str "w%d" !started))
+          in
+          [ (g, x, Bank_account.deposit 1); (g, y, Bank_account.deposit 1) ])
+        (List.filteri
+           (fun i _ -> i < growth_wave)
+           (pairs (Rng.shuffle rng ids)))
+    in
+    ignore (Shard_group.invoke_batch group entries);
+    Shard_group.commit_batch group
+      (List.sort_uniq Gtxn.compare (List.map (fun (g, _, _) -> g) entries));
+    let before = Shard_group.entries_touched group in
+    Replica_tier.pump tier;
+    touched := !touched + Shard_group.entries_touched group - before;
+    incr pumps
+  done;
+  let per_pump = float_of_int !touched /. float_of_int !pumps in
+  ( J.Obj
+      [
+        ("commits", J.Num (float_of_int (Shard_group.committed_count group)));
+        ("pumps", J.Num (float_of_int !pumps));
+        ("entries_per_pump", J.Num per_pump);
+        ( "segments_shipped",
+          J.Num (float_of_int (Replica_tier.segments_shipped tier)) );
+      ],
+    per_pump )
+
+let growth_section ~quick =
+  let n = if quick then 250 else 1000 in
+  let small, at_n = growth_pump_run ~commits:n in
+  let large, at_4n = growth_pump_run ~commits:(4 * n) in
+  J.Obj
+    [
+      ( "pump",
+        J.Obj
+          [
+            ("shards", J.Num (float_of_int growth_shards));
+            ("replicas", J.Num (float_of_int growth_replicas));
+            ("wave", J.Num (float_of_int growth_wave));
+            ("n", small);
+            ("n4", large);
+            ("ratio", J.Num (at_4n /. at_n));
+            ("ceiling", J.Num growth_pump_ceiling);
+          ] );
+    ]
+
 (* --- the regression gate ------------------------------------------- *)
 
 let jfield name = function
@@ -1741,7 +1839,15 @@ let regression_tolerance = 0.5
    wall-clock fields, so a run in the baseline's mode must reproduce
    every other field exactly. *)
 let exact_sections =
-  [ "sim"; "synth"; "open_loop"; "multicore"; "recovery"; "replication" ]
+  [
+    "sim";
+    "synth";
+    "open_loop";
+    "multicore";
+    "recovery";
+    "replication";
+    "growth";
+  ]
 
 let wall_clock_field name =
   String.ends_with ~suffix:"_wall_ms" name
@@ -1985,6 +2091,28 @@ let compare_to_baseline ~current ~base =
         scaling @ sweep
       | _ -> []
     in
+    (* The growth gate is absolute like the floors above, a ceiling:
+       each counter's 4N/N ratio must stay under the ceiling recorded
+       in the section.  Baselines without the section skip it. *)
+    let growth_regressions =
+      match (jfield "growth" base, jfield "growth" current) with
+      | Some _, Some gr -> (
+        let pump = jfield "pump" gr in
+        match
+          ( jnum (Option.bind pump (jfield "ceiling")),
+            jnum (Option.bind pump (jfield "ratio")) )
+        with
+        | Some ceiling, Some ratio when ratio > ceiling ->
+          [
+            Fmt.str
+              "growth: log entries read per pump grew %.2fx from N to 4N \
+               commits, over the %.2fx ceiling"
+              ratio ceiling;
+          ]
+        | Some _, Some _ -> []
+        | _ -> [ "growth: section is missing its pump ratio" ])
+      | _ -> []
+    in
     let exact_regressions =
       match (jstr (jfield "mode" base), jstr (jfield "mode" current)) with
       | Some _, Some _ ->
@@ -1999,7 +2127,7 @@ let compare_to_baseline ~current ~base =
     in
     sim_regressions @ synth_regressions @ open_loop_regressions
     @ multicore_regressions @ recovery_regressions @ replication_regressions
-    @ exact_regressions
+    @ growth_regressions @ exact_regressions
 
 let json_mode ~file ~quick ~baseline =
   let sections =
@@ -2014,6 +2142,7 @@ let json_mode ~file ~quick ~baseline =
       ("multicore", multicore_section ~quick);
       ("recovery", recovery_section ~quick);
       ("replication", replication_section ~quick);
+      ("growth", growth_section ~quick);
     ]
   in
   let base =

@@ -14,11 +14,10 @@ let crc_table =
       !c)
 
 let crc32 s =
-  let table = crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  for i = 0 to String.length s - 1 do
+    c := crc_table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
 type status = Intact | Torn of int
@@ -39,18 +38,36 @@ let pp_error ppf { record; reason } =
   if record < 0 then Fmt.pf ppf "WAL header: %s" reason
   else Fmt.pf ppf "WAL record %d: %s" record reason
 
-let control_text = function
+(* Eight lower-case hex digits, zero-padded: the CRC field and the
+   checkpoint digest. *)
+let add_hex8 b n =
+  for i = 7 downto 0 do
+    Buffer.add_char b "0123456789abcdef".[(n lsr (4 * i)) land 0xf]
+  done
+
+let add_control b c =
+  let add = Buffer.add_string b in
+  let int n = add (Int.to_string n) in
+  match c with
   | Prepared { gid; activity } ->
-    Printf.sprintf "!prepared %d %s %s" gid
-      (if Activity.is_read_only activity then "r" else "u")
-      (Activity.name activity)
-  | Decided { gid; verdict = `Commit (Some ts) } ->
-    Printf.sprintf "!decided %d commit %d" gid (Timestamp.to_int ts)
-  | Decided { gid; verdict = `Commit None } ->
-    Printf.sprintf "!decided %d commit -" gid
-  | Decided { gid; verdict = `Abort } -> Printf.sprintf "!decided %d abort" gid
+    add "!prepared ";
+    int gid;
+    add (if Activity.is_read_only activity then " r " else " u ");
+    add (Activity.name activity)
+  | Decided { gid; verdict } -> (
+    add "!decided ";
+    int gid;
+    match verdict with
+    | `Commit (Some ts) ->
+      add " commit ";
+      int (Timestamp.to_int ts)
+    | `Commit None -> add " commit -"
+    | `Abort -> add " abort")
   | Checkpointed { seq; digest } ->
-    Printf.sprintf "!checkpointed %d %08x" seq digest
+    add "!checkpointed ";
+    int seq;
+    add " ";
+    add_hex8 b digest
 
 (* Control bodies start with '!' — no event notation does. *)
 let control_of_text text =
@@ -90,16 +107,16 @@ let control_of_text text =
    s, t read-only).  An event whose activity breaks the convention is
    written with an explicit kind tag, ["r "] or ["u "], before its
    notation.  Conventional events stay untagged, byte for byte. *)
-let event_text e =
+let add_event b e =
   let act = Event.activity e in
   let ro = Activity.is_read_only act in
-  let text = Event.to_string e in
-  if ro = Notation.default_read_only (Activity.name act) then text
-  else (if ro then "r " else "u ") ^ text
+  if ro <> Notation.default_read_only (Activity.name act) then
+    Buffer.add_string b (if ro then "r " else "u ");
+  Event.to_buffer b e
 
-let record_text = function
-  | Event e -> event_text e
-  | Control c -> control_text c
+let add_record b = function
+  | Event e -> add_event b e
+  | Control c -> add_control b c
 
 let record_of_text text =
   let n = String.length text in
@@ -138,14 +155,25 @@ let header_line ~base label =
          (if base = 0 then [] else [ Printf.sprintf "@%d" base ]);
        ])
 
+(* Each line is "<crc> <seq> <record>\n", the CRC taken over the body
+   "<seq> <record>".  The body is built once in a scratch buffer and
+   copied after its CRC. *)
 let encode_records ?label ?(base = 0) records =
   let buf = Buffer.create (64 * (List.length records + 1)) in
   Buffer.add_string buf (header_line ~base label);
   Buffer.add_char buf '\n';
+  let body = Buffer.create 128 in
   List.iteri
     (fun i r ->
-      let body = Printf.sprintf "%d %s" (base + i) (record_text r) in
-      Buffer.add_string buf (Printf.sprintf "%08x %s\n" (crc32 body) body))
+      Buffer.clear body;
+      Buffer.add_string body (Int.to_string (base + i));
+      Buffer.add_char body ' ';
+      add_record body r;
+      let text = Buffer.contents body in
+      add_hex8 buf (crc32 text);
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf text;
+      Buffer.add_char buf '\n')
     records;
   Buffer.contents buf
 

@@ -85,20 +85,46 @@ let compare e f =
     | (Invoke _ | Respond _ | Commit _ | Abort _ | Initiate _), _ ->
       assert false
 
-(* Every case renders inside an h-box: an event is one line of the
-   notation, whatever the enclosing formatter's margin. *)
-let pp ppf = function
+let to_buffer b e =
+  let add = Buffer.add_string b in
+  let int n = add (Int.to_string n) in
+  (* Every event ends ",object,activity>". *)
+  let close x a =
+    add ",";
+    add (Object_id.name x);
+    add ",";
+    add (Activity.name a);
+    add ">"
+  in
+  match e with
   | Invoke (a, x, op) ->
-    Fmt.pf ppf "@[<h><%a,%a,%a>@]" Operation.pp op Object_id.pp x Activity.pp a
+    add "<";
+    Operation.to_buffer b op;
+    close x a
   | Respond (a, x, v) ->
-    Fmt.pf ppf "<%a,%a,%a>" Value.pp v Object_id.pp x Activity.pp a
+    add "<";
+    Value.to_buffer b v;
+    close x a
   | Commit (a, x, None) ->
-    Fmt.pf ppf "<commit,%a,%a>" Object_id.pp x Activity.pp a
+    add "<commit";
+    close x a
   | Commit (a, x, Some t) ->
-    Fmt.pf ppf "<commit(%a),%a,%a>" Timestamp.pp t Object_id.pp x Activity.pp a
-  | Abort (a, x) -> Fmt.pf ppf "<abort,%a,%a>" Object_id.pp x Activity.pp a
+    add "<commit(";
+    int (Timestamp.to_int t);
+    add ")";
+    close x a
+  | Abort (a, x) ->
+    add "<abort";
+    close x a
   | Initiate (a, x, t) ->
-    Fmt.pf ppf "<initiate(%a),%a,%a>" Timestamp.pp t Object_id.pp x
-      Activity.pp a
+    add "<initiate(";
+    int (Timestamp.to_int t);
+    add ")";
+    close x a
 
-let to_string e = Fmt.str "%a" pp e
+let to_string e =
+  let b = Buffer.create 32 in
+  to_buffer b e;
+  Buffer.contents b
+
+let pp ppf e = Fmt.string ppf (to_string e)

@@ -49,7 +49,13 @@ val timestamp : t -> Timestamp.t option
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-(** Prints in the paper's notation, e.g. [<insert(3),x,a>]. *)
+val to_buffer : Buffer.t -> t -> unit
+(** The one printer: the paper's notation, e.g. [<insert(3),x,a>],
+    written straight into the buffer.  An event is always one line —
+    the WAL frames one event per line on top of it. *)
 
 val to_string : t -> string
+(** {!to_buffer} into a fresh buffer. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

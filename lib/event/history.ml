@@ -76,6 +76,19 @@ let to_list h =
 let length h = h.len
 let equal h k = h.len = k.len && List.equal Event.equal h.rev k.rev
 
+(* Walk in from the newest end: skip the [len - upto] newest events,
+   then cons the next [upto - from] onto the result, which leaves them
+   in temporal order.  No memo is built or touched. *)
+let slice h ~from ~upto =
+  if from < 0 || upto > h.len || from > upto then invalid_arg "History.slice";
+  let rec skip n l =
+    match l with _ :: tl when n > 0 -> skip (n - 1) tl | _ -> l
+  in
+  let rec take n l acc =
+    match l with e :: tl when n > 0 -> take (n - 1) tl (e :: acc) | _ -> acc
+  in
+  if from = upto then [] else take (upto - from) (skip (h.len - upto) h.rev) []
+
 (* --- projection / membership index ------------------------------- *)
 
 let proj_empty =

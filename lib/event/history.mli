@@ -27,6 +27,13 @@ val to_list : t -> Event.t list
 val length : t -> int
 val equal : t -> t -> bool
 
+val slice : t -> from:int -> upto:int -> Event.t list
+(** [slice h ~from ~upto] is events [from .. upto - 1] of [h] in
+    temporal order.  It walks in from the newest end, so it costs
+    O([length h - from]), and it builds no memo: reading the recent
+    tail of a long history is cheap and leaves nothing behind.
+    @raise Invalid_argument unless [0 <= from <= upto <= length h]. *)
+
 val project_object : Object_id.t -> t -> t
 (** [project_object x h] is the paper's [h|x]: the subsequence of [h]
     consisting of all events in which [x] participates. *)

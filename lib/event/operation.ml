@@ -13,13 +13,23 @@ let compare a b =
   let c = String.compare a.name b.name in
   if c <> 0 then c else List.compare Value.compare a.args b.args
 
-let pp ppf op =
+let to_buffer b op =
+  Buffer.add_string b op.name;
   match op.args with
-  | [] -> Fmt.string ppf op.name
-  | args ->
-    (* The h-box keeps the break hints of [~sep:comma] from splitting
-       the rendering across lines: an operation must print on one line
-       for the notation (and the WAL built on it) to round-trip. *)
-    Fmt.pf ppf "@[<h>%s(%a)@]" op.name Fmt.(list ~sep:comma Value.pp) args
+  | [] -> ()
+  | v :: vs ->
+    Buffer.add_char b '(';
+    Value.to_buffer b v;
+    List.iter
+      (fun v ->
+        Buffer.add_string b ", ";
+        Value.to_buffer b v)
+      vs;
+    Buffer.add_char b ')'
 
-let to_string op = Fmt.str "%a" pp op
+let to_string op =
+  let b = Buffer.create 16 in
+  to_buffer b op;
+  Buffer.contents b
+
+let pp ppf op = Fmt.string ppf (to_string op)

@@ -11,5 +11,12 @@ val name : t -> string
 val args : t -> Value.t list
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
+val to_buffer : Buffer.t -> t -> unit
+(** The one printer: [insert(3)], [transfer(1, 2)], or the bare name
+    when there are no arguments.  Always one line. *)
+
 val to_string : t -> string
+(** {!to_buffer} into a fresh buffer. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

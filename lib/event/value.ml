@@ -36,12 +36,29 @@ let rec compare v w =
     if c0 <> 0 then c0 else compare b d
   | _, _ -> Int.compare (tag v) (tag w)
 
-let rec pp ppf = function
-  | Unit -> Fmt.string ppf "()"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Sym s -> Fmt.string ppf s
-  | List vs -> Fmt.pf ppf "[%a]" Fmt.(list ~sep:(any "; ") pp) vs
-  | Pair (a, b) -> Fmt.pf ppf "(%a, %a)" pp a pp b
+let rec to_buffer b = function
+  | Unit -> Buffer.add_string b "()"
+  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Int i -> Buffer.add_string b (Int.to_string i)
+  | Sym s -> Buffer.add_string b s
+  | List vs ->
+    Buffer.add_char b '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_string b "; ";
+        to_buffer b v)
+      vs;
+    Buffer.add_char b ']'
+  | Pair (x, y) ->
+    Buffer.add_char b '(';
+    to_buffer b x;
+    Buffer.add_string b ", ";
+    to_buffer b y;
+    Buffer.add_char b ')'
 
-let to_string v = Fmt.str "%a" pp v
+let to_string v =
+  let b = Buffer.create 16 in
+  to_buffer b v;
+  Buffer.contents b
+
+let pp ppf v = Fmt.string ppf (to_string v)

@@ -23,5 +23,13 @@ val insufficient_funds : t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
+val to_buffer : Buffer.t -> t -> unit
+(** The one printer: [()], [true], [-3], [ok], [[1; 2]], [(1, ok)].
+    It writes straight into the buffer, with no break hints, so the
+    text is always one line. *)
+
 val to_string : t -> string
+(** {!to_buffer} into a fresh buffer. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

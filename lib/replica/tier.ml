@@ -63,7 +63,7 @@ type t = {
   mutable rr : int;
   mutable read_seq : int;
   mutable n_promotions : int;
-  mutable n_resyncs : int;
+  n_resyncs_at : int array;  (** per replica: resync requests sent *)
   mutable n_fenced : int;
   mutable n_damaged : int;
   mutable n_shipped : int;
@@ -121,38 +121,45 @@ let corrupt_text text =
 (* Records per shipped segment at most. *)
 let segment_records = 64
 
+(* A segment as cut, before it is sent: the watermark it carries and
+   its text. *)
+type cut = { mark : int; text : string }
+
+(* Cut shard [s]'s segment resuming at position [from].  The watermark
+   rides only on segments that reach the feed's current end — a capped
+   mid-stream slice proves nothing about commits beyond its last
+   record. *)
+let cut t s ~from =
+  let count = Group.record_count t.group s in
+  let from = min from count in
+  let slice = Group.records_from t.group s ~pos:from ~max:segment_records in
+  let reaches_end = from + List.length slice = count in
+  {
+    mark = (if reaches_end then watermark t s else -1);
+    text = Cc.Wal.segment ~label:(Group.shard_label s) ~base:from slice;
+  }
+
+(* Send a cut to replica [i].  Damage injection corrupts only the copy
+   sent. *)
+let send_cut t i s { mark; text } =
+  let text =
+    if t.damage_pending > 0 then begin
+      t.damage_pending <- t.damage_pending - 1;
+      corrupt_text text
+    end
+    else text
+  in
+  t.n_shipped <- t.n_shipped + 1;
+  Msim.send t.sim ~src:0 ~dst:(i + 1)
+    (Segment { shard = s; epoch = t.epochs.(s); watermark = mark; text })
+
 (* Cut and send one segment to replica [i] for shard [s], resuming from
    the feed's acked position.  Unacked data is simply re-sent each
    round; the replica trims overlaps, so lost segments and lost acks
-   both heal without extra bookkeeping.  The watermark rides only on
-   segments that reach the feed's current end — a capped mid-stream
-   slice proves nothing about commits beyond its last record. *)
+   both heal without extra bookkeeping. *)
 let send_to t i s =
-  if not (Group.shard_crashed t.group s) then begin
-    let w = watermark t s in
-    let records = Group.shard_records t.group s in
-    let len = List.length records in
-    let from = min t.acked.(i).(s) len in
-    let slice = Cc.Wal.take segment_records (Cc.Wal.drop_n from records) in
-    let reaches_end = from + List.length slice = len in
-    let text = Cc.Wal.segment ~label:(Group.shard_label s) ~base:from slice in
-    let text =
-      if t.damage_pending > 0 then begin
-        t.damage_pending <- t.damage_pending - 1;
-        corrupt_text text
-      end
-      else text
-    in
-    t.n_shipped <- t.n_shipped + 1;
-    Msim.send t.sim ~src:0 ~dst:(i + 1)
-      (Segment
-         {
-           shard = s;
-           epoch = t.epochs.(s);
-           watermark = (if reaches_end then w else -1);
-           text;
-         })
-  end
+  if not (Group.shard_crashed t.group s) then
+    send_cut t i s (cut t s ~from:t.acked.(i).(s))
 
 let on_primary t = function
   | Ack { replica; shard; epoch; pos } ->
@@ -190,7 +197,7 @@ let apply_records st records =
   st.pos <- st.pos + List.length records
 
 let request_resync t i s st =
-  t.n_resyncs <- t.n_resyncs + 1;
+  t.n_resyncs_at.(i) <- t.n_resyncs_at.(i) + 1;
   (match t.metrics with None -> () | Some m -> Sm.replica_resync m);
   Msim.send t.sim ~src:(i + 1) ~dst:0
     (Resync { replica = i; shard = s; epoch = st.repoch; from_pos = st.pos })
@@ -293,7 +300,7 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(seed = 1) ?metrics
       rr = 0;
       read_seq = 0;
       n_promotions = 0;
-      n_resyncs = 0;
+      n_resyncs_at = Array.make replicas 0;
       n_fenced = 0;
       n_damaged = 0;
       n_shipped = 0;
@@ -315,7 +322,7 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(seed = 1) ?metrics
 
 let feed_pos t ~shard =
   if Group.shard_crashed t.group shard then 0
-  else List.length (Group.shard_records t.group shard)
+  else Group.record_count t.group shard
 
 let applied_pos t ~replica ~shard = (state t ~replica ~shard).pos
 let hwm t ~replica ~shard = (state t ~replica ~shard).hwm
@@ -353,13 +360,28 @@ let update_lag_metrics t =
         ~vtime:!vtime
     done
 
+(* Nothing moves the feed while a round's segments are sent, so each
+   shard is cut once per resume position and every replica resuming
+   there gets the same text. *)
 let pump t =
   let shards = Group.shard_count t.group in
+  let cuts = Array.make shards [] in
   for i = 0 to t.replicas - 1 do
     if t.lag.(i) > 0 then t.lag.(i) <- t.lag.(i) - 1
     else if not t.down.(i) then
       for s = 0 to shards - 1 do
-        send_to t i s
+        if not (Group.shard_crashed t.group s) then begin
+          let from = t.acked.(i).(s) in
+          let c =
+            match List.assoc_opt from cuts.(s) with
+            | Some c -> c
+            | None ->
+              let c = cut t s ~from in
+              cuts.(s) <- (from, c) :: cuts.(s);
+              c
+          in
+          send_cut t i s c
+        end
       done
   done;
   Msim.run ~until:(Msim.now t.sim + 10_000) t.sim;
@@ -672,7 +694,7 @@ let fail_over t s =
 (* Introspection *)
 
 let promotions t = t.n_promotions
-let resyncs t = t.n_resyncs
+let resyncs t = Array.fold_left ( + ) 0 t.n_resyncs_at
 let fenced_segments t = t.n_fenced
 let damaged_segments t = t.n_damaged
 let segments_shipped t = t.n_shipped
@@ -687,7 +709,6 @@ let channel_reordered t = Msim.messages_reordered t.sim
 
 let render t =
   let buf = Buffer.create 512 in
-  let shards = Group.shard_count t.group in
   Buffer.add_string buf
     "replica  state  applied  lag(rec)  min-hwm  reads  resyncs\n";
   for i = 0 to t.replicas - 1 do
@@ -703,7 +724,7 @@ let render t =
          applied
          (lag_records t ~replica:i)
          (if min_hwm = max_int then -1 else min_hwm)
-         t.n_reads_at.(i) 0)
+         t.n_reads_at.(i) t.n_resyncs_at.(i))
   done;
   Buffer.add_string buf
     (Fmt.str
@@ -716,11 +737,10 @@ let render t =
        t.epochs
        (Array.fold_left ( + ) 0 t.n_reads_at)
        t.n_reads_primary t.n_stale_bounced t.n_reads_waited t.n_shipped
-       t.n_resyncs t.n_damaged t.n_fenced
+       (resyncs t) t.n_damaged t.n_fenced
        (Msim.messages_delivered t.sim)
        (Msim.messages_dropped t.sim)
        (Msim.messages_duplicated t.sim)
        (Msim.messages_reordered t.sim)
        (Msim.now t.sim) t.n_promotions);
-  ignore shards;
   Buffer.contents buf

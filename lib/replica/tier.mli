@@ -11,10 +11,11 @@
     {2 The shipping protocol}
 
     Node 0 of the channel is the primary feed; nodes [1..replicas] are
-    the replicas.  Each {!pump} round cuts, per live shard and replica,
-    one CRC-framed segment ({!Weihl_cc.Wal.segment}) starting at the
-    replica's last {e acked} position — unacknowledged data is simply
-    re-sent, so a dropped segment or ack heals on the next round.  The
+    the replicas.  Each {!pump} round sends, per live shard and
+    replica, one CRC-framed segment ({!Weihl_cc.Wal.segment}) starting
+    at the replica's last {e acked} position — unacknowledged data is
+    simply re-sent, so a dropped segment or ack heals on the next
+    round.  The
     segment carries the shard's {e watermark}: the group clock reading
     taken before the cut, so every commit with timestamp [<= watermark]
     is inside the shipped prefix.  A replica applies a segment only
@@ -84,17 +85,23 @@ val replica_count : t -> int
 (** {1 Shipping} *)
 
 val pump : t -> unit
-(** One shipping round: per live shard and live replica, cut one
-    segment of at most 64 records from the replica's acked position
-    and deliver the channel
-    to quiescence (acks, resyncs and retransmit responses included). *)
+(** One shipping round: per live shard and live replica, send one
+    segment of at most 64 records from the replica's acked position,
+    then deliver the channel to quiescence (acks, resyncs and
+    retransmit responses included).  Each shard is cut once per resume
+    position — slice, watermark and text — and every replica resuming
+    there is sent the same text, so a round costs the records shipped,
+    not the length of the log ({!Weihl_shard.Group.records_from}). *)
 
 val sync : t -> unit
 (** Pump until every live, unpartitioned replica has applied the full
     feed of every live shard, or no round makes progress. *)
 
 val feed_pos : t -> shard:int -> int
-(** Records in the shard's feed (0 for a crashed shard). *)
+(** Records in the shard's feed (0 for a crashed shard) —
+    {!Weihl_shard.Group.record_count}, O(1).  The lag gauges, the
+    caught-up check and {!sync}'s round budget read it, so none of them
+    walks the log. *)
 
 val applied_pos : t -> replica:int -> shard:int -> int
 val hwm : t -> replica:int -> shard:int -> int
@@ -194,7 +201,11 @@ val fail_over : t -> int -> (promotion, string) result
 (** {1 Introspection} *)
 
 val promotions : t -> int
+
 val resyncs : t -> int
+(** Resync requests sent, summed over replicas ({!render} shows each
+    replica's own count). *)
+
 val fenced_segments : t -> int
 val damaged_segments : t -> int
 val segments_shipped : t -> int
@@ -210,5 +221,6 @@ val channel_duplicated : t -> int
 val channel_reordered : t -> int
 
 val render : t -> string
-(** A per-replica table (position, lag, mark, resyncs, reads) plus a
-    channel summary — the body of [weihl replica]. *)
+(** A per-replica table (state, applied position, lag, lowest mark,
+    reads served, resyncs requested) plus a channel summary — the
+    body of [weihl replica]. *)

@@ -65,6 +65,14 @@ type committed = {
   values : Value.t Column.t;
 }
 
+(* A shard's control records in append order, with each one's absolute
+   position in the shard's merged record stream: the event-log length
+   at append plus the number of controls before it.  Positions strictly
+   increase, so a position search is a binary search. *)
+type controls = { recs : Cc.Wal.control Column.t; at : int Column.t }
+
+let new_controls () = { recs = Column.create (); at = Column.create () }
+
 type t = {
   policy : Cc.System.ts_policy;
   shards : Cc.System.t array;
@@ -84,8 +92,11 @@ type t = {
       (* per live gtxn, granted ops newest first — global program order,
          which per-shard logs cannot reconstruct; moved into [committed]
          at the commit verdict *)
-  mutable controls : (int * Cc.Wal.control) list array;
-      (* per shard, newest first: (event-log length at append, record) *)
+  controls : controls array;
+      (* per shard, the current incarnation's control records *)
+  mutable entries_touched : int;
+      (* log entries [records_from] has read: history cells walked plus
+         control entries examined *)
   constructors :
     (string, Object_id.t * int * (Cc.Event_log.t -> Object_id.t -> Cc.Atomic_object.t))
     Hashtbl.t;
@@ -153,7 +164,8 @@ let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
         values = Column.create ();
       };
     journal = Hashtbl.create 64;
-    controls = Array.make shards [];
+    controls = Array.init shards (fun _ -> new_controls ());
+    entries_touched = 0;
     constructors = Hashtbl.create 16;
     metrics;
     tracer = None;
@@ -194,9 +206,12 @@ let policy t = t.policy
 let shard_count t = Array.length t.shards
 let shard_of t x = Router.shard_of ~shards:(Array.length t.shards) x
 
-let system t s =
+let check_shard t s fn =
   if s < 0 || s >= Array.length t.shards then
-    invalid_arg "Group.system: shard out of range";
+    invalid_arg (fn ^ ": shard out of range")
+
+let system t s =
+  check_shard t s "Group.system";
   t.shards.(s)
 
 let shard_crashed t s = t.crashed.(s)
@@ -352,8 +367,10 @@ let maybe_prune t g =
     end
 
 let append_control t s c =
-  t.controls.(s) <-
-    (Cc.Event_log.length (Cc.System.log t.shards.(s)), c) :: t.controls.(s)
+  let cs = t.controls.(s) in
+  Column.push cs.at
+    (Cc.Event_log.length (Cc.System.log t.shards.(s)) + Column.length cs.recs);
+  Column.push cs.recs c
 
 (* ------------------------------------------------------------------ *)
 (* Leg steps: the commit discipline, written once for both 2PC
@@ -436,38 +453,96 @@ let shard_label s = Fmt.str "shard-%d" s
 (* Microseconds of wall-clock time since [t0], a monotonic reading. *)
 let us_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e3
 
-(* Shard [s]'s full durable record stream, positions absolute from the
-   first record the shard ever appended — truncation never renumbers,
-   it only drops a prefix at encode time.  Under group commit the
-   durable image is the synced prefix: records appended since the last
-   sync are still in the volatile buffer and a crash loses them.  The
-   marks are taken at sync time, so "first n events + first m controls"
-   is exactly a prefix of the merged record stream.  Without group
-   commit every append is durable (the classic synchronous-WAL
-   model). *)
-let shard_records t s =
-  let sys = t.shards.(s) in
-  let evs = on_shard t s (fun () -> History.to_list (Cc.System.history sys)) in
-  let ctrls = List.rev t.controls.(s) in
-  let evs, ctrls =
-    if t.group_commit then
-      ( Cc.Wal.take t.synced_events.(s) evs,
-        Cc.Wal.take t.synced_ctrls.(s) ctrls )
-    else (evs, ctrls)
+(* Shard [s]'s durable record stream is its events interleaved with its
+   control records, positions absolute from the first record the
+   incarnation appended — truncation never renumbers, it only drops a
+   prefix at encode time.  Under group commit the durable image is the
+   synced prefix: records appended since the last sync are still in the
+   volatile buffer and a crash loses them.  The marks are taken at sync
+   time, so "first n events + first m controls" is exactly a prefix of
+   the merged stream.  Without group commit every append is durable
+   (the classic synchronous-WAL model). *)
+let record_count t s =
+  check_shard t s "Group.record_count";
+  if t.group_commit then t.synced_events.(s) + t.synced_ctrls.(s)
+  else
+    Cc.Event_log.length (Cc.System.log t.shards.(s))
+    + Column.length t.controls.(s).recs
+
+(* The first control at or after position [pos] (the control count if
+   none), each probe counted. *)
+let first_control_at t cs pos =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else begin
+      t.entries_touched <- t.entries_touched + 1;
+      let mid = (lo + hi) / 2 in
+      if Column.get cs.at mid < pos then go (mid + 1) hi else go lo mid
+    end
   in
-  let rec merge idx evs ctrls acc =
-    match (evs, ctrls) with
-    | _, (p, c) :: ctl when p <= idx -> merge idx evs ctl (Cc.Wal.Control c :: acc)
-    | e :: etl, _ -> merge (idx + 1) etl ctrls (Cc.Wal.Event e :: acc)
-    | [], (_, c) :: ctl -> merge idx [] ctl (Cc.Wal.Control c :: acc)
-    | [], [] -> List.rev acc
-  in
-  merge 0 evs ctrls []
+  go 0 (Column.length cs.recs)
+
+(* The controls in [pos, upto) come from the position column; the
+   records before [pos] are [k0] controls and [pos - k0] events, so the
+   events in range are a slice of the shard's history, read from its
+   newest end.  The two then merge by position.  Unsynced controls need
+   no filter: each sits at or past the synced prefix's end, so none
+   falls below [upto]. *)
+let records_from t s ~pos ~max =
+  check_shard t s "Group.records_from";
+  if pos < 0 || max < 0 then
+    invalid_arg "Group.records_from: negative argument";
+  let count = record_count t s in
+  let upto = if max > count - pos then count else pos + max in
+  if pos >= upto then []
+  else begin
+    let cs = t.controls.(s) in
+    let k0 = first_control_at t cs pos in
+    let k1 = first_control_at t cs upto in
+    let e0 = pos - k0 and e1 = upto - k1 in
+    let events =
+      if e0 = e1 then []
+      else begin
+        let len, events =
+          on_shard t s (fun () ->
+              let h = Cc.System.history t.shards.(s) in
+              (History.length h, History.slice h ~from:e0 ~upto:e1))
+        in
+        t.entries_touched <- t.entries_touched + len - e0;
+        events
+      end
+    in
+    let rec merge p k events acc =
+      if k < k1 && Column.get cs.at k = p then begin
+        t.entries_touched <- t.entries_touched + 1;
+        let c = Cc.Wal.Control (Column.get cs.recs k) in
+        merge (p + 1) (k + 1) events (c :: acc)
+      end
+      else
+        match events with
+        | e :: rest -> merge (p + 1) k rest (Cc.Wal.Event e :: acc)
+        | [] -> List.rev acc
+    in
+    merge pos k0 events []
+  end
+
+let entries_touched t = t.entries_touched
+
+let control_log t s =
+  check_shard t s "Group.control_log";
+  let cs = t.controls.(s) in
+  List.init (Column.length cs.recs) (fun k ->
+      (Column.get cs.at k - k, Column.get cs.recs k))
+
+let synced_marks t s =
+  check_shard t s "Group.synced_marks";
+  if t.group_commit then Some (t.synced_events.(s), t.synced_ctrls.(s))
+  else None
 
 let durable_shard t s =
   let base = t.wal_base.(s) in
   Cc.Wal.encode_records ~label:(shard_label s) ~base
-    (Cc.Wal.drop_n base (shard_records t s))
+    (records_from t s ~pos:base ~max:max_int)
 
 (* Shard [s]'s device sync has returned: the marks advance to the
    current end of its record stream, so everything appended so far is
@@ -475,7 +550,7 @@ let durable_shard t s =
    the group commit batch size.  Coordinator-side, after the join. *)
 let mark_synced t (s, records) =
   t.synced_events.(s) <- Cc.Event_log.length (Cc.System.log t.shards.(s));
-  t.synced_ctrls.(s) <- List.length t.controls.(s);
+  t.synced_ctrls.(s) <- Column.length t.controls.(s).recs;
   (match t.metrics with
   | None -> ()
   | Some m -> Weihl_obs.Shard_metrics.wal_sync m ~records);
@@ -501,8 +576,8 @@ let sync_before_ack t involved = if t.group_commit then sync_shards t involved
 (* Write one fuzzy checkpoint of shard [s] without stopping traffic:
    capture the durable record stream mid-flight, encode it to a file,
    and append the [Checkpointed] marker that makes the file official
-   once synced.  Truncation then drops the WAL prefix behind the
-   *oldest retained* checkpoint's redo point — never the newest, so a
+   once synced.  Truncation then drops the WAL prefix behind every
+   retained checkpoint's redo point — never just the newest, so a
    damaged newest file still leaves an older checkpoint with its marker
    and a sufficient tail in the log.  [lose_marker] simulates the crash
    window where the file reached disk but the marker never did: the
@@ -510,11 +585,11 @@ let sync_before_ack t involved = if t.group_commit then sync_shards t involved
    happened (no truncation either).  Returns the checkpoint's redo
    point. *)
 let checkpoint_shard ?(lose_marker = false) t s =
-  if s < 0 || s >= Array.length t.shards then
-    invalid_arg "Group.checkpoint_shard: shard out of range";
+  check_shard t s "Group.checkpoint_shard";
   if t.crashed.(s) then invalid_arg "Group.checkpoint_shard: shard is down";
   let t0 = Monotonic_clock.now () in
-  let records = shard_records t s in
+  let count = record_count t s in
+  let records = records_from t s ~pos:0 ~max:count in
   let ts_ordered =
     Cc.Recovery.order_of_policy t.policy = Cc.Recovery.Timestamp_order
   in
@@ -533,23 +608,29 @@ let checkpoint_shard ?(lose_marker = false) t s =
        covers — but only once the retention window is full.  Truncating
        behind a lone checkpoint would make that one file a single point
        of failure: damage it and the log can no longer reach the
-       truncation point from record zero. *)
-    let oldest = List.fold_left (fun _ (c, _) -> c) covered t.ckpts.(s) in
-    if List.length t.ckpts.(s) = checkpoint_retain && oldest > t.wal_base.(s)
+       truncation point from record zero.  The prefix ends at the least
+       retained redo point, which need not be the older file's: under
+       timestamp order a read-only transaction that reaches the shard
+       late lowers the frontier, so a newer checkpoint can cover less
+       than an older one. *)
+    let horizon =
+      List.fold_left (fun acc (c, _) -> min acc c) covered t.ckpts.(s)
+    in
+    if List.length t.ckpts.(s) = checkpoint_retain && horizon > t.wal_base.(s)
     then begin
       (match t.checkpoint with
       | Some { archive = true; _ } ->
         let base = t.wal_base.(s) in
         let segment =
           Cc.Wal.encode_records ~label:(shard_label s) ~base
-            (Cc.Wal.take (oldest - base) (Cc.Wal.drop_n base records))
+            (records_from t s ~pos:base ~max:(horizon - base))
         in
         t.archived.(s) <- segment :: t.archived.(s)
       | _ -> ());
-      t.wal_base.(s) <- oldest
+      t.wal_base.(s) <- horizon
     end
   end;
-  let age = List.length records - covered in
+  let age = count - covered in
   (match t.metrics with
   | None -> ()
   | Some m ->
@@ -578,13 +659,11 @@ let bump_checkpoint t s =
     end
 
 let checkpoint_files t s =
-  if s < 0 || s >= Array.length t.shards then
-    invalid_arg "Group.checkpoint_files: shard out of range";
+  check_shard t s "Group.checkpoint_files";
   List.map snd t.ckpts.(s)
 
 let corrupt_checkpoint t s ~f =
-  if s < 0 || s >= Array.length t.shards then
-    invalid_arg "Group.corrupt_checkpoint: shard out of range";
+  check_shard t s "Group.corrupt_checkpoint";
   match t.ckpts.(s) with
   | [] -> false
   | (covered, file) :: tl ->
@@ -592,13 +671,11 @@ let corrupt_checkpoint t s ~f =
     true
 
 let wal_base t s =
-  if s < 0 || s >= Array.length t.shards then
-    invalid_arg "Group.wal_base: shard out of range";
+  check_shard t s "Group.wal_base";
   t.wal_base.(s)
 
 let archived_segments t s =
-  if s < 0 || s >= Array.length t.shards then
-    invalid_arg "Group.archived_segments: shard out of range";
+  check_shard t s "Group.archived_segments";
   List.rev t.archived.(s)
 
 (* A crashed shard takes its volatile state down: every active global
@@ -904,8 +981,7 @@ let in_doubt_count t = List.length (in_doubt t)
    (prepared legs elsewhere stay — their fate belongs to the decision
    log).  Returns the WAL text as of the crash. *)
 let crash_shard t s =
-  if s < 0 || s >= Array.length t.shards then
-    invalid_arg "Group.crash_shard: shard out of range";
+  check_shard t s "Group.crash_shard";
   let text = durable_shard t s in
   t.crashed.(s) <- true;
   sweep_crashed t s;
@@ -942,7 +1018,7 @@ let recover_shard ?resolve t s text =
     install_probe t s;
     Leg_index.reset t.local_index.(s);
     t.waits.(s) <- Int_map.empty;
-    t.controls.(s) <- [];
+    t.controls.(s) <- new_controls ();
     (* The group clock must dominate everything the recovered shard
        replayed, or future commit timestamps could collide. *)
     Cc.Lamport_clock.observe t.clock (Cc.Lamport_clock.now (Cc.System.clock sys));
@@ -971,7 +1047,7 @@ let recover_shard ?resolve t s text =
        files' positions refer to the pre-crash stream and must not leak
        into the next crash's recovery. *)
     t.synced_events.(s) <- Cc.Event_log.length (Cc.System.log sys);
-    t.synced_ctrls.(s) <- List.length t.controls.(s);
+    t.synced_ctrls.(s) <- Column.length t.controls.(s).recs;
     t.ckpts.(s) <- [];
     t.wal_base.(s) <- 0;
     t.archived.(s) <- [];

@@ -257,22 +257,58 @@ val in_doubt_count : t -> int
 
 (** {1 Durability, checkpoints, crash, recovery} *)
 
-val shard_records : t -> int -> Cc.Wal.record list
-(** The shard's durable record stream as a list — events interleaved
-    with control records, positions absolute from the first record the
-    shard ever appended.  Under group commit only the synced prefix
-    appears.  This is the feed a log-shipping channel cuts segments
-    from: checkpoint truncation drops a prefix of {!durable_shard}'s
-    {e text} but never renumbers this stream.
+val record_count : t -> int -> int
+(** Records in the shard's durable record stream: its events
+    interleaved with the [Prepared] / [Decided] / [Checkpointed]
+    control records at the positions they were written.  Positions
+    are absolute from the first record the shard's current incarnation
+    appended: checkpoint truncation drops a prefix of
+    {!durable_shard}'s {e text} but never renumbers the stream.  Under
+    group commit only the synced prefix counts — the first [n] events
+    and first [m] controls the last sync covered, which is exactly a
+    prefix of the stream.  O(1), and no shard call.
     @raise Invalid_argument on a bad index. *)
 
+val records_from : t -> int -> pos:int -> max:int -> Cc.Wal.record list
+(** [records_from t s ~pos ~max] is the durable stream's records
+    [pos .. min (pos + max) (record_count t s) - 1] in order — the
+    feed a log-shipping channel cuts segments from, and what
+    checkpoints, archiving and crashes encode.  Nothing is copied or
+    memoized per event: a binary search over the shard's control
+    positions finds the controls in range, the events in range are
+    read from the shard's history by walking in from its newest end
+    ({!History.slice}, one shard call), and the two merge by position.
+    The cost is O(records returned + events newer than them + log of
+    the control count): reading the tail of a long log is cheap,
+    whatever its length.  [[]] when [pos] is at or past the end.
+    @raise Invalid_argument on a bad index or a negative [pos] or
+    [max]. *)
+
+val entries_touched : t -> int
+(** Log entries {!records_from} has read so far: history cells walked
+    plus control entries examined.  Deterministic for a seeded call
+    sequence — the growth counter behind shipping's cost model. *)
+
+val control_log : t -> int -> (int * Cc.Wal.control) list
+(** The control records the shard's current incarnation appended,
+    oldest first, each with the event-log length when it was appended
+    — synced or not.  With the shard's history and {!synced_marks}
+    these are the parts the durable stream is merged from; tests
+    rebuild the stream from them to check {!records_from}.
+    @raise Invalid_argument on a bad index. *)
+
+val synced_marks : t -> int -> (int * int) option
+(** Under group commit, the (events, controls) prefix the shard's last
+    WAL sync covered; [None] without group commit, where every append
+    is durable.  @raise Invalid_argument on a bad index. *)
+
 val durable_shard : t -> int -> string
-(** The shard's WAL: its event log interleaved with the [Prepared] /
-    [Decided] / [Checkpointed] control records at the positions they
-    were written, framed by {!Cc.Wal.encode_records} under the label
-    ["shard-<i>"].  Once checkpoint truncation has run, the text keeps
-    absolute record numbering but starts at the truncation point
-    (header [@<base>]). *)
+(** The shard's WAL: its durable record stream (see {!record_count})
+    framed by {!Cc.Wal.encode_records} under the label ["shard-<i>"].
+    Once checkpoint truncation has run, the text keeps absolute record
+    numbering but starts at the truncation point (header [@<base>]);
+    only records from {!wal_base} on are read, so crashing a
+    checkpointed shard encodes just its tail. *)
 
 val checkpoint_shard : ?lose_marker:bool -> t -> int -> int
 (** Write one fuzzy checkpoint of the shard now, without stopping

@@ -99,6 +99,20 @@ let test_damaged_segment_resyncs () =
   Replica_tier.sync tier;
   check_bool "damage detected" true (Replica_tier.damaged_segments tier >= 1);
   check_bool "resynced" true (Replica_tier.resyncs tier >= 1);
+  (* The table counts resyncs per replica, in its last column: the rows
+     sum to the total, and replica 0 — sent the first segment cut, which
+     was damaged — shows its own. *)
+  let rows = String.split_on_char '\n' (Replica_tier.render tier) in
+  let resyncs i =
+    let cells =
+      String.split_on_char ' ' (List.nth rows (i + 1))
+      |> List.filter (fun c -> c <> "")
+    in
+    int_of_string (List.nth cells (List.length cells - 1))
+  in
+  check_int "per-replica resyncs sum to the total" (Replica_tier.resyncs tier)
+    (resyncs 0 + resyncs 1);
+  check_bool "the damaged replica's row counts its resyncs" true (resyncs 0 > 0);
   (* The refused segments were never applied, even in part. *)
   check_equiv tier group ~replicas:2 ~shards:2
 
@@ -278,6 +292,142 @@ let test_drill_smoke () =
   check_bool "promotions happened" true (r.Replica_drill.r_promotions >= 6);
   check_bool "reads flowed" true (r.Replica_drill.r_reads > 0)
 
+(* --- pinned bytes ----------------------------------------------------- *)
+
+(* The bytes the log layer writes, pinned by CRC-32: every shard's
+   durable WAL, every retained checkpoint file and archived WAL prefix,
+   and every segment the tier ships.  The run is seeded: hybrid
+   atomicity with 2PC message rounds, group commit, a checkpoint every
+   20 commits per shard (archiving what truncation drops) and a
+   2-replica tier pumped after every commit.  The channel is
+   fault-free, so every segment is applied whole at its replica's
+   position: the texts shipped are the feed cut at the replicas'
+   positions before each round, which the positions the round leaves
+   behind confirm. *)
+let pinned_shards = 3
+
+let pinned_digests () =
+  let p = proto "hybrid" in
+  let group =
+    Shard_group.create ~policy:p.Fault_harness.policy ~seed:3
+      ~group_commit:true
+      ~checkpoint:{ Shard_group.every = 20; archive = true }
+      ~shards:pinned_shards ()
+  in
+  let w = p.Fault_harness.workload () in
+  List.iter
+    (fun id -> Shard_group.add_object group id p.Fault_harness.make_object)
+    w.Workload.objects;
+  let tier = tier_of p ~replicas:2 group in
+  let shards = List.init pinned_shards Fun.id in
+  let shipped = ref [] and torn = ref 0 in
+  let pump () =
+    let cuts =
+      List.concat_map
+        (fun i ->
+          List.filter_map
+            (fun s ->
+              if Shard_group.shard_crashed group s then None
+              else
+                let from = Replica_tier.applied_pos tier ~replica:i ~shard:s in
+                let slice = Shard_group.records_from group s ~pos:from ~max:64 in
+                Some
+                  ( i,
+                    s,
+                    from + List.length slice,
+                    Wal.segment ~label:(Shard_group.shard_label s) ~base:from
+                      slice ))
+            shards)
+        [ 0; 1 ]
+    in
+    Replica_tier.pump tier;
+    List.iter
+      (fun (i, s, upto, text) ->
+        if Replica_tier.applied_pos tier ~replica:i ~shard:s <> upto then
+          incr torn;
+        shipped := Wal.crc32 text :: !shipped)
+      cuts
+  in
+  let config =
+    {
+      Sharded_driver.default_config with
+      arrivals = Clients 4;
+      duration = 600;
+      seed = 5;
+    }
+  in
+  ignore
+    (Sharded_driver.run ~config
+       ~on_commit:(fun g gt ~nth_multi:_ ->
+         Shard_group.commit g gt;
+         pump ())
+       group w);
+  let caught_up () =
+    List.for_all
+      (fun i ->
+        List.for_all
+          (fun s ->
+            Replica_tier.applied_pos tier ~replica:i ~shard:s
+            = Replica_tier.feed_pos tier ~shard:s)
+          shards)
+      [ 0; 1 ]
+  in
+  let rounds = ref 0 in
+  while (not (caught_up ())) && !rounds < 1000 do
+    incr rounds;
+    pump ()
+  done;
+  check_bool "the replicas caught up" true (caught_up ());
+  check_int "every round applied its segments whole" 0 !torn;
+  check_int "every segment sent was re-cut" (List.length !shipped)
+    (Replica_tier.segments_shipped tier);
+  let crcs = List.map Wal.crc32 in
+  let hex n = Fmt.str "%08x" n in
+  ( Shard_group.committed_count group,
+    List.map (Shard_group.wal_base group) shards,
+    crcs (List.map (Shard_group.durable_shard group) shards),
+    List.map (fun s -> crcs (Shard_group.checkpoint_files group s)) shards,
+    List.map (fun s -> crcs (Shard_group.archived_segments group s)) shards,
+    ( List.length !shipped,
+      Wal.crc32 (String.concat " " (List.rev_map hex !shipped)) ) )
+
+let test_pinned_bytes () =
+  let committed, bases, durable, ckpts, archived, (segments, segments_crc) =
+    pinned_digests ()
+  in
+  let ints = Alcotest.(list int) in
+  check_int "committed" 402 committed;
+  Alcotest.check ints "WAL bases" [ 850; 880; 1853 ] bases;
+  Alcotest.check ints "durable WALs" [ 0x2b8720a3; 0xe1dfc01f; 0xe9e85f23 ]
+    durable;
+  Alcotest.(check (list (list int)))
+    "checkpoint files"
+    [
+      [ 0x0cdd51ca; 0x16d22af5 ]; [ 0xfa9f6d63; 0x9ae09c74 ];
+      [ 0x50391b6a; 0x161a6346 ];
+    ]
+    ckpts;
+  Alcotest.(check (list (list int)))
+    "archived prefixes"
+    [
+      [
+        0x247550f6; 0x81073a2e; 0xb0c7b8f0; 0x1192c7e1; 0x10c5e28f; 0xf1cd8a25;
+        0x1aecbe07; 0x49e9dbfb;
+      ];
+      [
+        0x198964d9; 0x04c1ad8f; 0xf7384386; 0xcd5d1dc1; 0xc568d0d6; 0x1b24cc48;
+        0x6bcd4896; 0xba551c4f;
+      ];
+      [
+        0x6f9d5c18; 0xa51c6c8e; 0x60968808; 0x7936e52d; 0x351b5cf4; 0xecd7815d;
+        0x54f4a313; 0x792bb171; 0xe4dd425f; 0x69e739d8; 0x19cf46ad; 0xd6ec6f52;
+        0x3d1049b9; 0x21acc6c4; 0x4d62ec23;
+      ];
+    ]
+    archived;
+  check_int "segments shipped" 2412 segments;
+  check_int "shipped segment texts" 0x69d2e8a7 segments_crc
+
 (* --- the equivalence property --------------------------------------- *)
 
 (* Satellite: over protocols × seeds × lag schedules, every replica's
@@ -362,5 +512,7 @@ let suite =
       test_fencing_refuses_old_epoch;
     Alcotest.test_case "drill: seeded schedules stay clean" `Quick
       test_drill_smoke;
+    Alcotest.test_case "pinned: WAL, checkpoint and segment bytes" `Quick
+      test_pinned_bytes;
     to_alcotest prop_replica_equivalence;
   ]
