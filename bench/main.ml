@@ -1733,14 +1733,33 @@ let replication_section ~quick =
    stays flat as the log grows (ratio 1.08); a pump that rebuilt every
    shard's whole record stream per replica would read 9,217 records per
    pump at N and 36,057 at 4N (ratio 3.9).  The gate: the 4N/N ratio
-   must stay under [growth_pump_ceiling]. *)
+   must stay under [growth_pump_ceiling].
+
+   The second counter is reading's.  The same run, with
+   [growth_read_batch] reads of [growth_read_width] uniform balances
+   after every pump, counts the entries each [Tier.read] consults:
+   frontier lookups, plus the events a read feeds a fold — a replica
+   catching its fold up on the records applied since it last did, or a
+   read bounced to the primary folding its history.  Each record is
+   folded once, by the first read that needs it, so the count is flat:
+   23.2 at N and at 4N (ratio 1.0), the 4 lookups plus a wave's 192
+   events spread over its 10 reads.  A read that replayed every
+   committed update of the touched shards into a fresh snapshot would
+   feed it 2,134 events at N and 8,235 at 4N (ratio 3.86).  The gate:
+   the ratio must stay under [growth_read_ceiling]. *)
 let growth_pump_ceiling = 1.25
+let growth_read_ceiling = 1.25
 
 let growth_shards = 4
 let growth_replicas = 2
 let growth_wave = 16 (* transactions per commit wave *)
+let growth_read_batch = 10 (* reads after each pump *)
+let growth_read_width = 4 (* balances per read *)
 
-let growth_pump_run ~commits =
+(* The replica-write-shaped run, pumping after every wave; with
+   [reads], each pump is followed by a batch of reads drawn from their
+   own generator, so the transactions stay those of the pump run. *)
+let growth_pump_run ?(reads = false) ~commits () =
   let accounts = 256 in
   let proto =
     match Fault_harness.find_protocol "hybrid" with
@@ -1759,8 +1778,10 @@ let growth_pump_run ~commits =
     Replica_tier.create ~replicas:growth_replicas
       ~make_object:proto.Fault_harness.make_object group
   in
-  let rng = Rng.create 17 in
+  let rng = Rng.create 17 and read_rng = Rng.create 29 in
+  let accounts_arr = Array.of_list ids in
   let pumps = ref 0 and touched = ref 0 and started = ref 0 in
+  let n_reads = ref 0 and consulted = ref 0 in
   while Shard_group.committed_count group < commits do
     (* Disjoint accounts within a wave, so every deposit is granted. *)
     let rec pairs = function
@@ -1786,23 +1807,51 @@ let growth_pump_run ~commits =
     let before = Shard_group.entries_touched group in
     Replica_tier.pump tier;
     touched := !touched + Shard_group.entries_touched group - before;
-    incr pumps
+    incr pumps;
+    if reads then
+      for _ = 1 to growth_read_batch do
+        let steps =
+          List.init growth_read_width (fun _ ->
+              ( accounts_arr.(Rng.int read_rng (Array.length accounts_arr)),
+                Bank_account.balance ))
+        in
+        let before = Replica_tier.entries_consulted tier in
+        (match Replica_tier.read tier steps with
+        | Ok _ -> ()
+        | Error msg -> Fmt.failwith "growth read failed: %s" msg);
+        consulted := !consulted + Replica_tier.entries_consulted tier - before;
+        incr n_reads
+      done
   done;
-  let per_pump = float_of_int !touched /. float_of_int !pumps in
-  ( J.Obj
-      [
-        ("commits", J.Num (float_of_int (Shard_group.committed_count group)));
-        ("pumps", J.Num (float_of_int !pumps));
-        ("entries_per_pump", J.Num per_pump);
-        ( "segments_shipped",
-          J.Num (float_of_int (Replica_tier.segments_shipped tier)) );
-      ],
-    per_pump )
+  let commits = J.Num (float_of_int (Shard_group.committed_count group)) in
+  if reads then
+    let per_read = float_of_int !consulted /. float_of_int !n_reads in
+    ( J.Obj
+        [
+          ("commits", commits);
+          ("reads", J.Num (float_of_int !n_reads));
+          ("entries_per_read", J.Num per_read);
+          ("bounced", J.Num (float_of_int (Replica_tier.stale_bounced tier)));
+        ],
+      per_read )
+  else
+    let per_pump = float_of_int !touched /. float_of_int !pumps in
+    ( J.Obj
+        [
+          ("commits", commits);
+          ("pumps", J.Num (float_of_int !pumps));
+          ("entries_per_pump", J.Num per_pump);
+          ( "segments_shipped",
+            J.Num (float_of_int (Replica_tier.segments_shipped tier)) );
+        ],
+      per_pump )
 
 let growth_section ~quick =
   let n = if quick then 250 else 1000 in
-  let small, at_n = growth_pump_run ~commits:n in
-  let large, at_4n = growth_pump_run ~commits:(4 * n) in
+  let small, at_n = growth_pump_run ~commits:n () in
+  let large, at_4n = growth_pump_run ~commits:(4 * n) () in
+  let r_small, r_n = growth_pump_run ~reads:true ~commits:n () in
+  let r_large, r_4n = growth_pump_run ~reads:true ~commits:(4 * n) () in
   J.Obj
     [
       ( "pump",
@@ -1815,6 +1864,16 @@ let growth_section ~quick =
             ("n4", large);
             ("ratio", J.Num (at_4n /. at_n));
             ("ceiling", J.Num growth_pump_ceiling);
+          ] );
+      ( "read",
+        J.Obj
+          [
+            ("batch", J.Num (float_of_int growth_read_batch));
+            ("width", J.Num (float_of_int growth_read_width));
+            ("n", r_small);
+            ("n4", r_large);
+            ("ratio", J.Num (r_4n /. r_n));
+            ("ceiling", J.Num growth_read_ceiling);
           ] );
     ]
 
@@ -2093,24 +2152,33 @@ let compare_to_baseline ~current ~base =
     in
     (* The growth gate is absolute like the floors above, a ceiling:
        each counter's 4N/N ratio must stay under the ceiling recorded
-       in the section.  Baselines without the section skip it. *)
+       in the section.  Baselines without the section, or without a
+       counter, skip it. *)
     let growth_regressions =
       match (jfield "growth" base, jfield "growth" current) with
-      | Some _, Some gr -> (
-        let pump = jfield "pump" gr in
-        match
-          ( jnum (Option.bind pump (jfield "ceiling")),
-            jnum (Option.bind pump (jfield "ratio")) )
-        with
-        | Some ceiling, Some ratio when ratio > ceiling ->
+      | Some gb, Some gr ->
+        List.concat_map
+          (fun (name, what) ->
+            if jfield name gb = None then []
+            else
+              let counter = jfield name gr in
+              match
+                ( jnum (Option.bind counter (jfield "ceiling")),
+                  jnum (Option.bind counter (jfield "ratio")) )
+              with
+              | Some ceiling, Some ratio when ratio > ceiling ->
+                [
+                  Fmt.str
+                    "growth: %s grew %.2fx from N to 4N commits, over the \
+                     %.2fx ceiling"
+                    what ratio ceiling;
+                ]
+              | Some _, Some _ -> []
+              | _ -> [ Fmt.str "growth: section is missing its %s ratio" name ])
           [
-            Fmt.str
-              "growth: log entries read per pump grew %.2fx from N to 4N \
-               commits, over the %.2fx ceiling"
-              ratio ceiling;
+            ("pump", "log entries read per pump");
+            ("read", "entries consulted per read");
           ]
-        | Some _, Some _ -> []
-        | _ -> [ "growth: section is missing its pump ratio" ])
       | _ -> []
     in
     let exact_regressions =

@@ -2,6 +2,7 @@ open Weihl_event
 module Cc = Weihl_cc
 module Msim = Weihl_dist.Msim
 module Group = Weihl_shard.Group
+module Seq_spec = Weihl_spec.Seq_spec
 module Sm = Weihl_obs.Shard_metrics
 module St = Weihl_obs.Shard_trace
 
@@ -16,13 +17,24 @@ type msg =
   | Ack of { replica : int; shard : int; epoch : int; pos : int }
   | Resync of { replica : int; shard : int; epoch : int; from_pos : int }
 
-(* Per-replica, per-shard apply state.  [events_rev] is the replica's
-   durable local log (survives a replica crash); [hwm] is segment
-   metadata and does not (a restarted replica serves nothing until a
-   fresh segment re-establishes the mark). *)
+(* A run of applied record lines: [text] from byte [off] on.  An
+   exactly spliced segment is kept as the very string the pump cut —
+   shared by every replica it was sent to — past its header line. *)
+type lines = { text : string; off : int }
+
+(* Per-replica, per-shard apply state.  [log_rev] is the replica's
+   durable local log, the record lines it applied (survives a replica
+   crash), and [fold] the committed state folded from its first
+   [folded_pos] records; the runs applied since are also in
+   [unfolded_rev], for the next read to catch the fold up on.  [hwm]
+   is segment metadata and does not survive (a restarted replica
+   serves nothing until a fresh segment re-establishes the mark). *)
 type rstate = {
   mutable pos : int;  (** next expected absolute record position *)
-  mutable events_rev : Event.t list;  (** applied events, newest first *)
+  mutable log_rev : lines list;  (** applied record lines, newest first *)
+  mutable fold : Projection.Fold.t;
+  mutable folded_pos : int;  (** records the fold has been fed *)
+  mutable unfolded_rev : lines list;  (** runs past [folded_pos], newest first *)
   mutable hwm : int;  (** high-water mark; -1 = no mark this epoch *)
   mutable repoch : int;
   mutable applied_segments : int;
@@ -49,7 +61,8 @@ type promotion = {
 
 type t = {
   group : Group.t;
-  make_object : Cc.Event_log.t -> Object_id.t -> Cc.Atomic_object.t;
+  spec : Object_id.t -> Seq_spec.t option;
+      (** each registered object's specification; [None] if unknown *)
   replicas : int;
   stale : stale_policy;
   mutable sim : msg Msim.t;
@@ -61,7 +74,6 @@ type t = {
   crash_texts : string option array;  (** durable WAL held for failover *)
   mutable damage_pending : int;
   mutable rr : int;
-  mutable read_seq : int;
   mutable n_promotions : int;
   n_resyncs_at : int array;  (** per replica: resync requests sent *)
   mutable n_fenced : int;
@@ -71,14 +83,24 @@ type t = {
   n_reads_at : int array;
   mutable n_reads_primary : int;
   mutable n_reads_waited : int;
+  mutable n_entries_consulted : int;
   metrics : Sm.t option;
 }
 
 let group t = t.group
 let replica_count t = t.replicas
 
-let fresh_state epoch =
-  { pos = 0; events_rev = []; hwm = -1; repoch = epoch; applied_segments = 0 }
+let fresh_state spec epoch =
+  {
+    pos = 0;
+    log_rev = [];
+    fold = Projection.Fold.create ~spec;
+    folded_pos = 0;
+    unfolded_rev = [];
+    hwm = -1;
+    repoch = epoch;
+    applied_segments = 0;
+  }
 
 let state t ~replica ~shard =
   if replica < 0 || replica >= t.replicas then
@@ -92,12 +114,22 @@ let state t ~replica ~shard =
    group clock reading — every commit with a timestamp at or below it
    has already appended its records (timestamps are drawn monotonically
    and records append synchronously in the sequential mode) — clamped
-   below any in-doubt leg on this shard whose recorded decision is a
-   commit.  Such a leg will commit with its agreed timestamp only when
-   resolution reaches it; until then a read above that timestamp must
-   not be declared servable, or it would miss the late commit. *)
+   below two kinds of commit still to come:
+   - any live update's initiation timestamp: under [`Static] an update
+     draws its timestamp at [begin_txn] and may commit at it long after
+     the clock has passed;
+   - any in-doubt leg on this shard whose recorded decision is a
+     commit: it commits with its agreed timestamp only when resolution
+     reaches it.
+   A read above either must not be declared servable, or it would miss
+   the late commit. *)
 let watermark t s =
   let w = Timestamp.to_int (Cc.Lamport_clock.now (Group.clock t.group)) in
+  let w =
+    match Group.oldest_live_update t.group with
+    | Some ts -> min w (ts - 1)
+    | None -> w
+  in
   List.fold_left
     (fun w (gid, s') ->
       if s' = s && gid >= 0 then
@@ -188,13 +220,22 @@ let trace_apply t ~replica ~shard ~records ~hwm =
           ("hwm", St.num hwm);
         ]
 
-let apply_records st records =
-  List.iter
-    (function
-      | Cc.Wal.Event e -> st.events_rev <- e :: st.events_rev
-      | Cc.Wal.Control _ -> ())
-    records;
-  st.pos <- st.pos + List.length records
+(* The byte just past the [n]th newline at or after [from]. *)
+let skip_lines text ~from n =
+  let rec go i n =
+    if n = 0 then i else go (String.index_from text i '\n' + 1) (n - 1)
+  in
+  go from n
+
+(* Append [n] records, whose lines are [lines], to the replica's log.
+   The fold is not fed here: a replica nobody reads pays nothing for
+   it, and a read catches it up ([catch_up]). *)
+let apply st lines n =
+  if n > 0 then begin
+    st.log_rev <- lines :: st.log_rev;
+    st.unfolded_rev <- lines :: st.unfolded_rev;
+    st.pos <- st.pos + n
+  end
 
 let request_resync t i s st =
   t.n_resyncs_at.(i) <- t.n_resyncs_at.(i) + 1;
@@ -212,17 +253,13 @@ let on_replica t i = function
     if epoch < st.repoch then t.n_fenced <- t.n_fenced + 1
     else begin
       (* A segment from a newer incarnation: the old stream is gone —
-         adopt the epoch and resync from zero. *)
-      if epoch > st.repoch then begin
-        st.repoch <- epoch;
-        st.pos <- 0;
-        st.events_rev <- [];
-        st.hwm <- -1;
-        st.applied_segments <- 0
-      end;
+         adopt the epoch and resync from zero, log and fold with it. *)
+      if epoch > st.repoch then t.states.(i).(s) <- fresh_state t.spec epoch;
+      let st = t.states.(i).(s) in
       let advance_hwm ~upto =
         (* [upto] is the feed's end at cut time: once the replica holds
-           that prefix, the watermark's certificate transfers to it. *)
+           that prefix, the watermark's certificate transfers to it, and
+           every commit at or below it can be folded. *)
         if watermark >= 0 && upto <= st.pos && watermark > st.hwm then
           st.hwm <- watermark
       in
@@ -237,8 +274,9 @@ let on_replica t i = function
       in
       match Cc.Wal.decode_segment ~expected_base:st.pos text with
       | Ok records ->
-        apply_records st records;
-        applied (List.length records) st.pos
+        let n = List.length records in
+        apply st { text; off = skip_lines text ~from:0 1 } n;
+        applied n st.pos
       | Error _ -> (
         (* Not an exact splice.  An intact segment may still be a pure
            duplicate or an overlap to trim; anything else — a gap ahead
@@ -256,7 +294,11 @@ let on_replica t i = function
             ack t i s st
           end
           else begin
-            apply_records st (Cc.Wal.drop_n (st.pos - b) records);
+            (* Keep a copy of the new tail only, not the whole text. *)
+            let off = skip_lines text ~from:0 (1 + st.pos - b) in
+            apply st
+              { text = String.sub text off (String.length text - off); off = 0 }
+              (e - st.pos);
             applied (e - b) st.pos
           end
         | Ok (_, Cc.Wal.Torn _) | Error _ ->
@@ -276,6 +318,20 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(seed = 1) ?metrics
       "Tier.create: the replica tier requires the sequential (domains = 1) \
        execution mode";
   let shards = Group.shard_count group in
+  (* Each object is built once, on first use, for its specification. *)
+  let specs = Hashtbl.create 64 in
+  let spec x =
+    let name = Object_id.name x in
+    match Hashtbl.find_opt specs name with
+    | Some _ as found -> found
+    | None ->
+      if not (Group.has_object group x) then None
+      else begin
+        let o = make_object (Cc.Event_log.create ()) x in
+        Hashtbl.replace specs name o.Cc.Atomic_object.spec;
+        Some o.Cc.Atomic_object.spec
+      end
+  in
   let handler = ref (fun _ ~node:_ _ -> ()) in
   let sim =
     Msim.create ~faults ~seed:((seed * 53) + 17) ~nodes:(replicas + 1)
@@ -285,12 +341,13 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(seed = 1) ?metrics
   let t =
     {
       group;
-      make_object;
+      spec;
       replicas;
       stale;
       sim;
       states =
-        Array.init replicas (fun _ -> Array.init shards (fun _ -> fresh_state 0));
+        Array.init replicas (fun _ ->
+            Array.init shards (fun _ -> fresh_state spec 0));
       acked = Array.make_matrix replicas shards 0;
       epochs = Array.make shards 0;
       down = Array.make replicas false;
@@ -298,7 +355,6 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(seed = 1) ?metrics
       crash_texts = Array.make shards None;
       damage_pending = 0;
       rr = 0;
-      read_seq = 0;
       n_promotions = 0;
       n_resyncs_at = Array.make replicas 0;
       n_fenced = 0;
@@ -308,6 +364,7 @@ let create ?(faults = Msim.no_faults) ?(stale = `Wait 4) ?(seed = 1) ?metrics
       n_reads_at = Array.make replicas 0;
       n_reads_primary = 0;
       n_reads_waited = 0;
+      n_entries_consulted = 0;
       metrics;
     }
   in
@@ -467,82 +524,134 @@ let damage_next_segments t n = t.damage_pending <- t.damage_pending + max 0 n
 (* ------------------------------------------------------------------ *)
 (* Snapshot reads *)
 
-(* Build a fresh system holding every registered object and replay the
-   committed updates with serialization timestamp <= [upto] out of the
-   given event streams (one per touched shard, concatenated — the
-   per-shard streams are independent, and the replay orders the merged
-   transaction list by timestamp).  Logged timestamps are reinstated,
-   so the read executed on top observes exactly the as-of state. *)
-let snapshot t ~upto events =
-  let sys = Cc.System.create ~policy:(Group.policy t.group) () in
+(* Runs of record lines as one WAL text under a header at [base]. *)
+let runs_text ~base runs_rev =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Cc.Wal.encode_records ~base []);
   List.iter
-    (fun (x, _) -> Cc.System.add_object sys (t.make_object (Cc.System.log sys) x))
-    (Group.objects t.group);
-  let keep (txn : Projection.txn) =
-    match txn.Projection.ts with
-    | Some ts -> Timestamp.to_int ts <= upto
-    | None -> false
-  in
-  let h = Projection.updates_history ~keep events in
-  match Cc.Recovery.replay Cc.Recovery.Timestamp_order sys h with
-  | Ok _ -> Ok sys
-  | Error f -> Error (Fmt.str "snapshot replay: %a" Cc.Recovery.pp_failure f)
+    (fun { text; off } -> Buffer.add_substring b text off (String.length text - off))
+    (List.rev runs_rev);
+  Buffer.contents b
 
-let exec_read t sys ~ts steps =
-  t.read_seq <- t.read_seq + 1;
-  let a = Activity.read_only (Fmt.str "tier_read%d" t.read_seq) in
-  let txn = Cc.System.begin_txn ~ts:(Timestamp.v ts) sys a in
-  let rec go acc = function
-    | [] ->
-      Cc.System.commit sys txn;
-      Ok (List.rev acc)
-    | (x, op) :: more -> (
-      match Cc.System.invoke sys txn x op with
-      | Cc.Atomic_object.Granted v -> go ((x, op, v) :: acc) more
-      | Cc.Atomic_object.Wait _ ->
-        Cc.System.abort sys txn;
-        Error "snapshot read blocked (impossible on an immutable snapshot)"
-      | Cc.Atomic_object.Refused why ->
-        Cc.System.abort sys txn;
-        Error ("snapshot read refused: " ^ why))
-  in
-  go [] steps
+(* The replica's durable log: every applied record line under a header
+   at base 0 — a gapless stream from position 0. *)
+let log_text st = runs_text ~base:0 st.log_rev
 
-let replica_events t ~replica ~shard =
-  List.rev (state t ~replica ~shard).events_rev
+let log_events st =
+  match Cc.Wal.decode (log_text st) with
+  | Ok (h, Cc.Wal.Intact) -> History.to_list h
+  | Ok (_, Cc.Wal.Torn _) | Error _ ->
+    failwith "Tier: a replica's applied log no longer decodes"
+
+let replica_log t ~replica ~shard = log_text (state t ~replica ~shard)
+let replica_events t ~replica ~shard = log_events (state t ~replica ~shard)
 
 let touched_shards t steps =
   List.sort_uniq compare (List.map (fun (x, _) -> Group.shard_of t.group x) steps)
 
-let serve_replica t i ~ts ~shards steps =
-  let events =
-    List.concat_map (fun s -> List.rev t.states.(i).(s).events_rev) shards
+(* Answer each step from the frontier of its object in its shard's
+   fold: the first permissible outcome, which is what [Hybrid] and
+   [Multiversion] return for a read-only invocation of a read-only
+   operation.  A step whose outcome would change the state has no place
+   in a read and is refused; one that leaves it as it is — whatever its
+   operation — is answered. *)
+let answer t fold_of steps =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | (x, op) :: more -> (
+      t.n_entries_consulted <- t.n_entries_consulted + 1;
+      match Projection.Fold.frontier (fold_of (Group.shard_of t.group x)) x with
+      | None -> Error (Fmt.str "unknown object %a" Object_id.pp x)
+      | Some f -> (
+        match Seq_spec.outcomes f op with
+        | [] ->
+          Error
+            (Fmt.str "read refused: %a has no permissible outcome at %a"
+               Operation.pp op Object_id.pp x)
+        | (v, _) :: _ ->
+          if Seq_spec.advance_changes f op v = Some true then
+            Error
+              (Fmt.str "read refused: %a would change %a" Operation.pp op
+                 Object_id.pp x)
+          else go ((x, op, v) :: acc) more))
   in
-  match snapshot t ~upto:ts events with
-  | Error _ as e -> e
-  | Ok sys -> exec_read t sys ~ts steps
+  go [] steps
 
+(* Feed the fold the records applied since it last caught up, decoded
+   from the log's own bytes, then fold up to the high-water mark.  Each
+   record is fed once, by the first read that needs it. *)
+let catch_up t st =
+  (match st.unfolded_rev with
+  | [] -> ()
+  | runs -> (
+    match
+      Cc.Wal.decode_segment ~expected_base:st.folded_pos
+        (runs_text ~base:st.folded_pos runs)
+    with
+    | Ok records ->
+      List.iter
+        (function
+          | Cc.Wal.Event e ->
+            t.n_entries_consulted <- t.n_entries_consulted + 1;
+            Projection.Fold.feed st.fold e
+          | Cc.Wal.Control _ -> ())
+        records;
+      st.folded_pos <- st.pos;
+      st.unfolded_rev <- []
+    | Error _ -> failwith "Tier: a replica's applied log no longer decodes"));
+  Projection.Fold.upto st.fold st.hwm
+
+(* Served from the replica's folds, caught up first.  The mark is at
+   least [ts] (it never falls below the high-water mark the read waited
+   for); a fold above [ts] would hold commits the read must not see —
+   impossible for a fresh [ts], which no mark cut before it can
+   exceed. *)
+let serve_replica t i ~ts ~shards steps =
+  List.iter (fun s -> catch_up t t.states.(i).(s)) shards;
+  let fold s = t.states.(i).(s).fold in
+  match List.find_map (fun s -> Projection.Fold.broken (fold s)) shards with
+  | Some msg -> Error msg
+  | None ->
+    if List.exists (fun s -> Projection.Fold.mark (fold s) > ts) shards then
+      Error (Fmt.str "replica %d has folded past the read's timestamp %d" i ts)
+    else answer t fold steps
+
+(* Served from the primary: the same fold, from scratch, over each
+   touched shard's history up to [ts] — O(log), but only bounced reads
+   come here.  A live update initiated below [ts] may still commit
+   there, so no state as of [ts] is final yet. *)
 let serve_primary t ~ts ~shards steps =
   if List.exists (fun s -> Group.shard_crashed t.group s) shards then
     Error "unavailable: primary shard down and no replica can serve"
   else
-    let events =
-      List.concat_map
-        (fun s -> History.to_list (Cc.System.history (Group.system t.group s)))
-        shards
-    in
-    match snapshot t ~upto:ts events with
-    | Error _ as e -> e
-    | Ok sys -> exec_read t sys ~ts steps
+    match Group.oldest_live_update t.group with
+    | Some t0 when t0 < ts ->
+      Error
+        (Fmt.str "unavailable: an update initiated at ts %d is still live below \
+                  the read's ts %d" t0 ts)
+    | _ -> (
+      let folds =
+        List.map
+          (fun s ->
+            let f = Projection.Fold.create ~spec:t.spec in
+            History.iter
+              (fun e ->
+                t.n_entries_consulted <- t.n_entries_consulted + 1;
+                Projection.Fold.feed f e)
+              (Cc.System.history (Group.system t.group s));
+            Projection.Fold.upto f ts;
+            (s, f))
+          shards
+      in
+      match List.find_map (fun (_, f) -> Projection.Fold.broken f) folds with
+      | Some msg -> Error msg
+      | None -> answer t (fun s -> List.assoc s folds) steps)
 
 let can_serve t i ~ts ~shards =
   (not t.down.(i)) && List.for_all (fun s -> t.states.(i).(s).hwm >= ts) shards
 
-let read ?replica t steps =
-  (match Group.policy t.group with
-  | `None_ ->
-    invalid_arg "Tier.read: snapshot reads need a timestamp policy"
-  | `Static | `Hybrid -> ());
+(* Draw the read's timestamp, wait for the mark or bounce, serve. *)
+let route ?replica t steps =
   let ts = Timestamp.to_int (Cc.Lamport_clock.next (Group.clock t.group)) in
   let shards = touched_shards t steps in
   let i =
@@ -583,6 +692,15 @@ let read ?replica t steps =
       Ok { read_ts = ts; values; serve = Served_primary; bounced = true; waited }
     | Error _ as e -> e
   end
+
+let read ?replica t steps =
+  (match Group.policy t.group with
+  | `None_ ->
+    invalid_arg "Tier.read: snapshot reads need a timestamp policy"
+  | `Static | `Hybrid -> ());
+  match List.find_opt (fun (x, _) -> Option.is_none (t.spec x)) steps with
+  | Some (x, _) -> Error (Fmt.str "unknown object %a" Object_id.pp x)
+  | None -> route ?replica t steps
 
 (* ------------------------------------------------------------------ *)
 (* Failover *)
@@ -661,11 +779,18 @@ let fail_over t s =
     let caught_up =
       match Cc.Wal.records_from ~pos:st.pos text with
       | Ok records ->
-        apply_records st records;
-        List.length records
+        let n = List.length records in
+        if n > 0 then begin
+          (* The tail's lines, past the header and the records below
+             the replica's position; a torn tail's lines stay out. *)
+          let off = skip_lines text ~from:0 (1 + st.pos - Cc.Wal.base text) in
+          let stop = skip_lines text ~from:off n in
+          apply st { text = String.sub text off (stop - off); off = 0 } n
+        end;
+        n
       | Error _ -> 0
     in
-    let replica_evs = List.rev st.events_rev in
+    let replica_evs = log_events st in
     match Group.recover_shard t.group s text with
     | Error f -> Error (Fmt.str "fail_over: %a" Cc.Recovery.pp_failure f)
     | Ok _ ->
@@ -674,7 +799,7 @@ let fail_over t s =
          record zero on the new epoch, and every replica — promoted
          one included — resyncs onto it. *)
       for i = 0 to t.replicas - 1 do
-        t.states.(i).(s) <- fresh_state new_epoch;
+        t.states.(i).(s) <- fresh_state t.spec new_epoch;
         t.acked.(i).(s) <- 0
       done;
       t.crash_texts.(s) <- None;
@@ -702,6 +827,7 @@ let stale_bounced t = t.n_stale_bounced
 let reads_at t ~replica = t.n_reads_at.(replica)
 let reads_primary t = t.n_reads_primary
 let reads_waited t = t.n_reads_waited
+let entries_consulted t = t.n_entries_consulted
 let channel_now t = Msim.now t.sim
 let channel_dropped t = Msim.messages_dropped t.sim
 let channel_duplicated t = Msim.messages_duplicated t.sim

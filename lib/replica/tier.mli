@@ -26,6 +26,13 @@
     part.  Each applied segment advances the replica's {e high-water
     mark} to the watermark.
 
+    Each replica keeps, per shard, the record lines it applied, byte
+    for byte as they arrived — its durable local log.  A segment that
+    splices exactly is kept as the very string the feed cut, shared by
+    every replica it was sent to; an overlapping one keeps a copy of
+    its new tail only.  Events are decoded from the log on demand
+    ({!replica_events}), never retained.
+
     {2 The high-water-mark rule}
 
     A read at initiation timestamp [T] may be served by a replica only
@@ -33,6 +40,38 @@
     shipped prefix provably contains every commit the read must
     observe; above it the read blocks (pumping, under [`Wait]) or
     bounces to the primary.  Staleness is detected, never silent.
+
+    The watermark is the group clock at the cut, clamped below every
+    commit still to come at or below it: below the initiation
+    timestamp of any live update ({!Weihl_shard.Group.oldest_live_update}
+    — under [`Static] an update commits at the timestamp it drew at
+    [begin_txn], long after the clock passed it), and below the agreed
+    timestamp of any in-doubt leg on the shard whose decision is a
+    commit.
+
+    {2 Serving from folded state}
+
+    Each replica folds every shard's committed updates into one
+    {!Weihl_spec.Seq_spec} frontier per object ({!Projection.Fold}), in
+    timestamp order and up to the mark.  Applying a segment only
+    appends its lines to the log; a read first catches the fold of
+    every shard it touches up, decoding the lines applied since the
+    fold last caught up, so each record is folded once, by the first
+    read that needs it, and a replica nobody reads folds nothing.  A
+    read is then one lookup per step: the first permissible outcome of the
+    step's operation at the object's frontier — for a read-only
+    operation, what [Hybrid] and [Multiversion] answer a read-only
+    invocation.  Whether a step is refused depends on that state, not
+    on the operation: a step whose outcome would change the frontier is
+    refused, and any other is answered.  So a replica answers a
+    bank account's [deposit 0], or a [withdraw] the balance cannot
+    cover ([insufficient_funds]), where [Hybrid] at the primary refuses
+    every operation that is not read-only.  A bounced read
+    folds the primary's committed updates up to [T] from scratch, over
+    the touched shards only; the tier builds no {!Weihl_cc.System}.
+    A commit fed at or below the fold's mark, or a logged result the
+    specification rules out, breaks the shard's fold: every later read
+    touching it fails with the reason, until a new epoch resets it.
 
     {2 Failover}
 
@@ -73,8 +112,10 @@ val create :
     none) injects drop/duplicate/reorder on the shipping channel;
     [stale] (default [`Wait 4]) picks the stale-read policy;
     [seed] (default the group's seed is not visible, so 1) drives the
-    channel's delays and faults.  [make_object] rebuilds objects for
-    snapshot systems — the same constructor registered with the group.
+    channel's delays and faults.  [make_object] is the constructor
+    registered with the group: the tier builds each object once, on
+    first use, for the specification ([spec] field) its folds and reads
+    run.
     @raise Invalid_argument if [replicas <= 0] or the group runs more
     than one domain (the tier's watermark cut relies on the
     deterministic sequential mode). *)
@@ -112,9 +153,14 @@ val lag_records : t -> replica:int -> int
 (** Feed records not yet applied by the replica, summed over live
     shards. *)
 
+val replica_log : t -> replica:int -> shard:int -> string
+(** The replica's durable log for the shard as a WAL text: a header at
+    base 0, then the record lines it applied, byte for byte as they
+    arrived — a gapless stream from position 0. *)
+
 val replica_events : t -> replica:int -> shard:int -> Event.t list
-(** The replica's applied event stream for the shard, in apply order —
-    what its snapshots are built from.  For checks and drills. *)
+(** The events of {!replica_log}, in apply order, decoded on demand.
+    For checks and drills. *)
 
 val epoch : t -> shard:int -> int
 
@@ -164,10 +210,19 @@ val read :
   (read_outcome, string) result
 (** Run a read-only transaction against the tier at a fresh initiation
     timestamp.  [replica] pins the serving replica (default:
-    round-robin).  Every operation must be granted — a snapshot has no
-    concurrency to wait on — and a replay divergence is an error, not
-    a wrong answer.  Errors also cover total unavailability (replica
-    cannot serve and the primary shard is down).
+    round-robin).  Each step is answered from the folded state as of
+    the timestamp.  [Error] when:
+    - a step names an unregistered object (["unknown object x"]; no
+      timestamp is drawn);
+    - a step has no permissible outcome, or one that would change the
+      object's state as of the timestamp (["read refused: ..."]) — a
+      rule about that state, not the operation (see "Serving from
+      folded state" above);
+    - a touched shard's fold is broken (["replica state broken: ..."]);
+    - the read bounced and the primary cannot serve it either
+      (["unavailable: ..."]): a touched primary shard is down, or a
+      live update initiated below the timestamp may still commit
+      there.
     @raise Invalid_argument under the [`None_] timestamp policy —
     snapshot reads need initiation timestamps. *)
 
@@ -213,6 +268,15 @@ val stale_bounced : t -> int
 val reads_at : t -> replica:int -> int
 val reads_primary : t -> int
 val reads_waited : t -> int
+
+val entries_consulted : t -> int
+(** Entries reads have consulted so far: one frontier lookup per step,
+    plus every event a read feeds a fold — a replica's catch-up on the
+    records applied since its fold last caught up, or a bounced read's
+    fold of the primary's history.
+    Deterministic for a seeded call sequence — the growth counter
+    behind a read's cost model. *)
+
 val channel_now : t -> int
 (** Virtual time of the shipping channel. *)
 

@@ -279,6 +279,8 @@ let objects t =
   Hashtbl.fold (fun _ (x, s, _) acc -> (x, s) :: acc) t.constructors []
   |> List.sort (fun (a, _) (b, _) -> Object_id.compare a b)
 
+let has_object t x = Hashtbl.mem t.constructors (Object_id.name x)
+
 let begin_txn t activity =
   let init_ts =
     match t.policy with
@@ -972,6 +974,37 @@ let in_doubt t =
   List.rev !acc
 
 let in_doubt_count t = List.length (in_doubt t)
+
+(* An update that is still live may yet commit at its initiation
+   timestamp (static atomicity draws it at [begin_txn]).  Prepared legs
+   on live shards count whether or not a global transaction still
+   tracks them.  Only [`Static] updates carry an initiation timestamp,
+   so the walk is skipped under the other policies. *)
+let oldest_live_update t =
+  match t.policy with
+  | `None_ | `Hybrid -> None
+  | `Static ->
+    let lo = ref max_int in
+    let see = function
+      | Some ts -> lo := min !lo (Timestamp.to_int ts)
+      | None -> ()
+    in
+    Hashtbl.iter
+      (fun _ g ->
+        match Gtxn.status g with
+        | (Gtxn.Active | Gtxn.In_doubt) when not (Gtxn.is_read_only g) ->
+          see (Gtxn.init_ts g)
+        | _ -> ())
+      t.gtxns;
+    Array.iteri
+      (fun s sys ->
+        if not t.crashed.(s) then
+          List.iter
+            (fun txn ->
+              if not (Cc.Txn.is_read_only txn) then see (Cc.Txn.init_ts txn))
+            (Cc.System.prepared_txns sys))
+      t.shards;
+    if !lo = max_int then None else Some !lo
 
 (* ------------------------------------------------------------------ *)
 (* Crash and recovery *)

@@ -156,6 +156,9 @@ val add_object :
 val objects : t -> (Object_id.t * int) list
 (** Registered objects with their home shards, sorted by id. *)
 
+val has_object : t -> Object_id.t -> bool
+(** Whether the object is registered.  O(1). *)
+
 (** {1 Cross-shard tracing} *)
 
 val set_tracer : t -> Weihl_obs.Shard_trace.t -> unit
@@ -254,6 +257,15 @@ val in_doubt : t -> (int * int) list
     [-1] for a prepared local transaction the group no longer tracks. *)
 
 val in_doubt_count : t -> int
+
+val oldest_live_update : t -> int option
+(** The smallest initiation timestamp of any live update: an [Active]
+    or [In_doubt] global transaction, or a prepared leg on a live shard
+    that no global transaction tracks any more (gid [-1] in
+    {!in_doubt}).  Such an update may still commit at that timestamp —
+    static atomicity draws it at {!begin_txn} — so no as-of state above
+    it is final yet.  [None] when no live update carries one: always
+    under [`Hybrid], whose updates draw their timestamp at commit. *)
 
 (** {1 Durability, checkpoints, crash, recovery} *)
 

@@ -197,6 +197,145 @@ let test_reads_round_robin_and_match_primary () =
     (Replica_tier.reads_at tier ~replica:0 > 0
     && Replica_tier.reads_at tier ~replica:1 > 0)
 
+(* Under static atomicity an update draws its timestamp at [begin_txn]
+   and may commit below a mark the clock has already passed.  Here
+   [upd1] begins at ts 2 and deposits 50; a read at ts 3 must not be
+   answered with 100, because [upd1] then commits at ts 2 and the
+   committed state as of ts 3 is 150.  With no state final yet, the
+   read is unavailable. *)
+let test_static_read_waits_for_live_update () =
+  let p = proto "multiversion" in
+  let group, w = build p ~shards:1 ~seed:7 in
+  let acct = List.hd w.Workload.objects in
+  let tier = tier_of p ~replicas:1 group in
+  let deposit name n =
+    let g = Shard_group.begin_txn group (Activity.update name) in
+    (match Shard_group.invoke group g acct (Bank_account.deposit n) with
+    | Shard_group.Granted _ -> ()
+    | _ -> Alcotest.fail "deposit refused");
+    g
+  in
+  Shard_group.commit group (deposit "fund0" 100);
+  Replica_tier.sync tier;
+  let upd1 = deposit "upd1" 50 in
+  let balance () =
+    Replica_tier.read ~replica:0 tier [ (acct, Bank_account.balance) ]
+  in
+  (match balance () with
+  | Ok { Replica_tier.values = [ (_, _, v) ]; read_ts; _ } ->
+    Alcotest.failf "read at ts %d answered %a under a live update from ts 2"
+      read_ts Value.pp v
+  | Ok _ -> Alcotest.fail "read answered the wrong number of steps"
+  | Error msg ->
+    check_bool "unavailable, not diverged" true
+      (String.starts_with ~prefix:"unavailable" msg));
+  Shard_group.commit group upd1;
+  match balance () with
+  | Error msg -> Alcotest.fail msg
+  | Ok o -> (
+    (match o.Replica_tier.serve with
+    | Replica_tier.Served_replica 0 -> ()
+    | _ -> Alcotest.fail "expected the replica to serve once upd1 committed");
+    match o.Replica_tier.values with
+    | [ (_, _, Value.Int 150) ] -> ()
+    | _ -> Alcotest.fail "replica missed upd1's deposit")
+
+let test_unknown_object_is_an_error () =
+  let p = proto "hybrid" in
+  let group, w = build p ~shards:2 ~seed:3 in
+  let tier = tier_of p ~replicas:1 group in
+  drive ~duration:60 group w;
+  Replica_tier.sync tier;
+  match Replica_tier.read tier [ (Object_id.v "nope", Bank_account.balance) ] with
+  | Ok _ -> Alcotest.fail "read of an unregistered object answered"
+  | Error msg ->
+    check_bool "names the object" true
+      (String.starts_with ~prefix:"unknown object nope" msg)
+
+(* A replica answers a step from the state as of the read's timestamp
+   and refuses it only if it would change that state — a rule about the
+   state, not the operation.  A [deposit 0] and a [withdraw] the balance
+   cannot cover leave a bank account as it is, so the replica answers
+   them, although [Hybrid] at the primary refuses every operation that
+   is not read-only; a [deposit 50] would change it and is refused. *)
+let test_read_refusal_follows_the_state () =
+  let p = proto "hybrid" in
+  let group, w = build p ~shards:1 ~seed:7 in
+  let acct = List.hd w.Workload.objects in
+  let tier = tier_of p ~replicas:1 group in
+  let g = Shard_group.begin_txn group (Activity.update "fund0") in
+  (match Shard_group.invoke group g acct (Bank_account.deposit 100) with
+  | Shard_group.Granted _ -> ()
+  | _ -> Alcotest.fail "deposit refused");
+  Shard_group.commit group g;
+  Replica_tier.sync tier;
+  let read op = Replica_tier.read ~replica:0 tier [ (acct, op) ] in
+  let answers op expected =
+    match read op with
+    | Error msg -> Alcotest.failf "%a: %s" Operation.pp op msg
+    | Ok o -> (
+      (match o.Replica_tier.serve with
+      | Replica_tier.Served_replica 0 -> ()
+      | _ -> Alcotest.failf "%a: not served by the replica" Operation.pp op);
+      match o.Replica_tier.values with
+      | [ (_, _, v) ] ->
+        check_bool (Fmt.str "%a answers %a" Operation.pp op Value.pp expected)
+          true (Value.equal v expected)
+      | _ -> Alcotest.fail "wrong number of answers")
+  in
+  answers (Bank_account.deposit 0) Value.ok;
+  answers (Bank_account.withdraw 500) Value.insufficient_funds;
+  answers Bank_account.balance (Value.Int 100);
+  (match read (Bank_account.deposit 50) with
+  | Ok _ -> Alcotest.fail "a state-changing deposit was answered"
+  | Error msg ->
+    check_bool "refused as a change" true
+      (String.starts_with ~prefix:"read refused: deposit(50) would change" msg));
+  (* Nothing was applied: the balance is still the committed one. *)
+  answers Bank_account.balance (Value.Int 100)
+
+(* The fold on its own: committed updates fold in timestamp order, not
+   arrival order, and only up to the mark; a commit fed at or below the
+   mark breaks it.  A replica only catches its fold up when serving a
+   read, and then no logged commit lies above the mark, so the mark
+   rule is pinned here rather than through [Tier.read]. *)
+let test_fold_orders_by_timestamp_up_to_the_mark () =
+  let acct = Object_id.v "acct0" in
+  let spec x =
+    if Object_id.equal x acct then Some Bank_account.spec else None
+  in
+  let f = Replica_projection.Fold.create ~spec in
+  let txn name op ts =
+    let a = Activity.update name in
+    List.iter (Replica_projection.Fold.feed f)
+      [
+        Event.invoke a acct op;
+        Event.respond a acct Value.ok;
+        Event.commit_ts a acct (Timestamp.v ts);
+      ]
+  in
+  let balance_is n =
+    match Replica_projection.Fold.frontier f acct with
+    | None -> false
+    | Some fr ->
+      Option.equal Value.equal
+        (Seq_spec.determined fr Bank_account.balance)
+        (Some (Value.Int n))
+  in
+  (* Arrives first, serializes second: the withdrawal is [ok] only
+     after the deposit. *)
+  txn "w" (Bank_account.withdraw 7) 10;
+  txn "d" (Bank_account.deposit 10) 5;
+  txn "late" (Bank_account.deposit 100) 20;
+  Replica_projection.Fold.upto f 12;
+  check_bool "not broken" true (Replica_projection.Fold.broken f = None);
+  check_bool "ts 5 and 10 folded, ts 20 staged" true (balance_is 3);
+  Replica_projection.Fold.upto f 25;
+  check_bool "ts 20 folded" true (balance_is 103);
+  txn "below" (Bank_account.deposit 1) 24;
+  check_bool "a commit at or below the mark breaks the fold" true
+    (Replica_projection.Fold.broken f <> None)
+
 (* --- replica crash -------------------------------------------------- *)
 
 let test_replica_crash_keeps_log_loses_mark () =
@@ -428,6 +567,278 @@ let test_pinned_bytes () =
   check_int "segments shipped" 2412 segments;
   check_int "shipped segment texts" 0x69d2e8a7 segments_crc
 
+(* --- the log as bytes ------------------------------------------------ *)
+
+(* A seeded run through every replica fault: a lossy channel, damaged
+   segments, apply lag, a replica crash and restart, and a failover. *)
+let faulty_run (p : Fault_harness.protocol) ~seed =
+  let group, w = build p ~shards:2 ~seed in
+  let faults = { Msim.drop = 0.2; duplicate = 0.2; reorder = 0.3 } in
+  let tier = tier_of ~faults ~seed:(seed + 1) p ~replicas:2 group in
+  drive ~duration:150 ~seed:(seed + 2) group w;
+  Replica_tier.damage_next_segments tier 2;
+  Replica_tier.set_lag tier ~replica:1 3;
+  Replica_tier.pump tier;
+  Replica_tier.crash_replica tier 0;
+  drive ~duration:100 ~base:50_000 ~seed:(seed + 3) group w;
+  Replica_tier.pump tier;
+  Replica_tier.restart_replica tier 0;
+  (match Replica_tier.fail_over tier 1 with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  drive ~duration:100 ~base:100_000 ~seed:(seed + 4) group w;
+  Replica_tier.sync tier;
+  (group, tier)
+
+let log_protocols = [ ("hybrid", 21); ("multiversion", 31) ]
+
+(* Each replica keeps the record lines it received: after [sync] its
+   log is byte for byte the shard's record stream from position 0. *)
+let test_log_is_the_received_bytes () =
+  List.iter
+    (fun (name, seed) ->
+      let group, tier = faulty_run (proto name) ~seed in
+      for i = 0 to 1 do
+        for s = 0 to 1 do
+          let stream =
+            Shard_group.records_from group s ~pos:0
+              ~max:(Shard_group.record_count group s)
+          in
+          let log = Replica_tier.replica_log tier ~replica:i ~shard:s in
+          (match Wal.decode_records log with
+          | Ok (records, Wal.Intact) ->
+            check_int "records" (List.length stream) (List.length records)
+          | Ok (_, Wal.Torn _) | Error _ ->
+            Alcotest.failf "%s: replica %d shard %d: log does not decode" name
+              i s);
+          check_bool
+            (Fmt.str "%s: replica %d shard %d: log = stream" name i s)
+            true
+            (String.equal log (Wal.encode_records stream))
+        done
+      done)
+    log_protocols
+
+(* The events each replica holds after the faulty runs, one per line,
+   pinned by CRC-32 — the same figures whether the log keeps events or
+   bytes. *)
+let test_replica_events_pinned () =
+  let digests =
+    List.concat_map
+      (fun (name, seed) ->
+        let _, tier = faulty_run (proto name) ~seed in
+        List.concat_map
+          (fun i ->
+            List.map
+              (fun s ->
+                Replica_tier.replica_events tier ~replica:i ~shard:s
+                |> List.map Event.to_string
+                |> String.concat "\n" |> Wal.crc32)
+              [ 0; 1 ])
+          [ 0; 1 ])
+      log_protocols
+  in
+  Alcotest.(check (list int))
+    "replica event digests"
+    [
+      0x8ac96dd4; 0x38d55107; 0x8ac96dd4; 0x38d55107; 0x8088699d; 0x8ee9b281;
+      0x8088699d; 0x8ee9b281;
+    ]
+    digests
+
+(* --- the serving oracle --------------------------------------------- *)
+
+(* The reference read: every registered object rebuilt in a new
+   system, the committed updates of [events] with timestamp [<= ts]
+   replayed by [Recovery.replay], then the steps run as a read-only
+   activity at [ts]. *)
+let replay_read (p : Fault_harness.protocol) group ~ts events steps =
+  let sys = System.create ~policy:(Shard_group.policy group) () in
+  List.iter
+    (fun (x, _) ->
+      System.add_object sys (p.Fault_harness.make_object (System.log sys) x))
+    (Shard_group.objects group);
+  let keep (txn : Replica_projection.txn) =
+    match txn.Replica_projection.ts with
+    | Some t -> Timestamp.to_int t <= ts
+    | None -> false
+  in
+  match
+    Recovery.replay Recovery.Timestamp_order sys
+      (Replica_projection.updates_history ~keep events)
+  with
+  | Error f -> Error (Fmt.str "oracle replay: %a" Recovery.pp_failure f)
+  | Ok _ ->
+    let txn =
+      System.begin_txn ~ts:(Timestamp.v ts) sys (Activity.read_only "oracle")
+    in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | (x, op) :: more -> (
+        match System.invoke sys txn x op with
+        | Atomic_object.Granted v -> go ((x, op, v) :: acc) more
+        | Atomic_object.Wait _ -> Error "oracle read blocked"
+        | Atomic_object.Refused why -> Error ("oracle read refused: " ^ why))
+    in
+    go [] steps
+
+let same_values xs ys =
+  List.length xs = List.length ys
+  && List.for_all2
+       (fun (x, op, v) (x', op', v') ->
+         Object_id.equal x x' && Operation.equal op op' && Value.equal v v')
+       xs ys
+
+let oracle_protocols =
+  List.map proto [ "hybrid"; "hybrid_account"; "multiversion"; "multiversion_set" ]
+
+(* A read-only script out of the workload, or every object's balance
+   when the workload has none (the hot account). *)
+let oracle_steps (w : Workload.t) rng =
+  let rec draw n =
+    if n = 0 then
+      List.map (fun x -> (x, Bank_account.balance)) w.Workload.objects
+    else
+      let s = w.Workload.generate rng in
+      if s.Workload.kind = `Read_only then
+        List.map (fun st -> (st.Workload.obj, st.Workload.op)) s.Workload.steps
+      else draw (n - 1)
+  in
+  draw 50
+
+type replica_fault = Damage of int | Lag of int * int | Crash of int | Restart
+
+(* Reads run after every few commits, while other transactions are
+   still live, and again at quiescence.  Each replica-served read must
+   equal the replay snapshot read at its timestamp over the replica's
+   applied prefix; every answered read must equal it over the primary's
+   final committed state; a read of an unregistered object must be an
+   error; and a failed read must be one the primary cannot serve yet. *)
+let prop_served_reads_match_replay =
+  let fault =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun n -> Damage (1 + n)) (int_bound 2);
+          map2 (fun i n -> Lag (i, 1 + n)) (int_bound 1) (int_bound 4);
+          map (fun i -> Crash i) (int_bound 1);
+          pure Restart;
+        ])
+  in
+  QCheck2.Test.make ~name:"served reads ≡ replay snapshot as of ts" ~count:24
+    QCheck2.Gen.(
+      quad (int_bound 1000) (int_bound 3)
+        (triple (int_bound 3) (int_bound 3) (int_bound 3))
+        (list_size (int_bound 4) (pair (int_bound 40) fault)))
+    (fun (seed, pidx, (drop, dup, reorder), schedule) ->
+      let p = List.nth oracle_protocols pidx in
+      let shards = 2 in
+      let group, w = build p ~shards ~seed:(seed + 1) in
+      let faults =
+        {
+          Msim.drop = 0.1 *. float_of_int drop;
+          duplicate = 0.1 *. float_of_int dup;
+          reorder = 0.1 *. float_of_int reorder;
+        }
+      in
+      let tier = tier_of ~faults ~seed:(seed + 2) p ~replicas:2 group in
+      let rng = Rng.create (seed + 3) in
+      let answered = ref [] and failure = ref None in
+      let fail msg = if !failure = None then failure := Some msg in
+      let read () =
+        let steps = oracle_steps w rng in
+        match Replica_tier.read tier steps with
+        | Error msg ->
+          if not (String.starts_with ~prefix:"unavailable" msg) then
+            fail ("read failed: " ^ msg)
+        | Ok o ->
+          let ts = o.Replica_tier.read_ts and values = o.Replica_tier.values in
+          answered := (ts, steps, values) :: !answered;
+          (match o.Replica_tier.serve with
+          | Replica_tier.Served_primary -> ()
+          | Replica_tier.Served_replica i -> (
+            let events =
+              List.concat_map
+                (fun s -> Replica_tier.replica_events tier ~replica:i ~shard:s)
+                (List.sort_uniq compare
+                   (List.map (fun (x, _) -> Shard_group.shard_of group x) steps))
+            in
+            match replay_read p group ~ts events steps with
+            | Error msg -> fail msg
+            | Ok expected ->
+              if not (same_values expected values) then
+                fail
+                  (Fmt.str "replica %d at ts %d differs from its applied prefix"
+                     i ts)))
+      in
+      let unknown () =
+        match Replica_tier.read tier [ (Object_id.v "nope", Bank_account.balance) ] with
+        | Error msg when String.starts_with ~prefix:"unknown object" msg -> ()
+        | Error msg -> fail ("unknown object: " ^ msg)
+        | Ok _ -> fail "a read of an unregistered object answered"
+      in
+      let commits = ref 0 in
+      let on_commit g gt ~nth_multi:_ =
+        Shard_group.commit g gt;
+        incr commits;
+        List.iter
+          (fun (at, f) ->
+            if at = !commits then
+              match f with
+              | Damage n -> Replica_tier.damage_next_segments tier n
+              | Lag (i, n) -> Replica_tier.set_lag tier ~replica:i n
+              | Crash i -> Replica_tier.crash_replica tier i
+              | Restart ->
+                for i = 0 to 1 do
+                  if Replica_tier.replica_down tier i then
+                    Replica_tier.restart_replica tier i
+                done)
+          schedule;
+        if !commits mod 3 = 0 then read ();
+        if !commits mod 17 = 0 then unknown ()
+      in
+      let slice ~base ~seed =
+        let config =
+          {
+            Sharded_driver.default_config with
+            arrivals = Clients 4;
+            duration = 80;
+            activity_base = base;
+            seed;
+          }
+        in
+        ignore (Sharded_driver.run ~config ~on_commit group w)
+      in
+      slice ~base:0 ~seed:(seed + 4);
+      (match Replica_tier.fail_over tier (seed mod shards) with
+      | Error msg -> fail ("failover: " ^ msg)
+      | Ok pr -> Option.iter (fun msg -> fail ("failover: " ^ msg)) pr.Replica_tier.verified);
+      ignore (Shard_group.resolve_in_doubt group);
+      slice ~base:50_000 ~seed:(seed + 5);
+      for i = 0 to 1 do
+        if Replica_tier.replica_down tier i then Replica_tier.restart_replica tier i;
+        Replica_tier.set_lag tier ~replica:i 0
+      done;
+      Replica_tier.sync tier;
+      for _ = 1 to 4 do read () done;
+      unknown ();
+      let final =
+        List.concat_map
+          (fun s -> History.to_list (System.history (Shard_group.system group s)))
+          (List.init shards Fun.id)
+      in
+      List.iter
+        (fun (ts, steps, values) ->
+          match replay_read p group ~ts final steps with
+          | Error msg -> fail msg
+          | Ok expected ->
+            if not (same_values expected values) then
+              fail (Fmt.str "read at ts %d differs from the final committed state" ts))
+        (List.rev !answered);
+      match !failure with
+      | None -> true
+      | Some msg -> QCheck2.Test.fail_reportf "%s: %s" p.Fault_harness.name msg)
+
 (* --- the equivalence property --------------------------------------- *)
 
 (* Satellite: over protocols × seeds × lag schedules, every replica's
@@ -504,6 +915,14 @@ let suite =
       `Quick test_stale_read_bounces;
     Alcotest.test_case "read: round-robin replicas serve snapshots" `Quick
       test_reads_round_robin_and_match_primary;
+    Alcotest.test_case "read: a live static update holds the mark" `Quick
+      test_static_read_waits_for_live_update;
+    Alcotest.test_case "read: an unregistered object is an error" `Quick
+      test_unknown_object_is_an_error;
+    Alcotest.test_case "read: refusal follows the state, not the operation"
+      `Quick test_read_refusal_follows_the_state;
+    Alcotest.test_case "fold: timestamp order, up to the mark" `Quick
+      test_fold_orders_by_timestamp_up_to_the_mark;
     Alcotest.test_case "crash: replica keeps its log, loses its mark" `Quick
       test_replica_crash_keeps_log_loses_mark;
     Alcotest.test_case "failover: promotion loses nothing" `Quick
@@ -514,5 +933,10 @@ let suite =
       test_drill_smoke;
     Alcotest.test_case "pinned: WAL, checkpoint and segment bytes" `Quick
       test_pinned_bytes;
+    Alcotest.test_case "log: a replica keeps the bytes it received" `Quick
+      test_log_is_the_received_bytes;
+    Alcotest.test_case "pinned: replica events after a faulty run" `Quick
+      test_replica_events_pinned;
     to_alcotest prop_replica_equivalence;
+    to_alcotest prop_served_reads_match_replay;
   ]
