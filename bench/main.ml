@@ -1746,15 +1746,58 @@ let replication_section ~quick =
    events spread over its 10 reads.  A read that replayed every
    committed update of the touched shards into a fresh snapshot would
    feed it 2,134 events at N and 8,235 at 4N (ratio 3.86).  The gate:
-   the ratio must stay under [growth_read_ceiling]. *)
+   the ratio must stay under [growth_read_ceiling].
+
+   The third and fourth counters are checkpointing's.  A transfer-shaped
+   run — escrow, [growth_ckpt_shards] shards of funded accounts, group
+   commit, a checkpoint every [growth_ckpt_every] commits per shard —
+   commits waves of disjoint one-unit transfers.  [checkpoint] counts
+   the records each checkpoint's capture reads plus the rebuild
+   operations it writes; [recover] then crashes and recovers every
+   shard and counts the records and rebuild operations each recovery
+   re-executes.  A capture reads only the records since the shard's
+   last checkpoint and writes one operation per changed account, and
+   recovery replays that state plus the tail, so both stay flat: 247.6
+   per checkpoint at N and 254.6 at 4N (ratio 1.03), 172 and 175 per
+   recovery (ratio 1.02).  The capture that re-read each shard's whole
+   stream and re-wrote every committed transaction's events read and
+   wrote 2,304 records per checkpoint at N and 7,895 at 4N (ratio
+   3.43), and its recoveries re-executed 1,898 and 6,401 (ratio 3.37),
+   counted on the same run.  The gate: each ratio must stay under
+   [growth_ckpt_ceiling]. *)
 let growth_pump_ceiling = 1.25
 let growth_read_ceiling = 1.25
+let growth_ckpt_ceiling = 1.25
 
 let growth_shards = 4
 let growth_replicas = 2
 let growth_wave = 16 (* transactions per commit wave *)
 let growth_read_batch = 10 (* reads after each pump *)
 let growth_read_width = 4 (* balances per read *)
+
+(* One commit wave of [n] two-account transactions on disjoint
+   accounts, so every operation is granted: [op] on the first account
+   of each pair, a one-unit deposit on the second; [started] numbers
+   their activities. *)
+let growth_commit_wave group rng ids ~n ~prefix ~started op =
+  let rec pairs = function
+    | x :: y :: rest -> (x, y) :: pairs rest
+    | _ -> []
+  in
+  let entries =
+    List.concat_map
+      (fun (x, y) ->
+        incr started;
+        let g =
+          Shard_group.begin_txn group
+            (Activity.update (Fmt.str "%s%d" prefix !started))
+        in
+        [ (g, x, op); (g, y, Bank_account.deposit 1) ])
+      (List.filteri (fun i _ -> i < n) (pairs (Rng.shuffle rng ids)))
+  in
+  ignore (Shard_group.invoke_batch group entries);
+  Shard_group.commit_batch group
+    (List.sort_uniq Gtxn.compare (List.map (fun (g, _, _) -> g) entries))
 
 (* The replica-write-shaped run, pumping after every wave; with
    [reads], each pump is followed by a batch of reads drawn from their
@@ -1783,27 +1826,8 @@ let growth_pump_run ?(reads = false) ~commits () =
   let pumps = ref 0 and touched = ref 0 and started = ref 0 in
   let n_reads = ref 0 and consulted = ref 0 in
   while Shard_group.committed_count group < commits do
-    (* Disjoint accounts within a wave, so every deposit is granted. *)
-    let rec pairs = function
-      | x :: y :: rest -> (x, y) :: pairs rest
-      | _ -> []
-    in
-    let entries =
-      List.concat_map
-        (fun (x, y) ->
-          incr started;
-          let g =
-            Shard_group.begin_txn group
-              (Activity.update (Fmt.str "w%d" !started))
-          in
-          [ (g, x, Bank_account.deposit 1); (g, y, Bank_account.deposit 1) ])
-        (List.filteri
-           (fun i _ -> i < growth_wave)
-           (pairs (Rng.shuffle rng ids)))
-    in
-    ignore (Shard_group.invoke_batch group entries);
-    Shard_group.commit_batch group
-      (List.sort_uniq Gtxn.compare (List.map (fun (g, _, _) -> g) entries));
+    growth_commit_wave group rng ids ~n:growth_wave ~prefix:"w" ~started
+      (Bank_account.deposit 1);
     let before = Shard_group.entries_touched group in
     Replica_tier.pump tier;
     touched := !touched + Shard_group.entries_touched group - before;
@@ -1846,12 +1870,91 @@ let growth_pump_run ?(reads = false) ~commits () =
         ],
       per_pump )
 
+let growth_ckpt_shards = 4
+let growth_ckpt_accounts = 512
+let growth_ckpt_every = 25
+
+(* The transfer-shaped run at [commits] transfers after the funding
+   wave: per-checkpoint capture work, then per-recovery replay work. *)
+let growth_ckpt_run ~commits () =
+  let proto =
+    match Fault_harness.find_protocol "escrow" with
+    | Some p -> p
+    | None -> Fmt.failwith "escrow protocol missing from the fault catalog"
+  in
+  let group =
+    Shard_group.create ~policy:proto.Fault_harness.policy ~group_commit:true
+      ~checkpoint:{ Shard_group.every = growth_ckpt_every; archive = false }
+      ~shards:growth_ckpt_shards ()
+  in
+  let ids = Workload.account_ids growth_ckpt_accounts in
+  List.iter
+    (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)
+    ids;
+  let funding =
+    List.mapi
+      (fun i x ->
+        ( Shard_group.begin_txn group (Activity.update (Fmt.str "fund%d" i)),
+          x,
+          Bank_account.deposit 100 ))
+      ids
+  in
+  ignore (Shard_group.invoke_batch group funding);
+  Shard_group.commit_batch group (List.map (fun (g, _, _) -> g) funding);
+  let funded = Shard_group.committed_count group in
+  let rng = Rng.create 23 and started = ref 0 in
+  while Shard_group.committed_count group < funded + commits do
+    growth_commit_wave group rng ids ~n:(growth_wave / 2) ~prefix:"x" ~started
+      (Bank_account.withdraw 1)
+  done;
+  let checkpoints, ckpt_work = Shard_group.checkpoint_work group in
+  let recover_work = ref 0 and from_ckpt = ref 0 in
+  for s = 0 to growth_ckpt_shards - 1 do
+    let text = Shard_group.crash_shard group s in
+    match Shard_group.recover_shard group s text with
+    | Ok r ->
+      recover_work :=
+        !recover_work + r.Recovery.replayed_records + r.Recovery.rebuild_ops;
+      if r.Recovery.source <> Recovery.Full_replay then incr from_ckpt
+    | Error f ->
+      Fmt.failwith "growth: recovering shard %d: %a" s Recovery.pp_failure f
+  done;
+  let per_ckpt = float_of_int ckpt_work /. float_of_int checkpoints in
+  let per_recovery =
+    float_of_int !recover_work /. float_of_int growth_ckpt_shards
+  in
+  let commits = J.Num (float_of_int (Shard_group.committed_count group)) in
+  ( ( J.Obj
+        [
+          ("commits", commits);
+          ("checkpoints", J.Num (float_of_int checkpoints));
+          ("work_per_checkpoint", J.Num per_ckpt);
+        ],
+      per_ckpt ),
+    ( J.Obj
+        [
+          ("commits", commits);
+          ("recoveries", J.Num (float_of_int growth_ckpt_shards));
+          ("from_checkpoint", J.Num (float_of_int !from_ckpt));
+          ("work_per_recovery", J.Num per_recovery);
+        ],
+      per_recovery ) )
+
 let growth_section ~quick =
   let n = if quick then 250 else 1000 in
   let small, at_n = growth_pump_run ~commits:n () in
   let large, at_4n = growth_pump_run ~commits:(4 * n) () in
   let r_small, r_n = growth_pump_run ~reads:true ~commits:n () in
   let r_large, r_4n = growth_pump_run ~reads:true ~commits:(4 * n) () in
+  let (c_small, c_n), (v_small, v_n) = growth_ckpt_run ~commits:n () in
+  let (c_large, c_4n), (v_large, v_4n) = growth_ckpt_run ~commits:(4 * n) () in
+  let ckpt_shape =
+    [
+      ("shards", J.Num (float_of_int growth_ckpt_shards));
+      ("accounts", J.Num (float_of_int growth_ckpt_accounts));
+      ("every", J.Num (float_of_int growth_ckpt_every));
+    ]
+  in
   J.Obj
     [
       ( "pump",
@@ -1875,6 +1978,24 @@ let growth_section ~quick =
             ("ratio", J.Num (r_4n /. r_n));
             ("ceiling", J.Num growth_read_ceiling);
           ] );
+      ( "checkpoint",
+        J.Obj
+          (ckpt_shape
+          @ [
+              ("n", c_small);
+              ("n4", c_large);
+              ("ratio", J.Num (c_4n /. c_n));
+              ("ceiling", J.Num growth_ckpt_ceiling);
+            ]) );
+      ( "recover",
+        J.Obj
+          (ckpt_shape
+          @ [
+              ("n", v_small);
+              ("n4", v_large);
+              ("ratio", J.Num (v_4n /. v_n));
+              ("ceiling", J.Num growth_ckpt_ceiling);
+            ]) );
     ]
 
 (* --- the regression gate ------------------------------------------- *)
@@ -2178,6 +2299,10 @@ let compare_to_baseline ~current ~base =
           [
             ("pump", "log entries read per pump");
             ("read", "entries consulted per read");
+            ( "checkpoint",
+              "records read plus rebuild operations written per checkpoint" );
+            ( "recover",
+              "records plus rebuild operations re-executed per recovery" );
           ]
       | _ -> []
     in

@@ -23,6 +23,7 @@ module Spec = struct
 
   let equal_state = List.equal Int.equal
   let pp_state ppf s = Fmt.pf ppf "log[%a]" Fmt.(list ~sep:comma int) s
+  let rebuild s = List.map append s
 end
 
 let spec : Weihl_spec.Seq_spec.t = (module Spec)

@@ -30,6 +30,7 @@ module Spec = struct
 
   let equal_state = Int.equal
   let pp_state = Fmt.int
+  let rebuild s = if s = 0 then [] else [ deposit s ]
 end
 
 let spec : Weihl_spec.Seq_spec.t = (module Spec)

@@ -15,6 +15,7 @@ module Spec = struct
 
   let equal_state = Int.equal
   let pp_state = Fmt.int
+  let rebuild s = List.init s (fun _ -> increment)
 end
 
 let spec : Weihl_spec.Seq_spec.t = (module Spec)

@@ -33,6 +33,7 @@ module Spec = struct
     Fmt.pf ppf "{%a}"
       Fmt.(list ~sep:comma (pair ~sep:(any "->") int int))
       s
+  let rebuild s = List.map (fun (k, v) -> put k v) s
 end
 
 let spec : Weihl_spec.Seq_spec.t = (module Spec)

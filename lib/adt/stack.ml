@@ -21,6 +21,7 @@ module Spec = struct
 
   let equal_state = List.equal Int.equal
   let pp_state ppf s = Fmt.pf ppf ">%a]" Fmt.(list ~sep:comma int) s
+  let rebuild s = List.rev_map push s
 end
 
 let spec : Weihl_spec.Seq_spec.t = (module Spec)

@@ -1,47 +1,59 @@
-(** Fuzzy checkpoints: a durable prefix of the recovery replay.
+(** State checkpoints: the committed state as one rebuild transaction.
 
     Recovery re-executes the committed projection of the WAL in the
-    serialization order ({!Recovery}).  A checkpoint makes a prefix of
-    that replay persistent: it stores, per committed transaction, the
-    transaction's own events (initiation timestamp, operations with
-    their logged results, commit timestamp) in serialization order,
-    plus the 2PC in-doubt set at the snapshot, plus the WAL sequence
-    number it {e covers}.  Restart then replays the checkpoint and only
-    the log tail at sequence numbers [>= covered] — bounded work — and
-    the WAL prefix behind a durable checkpoint may be truncated or
-    archived.
+    serialization order ({!Recovery}).  A checkpoint replaces a prefix
+    of that replay with the state it reaches.  Each shard keeps one
+    {!Fold} of its record stream, fed only when a checkpoint is taken,
+    with the records since the previous one.  The file holds:
+
+    - one synthetic committed {e rebuild transaction}, whose operations
+      take every object the fold changed from its specification's
+      [initial] to its folded state ({!Weihl_spec.Seq_spec.rebuild}:
+      one [deposit n] per account, one [insert] per set element), and
+      which carries the largest folded timestamp, so replay orders it
+      first and sets the clock as full replay would;
+    - the 2PC in-doubt set at the snapshot, as [Prepared] records;
+    - the {e skip set}: the folded activities that still have records
+      at or past the redo point, which tail replay must not run again;
+    - the WAL sequence number the checkpoint {e covers}, and how many
+      committed transactions it folded.
+
+    Restart replays the rebuild transaction and then only the log tail
+    at sequence numbers [>= covered], through the one replay engine —
+    the rebuilt objects equal serial re-execution of the folded
+    transactions, which is the restore obligation of a recoverable
+    object.  The WAL prefix behind a durable checkpoint may be
+    truncated or archived.
 
     {2 Fuzziness and consistency}
 
-    The snapshot is taken between commit waves on the shard's own
-    domain, without stopping traffic, so live transactions exist while
-    it is written.  Two rules keep it consistent by construction:
+    A checkpoint is taken between commit waves without stopping
+    traffic, so live transactions exist while it is written.  Two rules
+    keep it consistent by construction:
 
-    - {e prefix rule} — only committed transactions that are
-      guaranteed to precede every live transaction in the eventual
-      serialization order are captured.  Under commit-order recovery
-      that is every committed transaction (future commits serialize
-      later).  Under timestamp-order recovery it is those whose
-      timestamp lies below the {e timestamp frontier}: the minimum
-      timestamp already drawn by a live (active or prepared)
-      transaction.  Transactions stamped in the future always exceed
-      the frontier, because all timestamps come from one monotone
-      group clock.
-    - {e redo point} — [covered] is capped at the first WAL record of
-      any transaction {e not} captured (and not aborted), so the tail
-      at [>= covered] contains every record recovery still needs:
-      un-captured committed transactions in full, the events and
-      [Prepared] markers of every in-doubt transaction, and nothing a
-      captured transaction needs (records of captured transactions
-      that straddle [covered] are skipped by activity name at
-      replay).
+    - {e the fold rule} — a committed transaction is folded only once
+      it precedes every live and every future transaction in the
+      serialization order.  Under commit order that is every committed
+      transaction.  Under timestamp order it is those at or below the
+      {e mark} the caller supplies: the group's low-water mark, below
+      every initiation timestamp a live transaction holds on any shard
+      (read-only ones included), below every decided commit an in-doubt
+      leg has not applied yet, and below every commit a shard applied
+      but has not synced.  A commit fed later at or below a mark already
+      folded breaks the fold, and capture fails loudly.
+    - {e the redo point} — [covered] is the first record of any
+      activity neither folded nor aborted, so the tail at [>= covered]
+      holds every record recovery still needs: unfolded committed
+      transactions in full, and the events and [Prepared] markers of
+      every in-doubt transaction.  Records of folded transactions that
+      straddle [covered] are skipped by activity name at replay.
 
     {2 Durability and damage}
 
     A checkpoint file only {e counts} once a {!Wal.control.Checkpointed}
     marker carrying its CRC-32 digest is durable in the WAL — a file
     whose write raced a crash has no synced marker and is ignored.
-    Every record line carries its own CRC (the {!Wal} framing), the
+    Every payload line carries its own CRC (the {!Wal} framing), the
     file must decode [Intact] (a torn tail is damage here, not
     truncation), and the digest ties the file to its marker.  Any
     mismatch makes recovery fall back loudly to an older checkpoint or
@@ -51,7 +63,7 @@
 open Weihl_event
 
 val magic : string
-(** First token of every checkpoint header: ["weihl-ckpt 1"]. *)
+(** First tokens of every checkpoint header: ["weihl-ckpt 2"]. *)
 
 type t
 
@@ -62,15 +74,25 @@ val covered : t -> int
 val label : t -> string option
 (** The shard label, mirroring the WAL header's. *)
 
-val records : t -> Wal.record list
-(** The payload: each captured transaction's events in serialization
-    order, then one [Prepared] control per transaction in-doubt at the
-    snapshot. *)
+val rebuild : t -> History.t
+(** The rebuild transaction's events, the replay prelude: for each
+    object, its rebuild operations with their results, then one commit
+    per object.  Under [`Static] each object's events open with an
+    initiation at the transaction's timestamp; under [`Hybrid] its
+    commits carry it.  Empty when no folded transaction changed any
+    object. *)
 
-val history : t -> History.t
-(** The captured transactions' events as a replayable history — its
-    committed projection in {!Recovery.committed_in_order} is exactly
-    the checkpointed replay prefix. *)
+val rebuild_ops : t -> int
+(** Operations in the rebuild transaction. *)
+
+val folded : t -> int
+(** Committed transactions the rebuild transaction stands for —
+    every one folded since the stream began, read-only ones
+    included. *)
+
+val skip : t -> string list
+(** Folded activities with records at or past [covered], sorted: the
+    tail-replay skip set. *)
 
 val in_doubt : t -> (int * Activity.t) list
 (** The 2PC in-doubt set at the snapshot, as [(gid, activity)].  Every
@@ -78,31 +100,51 @@ val in_doubt : t -> (int * Activity.t) list
     recovery cross-checks this and fails loudly if truncation ever
     violated it. *)
 
-val txn_count : t -> int
-(** Captured committed transactions. *)
+(** {1 Capture} *)
 
-val activity_names : t -> string list
-(** Names of the captured transactions' activities — the tail-replay
-    skip set. *)
+type stream
+(** One shard's record stream as far as checkpoints have read it: the
+    fold, and the position bookkeeping behind the redo point, the skip
+    set and the in-doubt set. *)
 
-val capture : ts_ordered:bool -> ?label:string -> Wal.record list -> t
-(** Snapshot the committed projection of a full record stream (absolute
-    sequence numbers starting at 0 — the shard's in-memory log, {e not}
-    a truncated durable image; only synced records may be passed, or a
-    crash could leave the checkpoint claiming more than the log).
-    [ts_ordered] selects the timestamp-frontier prefix rule (static /
-    hybrid policies) over the commit-order rule. *)
+val stream :
+  policy:System.ts_policy ->
+  spec:(Object_id.t -> Weihl_spec.Seq_spec.t option) ->
+  stream
+(** An empty stream for a shard incarnation under [policy], whose
+    objects' specifications [spec] names. *)
+
+val fed : stream -> int
+(** Records fed so far: the position the next {!feed} starts at. *)
+
+val feed : stream -> Wal.record list -> unit
+(** Feed the records at positions [fed], [fed + 1], … — synced records
+    only, or a crash could leave a checkpoint claiming more than the
+    log. *)
+
+val capture :
+  stream -> mark:int -> name:string -> ?label:string -> unit -> (t, string) result
+(** Fold up to [mark] (ignored under commit order) and snapshot the
+    stream.  [name] names the rebuild transaction: it must be unique
+    per shard and per checkpoint.  [Error] when the fold is broken or
+    a folded state cannot be rebuilt. *)
+
+(** {1 The durable file} *)
 
 val digest : string -> int
 (** CRC-32 of an encoded checkpoint file — the value carried by its
     {!Wal.control.Checkpointed} marker. *)
 
 val encode : t -> string
-(** The durable file: a ["weihl-ckpt 1 @<covered> [label]"] header line
-    followed by the payload in {!Wal.encode_records} framing. *)
+(** The durable file: a ["weihl-ckpt 2 @<covered> <folded> [label]"]
+    header line, a ["skip <n>"] line and the [n] skipped names one per
+    line, then the rebuild events and in-doubt [Prepared] records in
+    {!Wal.encode_records} framing.
+    @raise Invalid_argument if the label or a skipped name holds a
+    newline. *)
 
 val decode : string -> (t, string) result
-(** Parse and validate a checkpoint file.  Fails on a damaged header,
-    any record-level damage, or a torn tail — a checkpoint is
-    all-or-nothing, so every failure here is a loud reason to fall
-    back, never a prefix to salvage. *)
+(** Parse and validate a checkpoint file.  Fails on a damaged header or
+    skip set, any record-level damage, or a torn tail — a checkpoint is
+    all-or-nothing, so every failure here is a loud reason to fall back,
+    never a prefix to salvage. *)

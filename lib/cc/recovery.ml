@@ -45,7 +45,12 @@ let committed_in_order order h =
   List.sort (fun (i, _) (j, _) -> Int.compare i j) keyed
   |> List.map (fun (_, a) -> (a, completed_ops h a))
 
-type report = { replayed : int; substituted : int; dropped_records : int }
+type report = {
+  replayed : int;
+  folded : int;
+  substituted : int;
+  dropped_records : int;
+}
 
 type failure =
   | Corrupt of Wal.error
@@ -86,7 +91,14 @@ let replay_txns_ts ~init_ts ~commit_ts sys txns =
   in
   let substituted = ref 0 in
   let rec loop count = function
-    | [] -> Ok { replayed = count; substituted = !substituted; dropped_records = 0 }
+    | [] ->
+      Ok
+        {
+          replayed = count;
+          folded = 0;
+          substituted = !substituted;
+          dropped_records = 0;
+        }
     | (activity, ops) :: rest -> (
       let txn = System.begin_txn ?ts:(init_ts activity) sys activity in
       let rec run = function
@@ -228,17 +240,17 @@ let reinstate_prepared sys h gid activity =
     e
 
 (* The sharded-recovery engine over an already-decoded record stream.
-   [prelude] is a checkpoint's captured projection, replayed ahead of
+   [prelude] is a checkpoint's rebuild transaction, replayed ahead of
    the stream's own committed transactions {e in the same}
    [replay_txns_ts] {e invocation} — the spec-validation frontier must
-   carry the captured effects into the tail replay, or every tail
-   answer gets checked against the initial state.  [skip] names the
-   prelude's activities: their committed transactions are excluded from
-   the tail replay and their prepared markers ignored (records of a
-   checkpointed transaction may straddle the checkpoint's redo
-   point). *)
-let restore_records ?(resolve = fun _ -> `Unknown) ?skip ?prelude order sys
-    records ~dropped =
+   carry the rebuilt state into the tail replay, or every tail answer
+   gets checked against the initial state.  It stands for [folded]
+   committed transactions and is not itself counted as replayed.
+   [skip] names the folded activities whose records reach the tail:
+   their committed transactions are excluded from the tail replay and
+   their prepared markers ignored. *)
+let restore_records ?(resolve = fun _ -> `Unknown) ?skip ?prelude ?(folded = 0)
+    order sys records ~dropped =
   let skip_mem =
     match skip with
     | None -> fun _ -> false
@@ -298,16 +310,14 @@ let restore_records ?(resolve = fun _ -> `Unknown) ?skip ?prelude order sys
     match (order, prelude) with
     | _, None -> tail_txns
     | Commit_order, Some _ ->
-      (* Every captured transaction committed before every tail one —
-         capture only takes transactions already committed at the
-         snapshot — so concatenation is the global commit order. *)
+      (* Every folded transaction committed before every tail one, so
+         the rebuild transaction goes first. *)
       prelude_txns @ tail_txns
     | Timestamp_order, Some ph ->
-      (* Concatenation is NOT enough here: a cross-shard transaction
-         draws its timestamp where it initiates and may reach this
-         shard only after the snapshot, so a tail timestamp can sit
-         below captured ones.  Merge the two (individually sorted)
-         runs into the global timestamp order. *)
+      (* The rebuild transaction carries the largest folded timestamp,
+         and every transaction the checkpoint did not fold lies above
+         the mark it folded to, so the timestamp merge puts it
+         first. *)
       let key hist (a, _) =
         match History.timestamp_of hist a with
         | Some ts -> Timestamp.to_int ts
@@ -325,7 +335,14 @@ let restore_records ?(resolve = fun _ -> `Unknown) ?skip ?prelude order sys
   match replay_txns_ts ~init_ts ~commit_ts sys txns with
   | Error f -> Error f
   | Ok base ->
-    let base = { base with dropped_records = dropped } in
+    let base =
+      {
+        base with
+        replayed = base.replayed - List.length prelude_txns;
+        folded;
+        dropped_records = dropped;
+      }
+    in
     let committed = History.committed h and aborted = History.aborted h in
     let reinstated = ref 0 and resolved = ref 0 and in_doubt = ref [] in
     let rec go = function
@@ -340,8 +357,8 @@ let restore_records ?(resolve = fun _ -> `Unknown) ?skip ?prelude order sys
       | (gid, activity) :: rest ->
         (* A prepared transaction whose commit/abort made it into the
            log was already handled by the committed-projection replay
-           (or discarded with the aborts); one the checkpoint captured
-           was handled by the checkpoint replay. *)
+           (or discarded with the aborts); one the checkpoint folded
+           is in the rebuild transaction. *)
         if
           skip_mem activity
           || Activity.Set.mem activity committed
@@ -389,6 +406,7 @@ type checkpointed_report = {
   fallbacks : string list;
   wal_records : int;
   replayed_records : int;
+  rebuild_ops : int;
 }
 
 let pp_source ppf = function
@@ -470,17 +488,17 @@ let restore_checkpointed ?resolve ?(checkpoints = []) order sys text =
               fallbacks = List.rev !notes;
               wal_records = total;
               replayed_records = total;
+              rebuild_ops = 0;
             }
       end
     | Some (covered, ckpt) -> (
       let tail = Wal.drop_n (covered - base) records in
-      let skip = Checkpoint.activity_names ckpt in
-      (* One restore pass replays the captured projection and the tail
+      (* One restore pass replays the rebuild transaction and the tail
          together, so the spec-validation frontier flows from the
-         snapshot's last effect into the first tail transaction. *)
+         rebuilt state into the first tail transaction. *)
       match
-        restore_records ?resolve ~skip
-          ~prelude:(Checkpoint.history ckpt)
+        restore_records ?resolve ~skip:(Checkpoint.skip ckpt)
+          ~prelude:(Checkpoint.rebuild ckpt) ~folded:(Checkpoint.folded ckpt)
           order sys tail ~dropped
       with
       | Error f -> Error f
@@ -517,4 +535,5 @@ let restore_checkpointed ?resolve ?(checkpoints = []) order sys text =
               fallbacks = List.rev !notes;
               wal_records = total;
               replayed_records = List.length tail;
+              rebuild_ops = Checkpoint.rebuild_ops ckpt;
             }))

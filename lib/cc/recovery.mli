@@ -32,7 +32,13 @@ val committed_in_order :
     timestamp are dropped under [Timestamp_order]. *)
 
 type report = {
-  replayed : int;  (** committed transactions re-executed *)
+  replayed : int;
+      (** committed transactions of the log re-executed — a
+          checkpoint's rebuild transaction is not one of them *)
+  folded : int;
+      (** committed transactions a checkpoint's rebuild transaction
+          stood in for; [folded + replayed] is what a full-log replay
+          re-executes *)
   substituted : int;
       (** operations whose replayed result legally differed from the
           logged one — only possible under non-deterministic
@@ -130,12 +136,14 @@ val restore_shard :
 
 (** {1 Checkpoint-aware recovery}
 
-    With fuzzy checkpoints ({!Checkpoint}) recovery no longer replays
+    With state checkpoints ({!Checkpoint}) recovery no longer replays
     the whole log: it loads the newest checkpoint whose durable
     [Checkpointed] marker matches its file digest, replays the
-    checkpoint's captured transactions, and then only the log tail at
-    sequence numbers [>= covered].  Restart work is bounded by the tail
-    length, not the log length.  A damaged, missing, or stale
+    checkpoint's rebuild transaction — the committed state folded below
+    the checkpoint, as one transaction — and then only the log tail at
+    sequence numbers [>= covered], skipping the folded activities whose
+    records reach it.  Restart work is bounded by the tail length plus
+    the objects' state, not the log length.  A damaged, missing, or stale
     checkpoint falls back {e loudly} (a note per fallback) to the next
     older checkpoint, and finally to a full-log replay — unless the log
     was already truncated behind a checkpoint, in which case recovery
@@ -155,6 +163,9 @@ type checkpointed_report = {
       (** log records recovery consumed: the tail length under
           [From_checkpoint] — the recovery-work bound the soak harness
           asserts — or [wal_records] under [Full_replay] *)
+  rebuild_ops : int;
+      (** operations of the checkpoint's rebuild transaction replayed
+          ahead of the tail; [0] under [Full_replay] *)
 }
 
 val pp_source : Format.formatter -> source -> unit

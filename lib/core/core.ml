@@ -107,6 +107,7 @@ module Hybrid = Weihl_cc.Hybrid
 module Hybrid_account = Weihl_cc.Hybrid_account
 module Recovery = Weihl_cc.Recovery
 module Wal = Weihl_cc.Wal
+module Fold = Weihl_cc.Fold
 module Checkpoint = Weihl_cc.Checkpoint
 module Waits_for = Weihl_cc.Waits_for
 module System = Weihl_cc.System

@@ -32,7 +32,7 @@ type lines = { text : string; off : int }
 type rstate = {
   mutable pos : int;  (** next expected absolute record position *)
   mutable log_rev : lines list;  (** applied record lines, newest first *)
-  mutable fold : Projection.Fold.t;
+  mutable fold : Cc.Fold.t;
   mutable folded_pos : int;  (** records the fold has been fed *)
   mutable unfolded_rev : lines list;  (** runs past [folded_pos], newest first *)
   mutable hwm : int;  (** high-water mark; -1 = no mark this epoch *)
@@ -94,7 +94,7 @@ let fresh_state spec epoch =
   {
     pos = 0;
     log_rev = [];
-    fold = Projection.Fold.create ~spec;
+    fold = Cc.Fold.create ~ts_ordered:true ~spec;
     folded_pos = 0;
     unfolded_rev = [];
     hwm = -1;
@@ -560,7 +560,7 @@ let answer t fold_of steps =
     | [] -> Ok (List.rev acc)
     | (x, op) :: more -> (
       t.n_entries_consulted <- t.n_entries_consulted + 1;
-      match Projection.Fold.frontier (fold_of (Group.shard_of t.group x)) x with
+      match Cc.Fold.frontier (fold_of (Group.shard_of t.group x)) x with
       | None -> Error (Fmt.str "unknown object %a" Object_id.pp x)
       | Some f -> (
         match Seq_spec.outcomes f op with
@@ -593,13 +593,13 @@ let catch_up t st =
         (function
           | Cc.Wal.Event e ->
             t.n_entries_consulted <- t.n_entries_consulted + 1;
-            Projection.Fold.feed st.fold e
+            Cc.Fold.feed st.fold e
           | Cc.Wal.Control _ -> ())
         records;
       st.folded_pos <- st.pos;
       st.unfolded_rev <- []
     | Error _ -> failwith "Tier: a replica's applied log no longer decodes"));
-  Projection.Fold.upto st.fold st.hwm
+  Cc.Fold.upto st.fold st.hwm
 
 (* Served from the replica's folds, caught up first.  The mark is at
    least [ts] (it never falls below the high-water mark the read waited
@@ -609,10 +609,10 @@ let catch_up t st =
 let serve_replica t i ~ts ~shards steps =
   List.iter (fun s -> catch_up t t.states.(i).(s)) shards;
   let fold s = t.states.(i).(s).fold in
-  match List.find_map (fun s -> Projection.Fold.broken (fold s)) shards with
-  | Some msg -> Error msg
+  match List.find_map (fun s -> Cc.Fold.broken (fold s)) shards with
+  | Some msg -> Error ("replica state broken: " ^ msg)
   | None ->
-    if List.exists (fun s -> Projection.Fold.mark (fold s) > ts) shards then
+    if List.exists (fun s -> Cc.Fold.mark (fold s) > ts) shards then
       Error (Fmt.str "replica %d has folded past the read's timestamp %d" i ts)
     else answer t fold steps
 
@@ -633,18 +633,18 @@ let serve_primary t ~ts ~shards steps =
       let folds =
         List.map
           (fun s ->
-            let f = Projection.Fold.create ~spec:t.spec in
+            let f = Cc.Fold.create ~ts_ordered:true ~spec:t.spec in
             History.iter
               (fun e ->
                 t.n_entries_consulted <- t.n_entries_consulted + 1;
-                Projection.Fold.feed f e)
+                Cc.Fold.feed f e)
               (Cc.System.history (Group.system t.group s));
-            Projection.Fold.upto f ts;
+            Cc.Fold.upto f ts;
             (s, f))
           shards
       in
-      match List.find_map (fun (_, f) -> Projection.Fold.broken f) folds with
-      | Some msg -> Error msg
+      match List.find_map (fun (_, f) -> Cc.Fold.broken f) folds with
+      | Some msg -> Error ("replica state broken: " ^ msg)
       | None -> answer t (fun s -> List.assoc s folds) steps)
 
 let can_serve t i ~ts ~shards =
@@ -709,40 +709,47 @@ let crash_primary t s =
   if not (Group.shard_crashed t.group s) then
     t.crash_texts.(s) <- Some (Group.crash_shard t.group s)
 
-(* The zero-lost-commits check behind a promotion: every transaction
-   the caught-up replica saw commit must exist, with the same
-   timestamp, in the recovered primary's history.  (The recovered side
-   may hold strictly more: in-doubt legs later resolved to commit.) *)
-let verify_promotion t s ~replica_evs =
-  let order = Cc.Recovery.order_of_policy (Group.policy t.group) in
-  let recovered =
-    Projection.committed order
-      (History.to_list (Cc.System.history (Group.system t.group s)))
-  in
-  let have =
-    List.map
-      (fun (txn : Projection.txn) -> (Activity.name txn.Projection.activity, txn.Projection.ts))
-      recovered
-  in
-  let missing =
-    List.filter
-      (fun (txn : Projection.txn) ->
-        not
-          (List.exists
-             (fun (n, ts) ->
-               String.equal n (Activity.name txn.Projection.activity)
-               && Option.equal
-                    (fun a b -> Timestamp.compare a b = 0)
-                    ts txn.Projection.ts)
-             have))
-      (Projection.committed order replica_evs)
-  in
-  match missing with
-  | [] -> None
-  | txn :: _ ->
-    Some
-      (Fmt.str "lost committed transaction %a after promotion"
-         Projection.pp_txn txn)
+(* The zero-lost-commits check behind a promotion, on state: each
+   object's state folded from the caught-up replica's log must equal its
+   state folded from the recovered primary's history.  Names cannot be
+   looked up — a recovery from a checkpoint lists one rebuild
+   transaction in place of the transactions it folded — but states can.
+   The recovered side also commits the in-doubt legs recovery resolved
+   from the decision log; the replica saw those prepared and not
+   committed, so they stay out of the comparison.  Both logs cover the
+   same records only when the catch-up reached the durable end. *)
+let verify_promotion t s ~replica_records ~complete =
+  if not complete then
+    Some "the promoted replica could not catch up from the durable WAL"
+  else
+    let events =
+      List.filter_map
+        (function Cc.Wal.Event e -> Some e | Cc.Wal.Control _ -> None)
+        replica_records
+    in
+    let h = History.of_list events in
+    let in_doubt =
+      List.filter_map
+        (function
+          | Cc.Wal.Control (Cc.Wal.Prepared { activity; _ })
+            when not
+                   (Activity.Set.mem activity (History.committed h)
+                   || Activity.Set.mem activity (History.aborted h)) ->
+            Some (Activity.name activity)
+          | _ -> None)
+        replica_records
+    in
+    let ts_ordered = Group.policy t.group <> `None_ in
+    let recovered =
+      History.to_list (Cc.System.history (Group.system t.group s))
+      |> List.filter (fun e ->
+             not (List.mem (Activity.name (Event.activity e)) in_doubt))
+    in
+    Option.map
+      (fun msg -> "state lost across promotion: " ^ msg)
+      (Cc.Fold.diff
+         (Cc.Fold.of_events ~ts_ordered ~spec:t.spec events)
+         (Cc.Fold.of_events ~ts_ordered ~spec:t.spec recovered))
 
 let fail_over t s =
   crash_primary t s;
@@ -776,7 +783,7 @@ let fail_over t s =
     (* Catch the promoted replica up from the durable tail; behind a
        checkpoint-truncated log the prefix is gone and the check below
        simply covers the shorter view. *)
-    let caught_up =
+    let caught_up, complete =
       match Cc.Wal.records_from ~pos:st.pos text with
       | Ok records ->
         let n = List.length records in
@@ -787,14 +794,19 @@ let fail_over t s =
           let stop = skip_lines text ~from:off n in
           apply st { text = String.sub text off (stop - off); off = 0 } n
         end;
-        n
-      | Error _ -> 0
+        (n, true)
+      | Error _ -> (0, false)
     in
-    let replica_evs = log_events st in
+    let replica_records =
+      match Cc.Wal.decode_records (log_text st) with
+      | Ok (records, Cc.Wal.Intact) -> records
+      | Ok (_, Cc.Wal.Torn _) | Error _ ->
+        failwith "Tier: a replica's applied log no longer decodes"
+    in
     match Group.recover_shard t.group s text with
     | Error f -> Error (Fmt.str "fail_over: %a" Cc.Recovery.pp_failure f)
     | Ok _ ->
-      let verified = verify_promotion t s ~replica_evs in
+      let verified = verify_promotion t s ~replica_records ~complete in
       (* Re-point the feed: the new incarnation's stream starts at
          record zero on the new epoch, and every replica — promoted
          one included — resyncs onto it. *)

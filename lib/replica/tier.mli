@@ -52,7 +52,7 @@
     {2 Serving from folded state}
 
     Each replica folds every shard's committed updates into one
-    {!Weihl_spec.Seq_spec} frontier per object ({!Projection.Fold}), in
+    {!Weihl_spec.Seq_spec} frontier per object ({!Weihl_cc.Fold}), in
     timestamp order and up to the mark.  Applying a segment only
     appends its lines to the log; a read first catches the fold of
     every shard it touches up, decoding the lines applied since the
@@ -81,9 +81,11 @@
     catches up from the durable WAL tail, the primary incarnation is
     rebuilt from the same durable log ({!Weihl_shard.Group.recover_shard},
     in-doubt legs resolved against the decision log), and the promoted
-    replica's committed projection is verified against the recovered
-    state — zero lost committed transactions, by check rather than by
-    assumption.  Replicas then resync from position zero on the new
+    replica's state is verified against the recovered primary's,
+    object by object — zero lost committed transactions, by check
+    rather than by assumption.  The check compares state, not
+    transaction names: a primary recovered from a checkpoint lists one
+    rebuild transaction in place of the transactions it folded.  Replicas then resync from position zero on the new
     epoch; until their marks recover, reads bounce to the primary. *)
 
 open Weihl_event
@@ -235,9 +237,12 @@ type promotion = {
   caught_up : int;  (** records applied from the durable WAL tail *)
   new_epoch : int;
   verified : string option;
-      (** [None] when the promoted replica's committed projection
-          matches the recovered primary's — the zero-lost-commits
-          check; [Some msg] describes the divergence *)
+      (** [None] when every object's state folded from the promoted
+          replica's log equals its state folded from the recovered
+          primary's history, leaving out the in-doubt legs recovery
+          resolved — the zero-lost-commits check; [Some msg] describes
+          the first object that differs, or says the replica could not
+          catch up from the durable WAL *)
 }
 
 val crash_primary : t -> int -> unit

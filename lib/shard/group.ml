@@ -16,10 +16,25 @@ type checkpoint_config = {
 
 let default_checkpoint = { every = 100; archive = false }
 
-(* Checkpoint files kept per shard.  Truncation runs behind the older
-   of the two, so the newest is never the only path to the truncated
-   prefix. *)
+(* Checkpoint files whose marker was appended, kept per shard.
+   Truncation runs behind the older of the two, so the newest is never
+   the only path to the truncated prefix. *)
 let checkpoint_retain = 2
+
+(* A file in a shard's checkpoint directory.  One whose marker never
+   reached the WAL ([lose_marker]) stays on disk but is not official:
+   it counts toward no retention window and sets no truncation
+   horizon. *)
+type ckpt_file = { covered : int; file : string; marked : bool }
+
+(* A directory, newest first, cut after its [checkpoint_retain]-th
+   marked file. *)
+let rec retain ?(marked = 0) = function
+  | [] -> []
+  | f :: older ->
+    if not f.marked then f :: retain ~marked older
+    else if marked + 1 = checkpoint_retain then [ f ]
+    else f :: retain ~marked:(marked + 1) older
 
 module Int_map = Map.Make (Int)
 
@@ -114,10 +129,24 @@ type t = {
   sync_cost : unit -> unit; (* device sync latency, paid per WAL sync *)
   synced_events : int array; (* per shard: event-log prefix synced *)
   synced_ctrls : int array; (* per shard: control records synced *)
+  unsynced_ts : int array;
+      (* per shard, under group commit: the lowest timestamp of a
+         commit applied since the last sync (max_int: none) — a commit
+         a checkpoint cannot read yet *)
   checkpoint : checkpoint_config option; (* None: never auto-checkpoint *)
-  ckpts : (int * string) list array;
-      (* per shard, newest first: (covered, checkpoint file) — the
-         shard's checkpoint directory, bounded by [checkpoint_retain] *)
+  ckpts : ckpt_file list array;
+      (* per shard, newest first: the shard's checkpoint directory, up
+         to its [checkpoint_retain]-th marked file *)
+  streams : Cc.Checkpoint.stream array;
+      (* per shard: the current incarnation's record stream as far as
+         checkpoints have folded it *)
+  ckpt_seq : int array;
+      (* per shard, across incarnations: checkpoints taken, which names
+         each rebuild transaction uniquely *)
+  mutable ckpt_taken : int;
+  mutable ckpt_work : int;
+      (* records checkpoint captures read plus rebuild operations they
+         wrote *)
   wal_base : int array;
       (* per shard: records truncated off the head of the durable WAL
          (behind the oldest retained checkpoint's redo point) *)
@@ -133,6 +162,14 @@ type t = {
    offsets persist as long as the shards commit at similar rates. *)
 let jittered_countdown ~every ~shards s = every + (s * every / max 1 shards)
 
+(* A shard incarnation's checkpoint stream: its objects'
+   specifications come from the incarnation's system. *)
+let new_stream policy sys =
+  Cc.Checkpoint.stream ~policy ~spec:(fun x ->
+      Option.map
+        (fun o -> o.Cc.Atomic_object.spec)
+        (Cc.System.find_object sys x))
+
 let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
     ?(group_commit = false) ?(sync_cost = ignore) ?checkpoint ~shards () =
   if shards <= 0 then invalid_arg "Group.create: shards must be positive";
@@ -144,9 +181,10 @@ let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
   | Some m when Weihl_obs.Shard_metrics.shard_count m <> shards ->
     invalid_arg "Group.create: metrics shard count mismatch"
   | _ -> ());
+  let systems = Array.init shards (fun _ -> Cc.System.create ~policy ()) in
   {
     policy;
-    shards = Array.init shards (fun _ -> Cc.System.create ~policy ());
+    shards = systems;
     clock = Cc.Lamport_clock.create ();
     next_gid = 0;
     gtxns = Hashtbl.create 64;
@@ -177,8 +215,13 @@ let create ?(policy = `None_) ?metrics ?(seed = 0) ?(domains = 1)
     sync_cost;
     synced_events = Array.make shards 0;
     synced_ctrls = Array.make shards 0;
+    unsynced_ts = Array.make shards max_int;
     checkpoint;
     ckpts = Array.make shards [];
+    streams = Array.map (new_stream policy) systems;
+    ckpt_seq = Array.make shards 0;
+    ckpt_taken = 0;
+    ckpt_work = 0;
     wal_base = Array.make shards 0;
     archived = Array.make shards [];
     ckpt_countdown =
@@ -408,13 +451,20 @@ let record_verdict t g = function
 
 (* A prepared leg learns its verdict: the [Decided] record goes to the
    WAL before the shard applies it.  Returns the step to run on the
-   shard, so a wave can queue it and a single leg can run it now. *)
+   shard, so a wave can queue it and a single leg can run it now.  Under
+   group commit only a wave syncs what it applies, so a commit learned
+   elsewhere holds the checkpoint mark below its timestamps until the
+   shard's next sync. *)
 let learn_verdict ?reason t g s txn verdict =
   let gid = Gtxn.gid g and sys = t.shards.(s) in
   drop_leg t s txn;
   match verdict with
   | `Commit ts ->
     let cts = Timestamp.v ts in
+    if t.group_commit then
+      t.unsynced_ts.(s) <-
+        min t.unsynced_ts.(s)
+          (Option.fold ~none:ts ~some:Timestamp.to_int (Gtxn.init_ts g));
     append_control t s (Cc.Wal.Decided { gid; verdict = `Commit (Some cts) });
     metrics_count Weihl_obs.Shard_metrics.tpc_commit_at t s;
     fun () -> Cc.System.commit_prepared ~commit_ts:cts sys txn
@@ -553,6 +603,7 @@ let durable_shard t s =
 let mark_synced t (s, records) =
   t.synced_events.(s) <- Cc.Event_log.length (Cc.System.log t.shards.(s));
   t.synced_ctrls.(s) <- Column.length t.controls.(s).recs;
+  t.unsynced_ts.(s) <- max_int;
   (match t.metrics with
   | None -> ()
   | Some m -> Weihl_obs.Shard_metrics.wal_sync m ~records);
@@ -575,50 +626,92 @@ let sync_shards t involved =
    append is already durable. *)
 let sync_before_ack t involved = if t.group_commit then sync_shards t involved
 
-(* Write one fuzzy checkpoint of shard [s] without stopping traffic:
-   capture the durable record stream mid-flight, encode it to a file,
-   and append the [Checkpointed] marker that makes the file official
-   once synced.  Truncation then drops the WAL prefix behind every
-   retained checkpoint's redo point — never just the newest, so a
-   damaged newest file still leaves an older checkpoint with its marker
-   and a sufficient tail in the log.  [lose_marker] simulates the crash
-   window where the file reached disk but the marker never did: the
-   file exists, yet recovery must treat it as if the checkpoint never
-   happened (no truncation either).  Returns the checkpoint's redo
-   point. *)
+(* The mark a timestamp-ordered checkpoint folds to: below every
+   initiation timestamp a live transaction holds on any shard,
+   read-only ones included (a late reader below the mark would find its
+   versions folded away), and below every decided commit a leg has not
+   applied — or, under group commit, not synced — yet; the clock
+   reading when nothing is live.  Prepared legs count through their own
+   timestamps too: recovery re-creates their global transaction without
+   one. *)
+let low_water_mark t =
+  let lo = ref (Timestamp.to_int (Cc.Lamport_clock.now t.clock) + 1) in
+  let see = Option.iter (fun ts -> lo := min !lo (Timestamp.to_int ts)) in
+  Hashtbl.iter
+    (fun gid g ->
+      if Gtxn.status g <> Gtxn.Aborted then begin
+        see (Gtxn.init_ts g);
+        match Hashtbl.find_opt t.decisions gid with
+        | Some (`Commit ts) -> lo := min !lo ts
+        | Some `Abort | None -> ()
+      end)
+    t.gtxns;
+  Array.iteri
+    (fun s sys ->
+      if not t.crashed.(s) then begin
+        lo := min !lo t.unsynced_ts.(s);
+        List.iter
+          (fun txn -> see (Cc.Txn.init_ts txn))
+          (Cc.System.prepared_txns sys)
+      end)
+    t.shards;
+  !lo - 1
+
+(* Write one state checkpoint of shard [s] without stopping traffic:
+   feed the shard's fold the durable records since the last checkpoint,
+   fold up to the low-water mark, encode the rebuild transaction to a
+   file, and append the [Checkpointed] marker that makes the file
+   official once synced.  Truncation then drops the WAL prefix behind
+   every retained marked checkpoint's redo point — never just the
+   newest, so a damaged newest file still leaves an older checkpoint
+   with its marker and a sufficient tail in the log.  [lose_marker]
+   simulates the crash window where the file reached disk but the
+   marker never did: the file exists, yet recovery must treat it as if
+   the checkpoint never happened, and so do retention and truncation.
+   Returns the checkpoint's redo point. *)
 let checkpoint_shard ?(lose_marker = false) t s =
   check_shard t s "Group.checkpoint_shard";
   if t.crashed.(s) then invalid_arg "Group.checkpoint_shard: shard is down";
   let t0 = Monotonic_clock.now () in
   let count = record_count t s in
-  let records = records_from t s ~pos:0 ~max:count in
-  let ts_ordered =
-    Cc.Recovery.order_of_policy t.policy = Cc.Recovery.Timestamp_order
+  let stream = t.streams.(s) in
+  let fed = Cc.Checkpoint.fed stream in
+  Cc.Checkpoint.feed stream (records_from t s ~pos:fed ~max:(count - fed));
+  t.ckpt_seq.(s) <- t.ckpt_seq.(s) + 1;
+  let mark =
+    match t.policy with `None_ -> -1 | `Static | `Hybrid -> low_water_mark t
   in
   let ckpt =
-    Cc.Checkpoint.capture ~ts_ordered ~label:(shard_label s) records
+    match
+      Cc.Checkpoint.capture stream ~mark
+        ~name:(Fmt.str "ckpt%d_%d" s t.ckpt_seq.(s))
+        ~label:(shard_label s) ()
+    with
+    | Ok c -> c
+    | Error msg ->
+      failwith (Fmt.str "Group.checkpoint_shard: shard %d: %s" s msg)
   in
+  t.ckpt_taken <- t.ckpt_taken + 1;
+  t.ckpt_work <- t.ckpt_work + count - fed + Cc.Checkpoint.rebuild_ops ckpt;
   let file = Cc.Checkpoint.encode ckpt in
   let covered = Cc.Checkpoint.covered ckpt in
   t.ckpts.(s) <-
-    Cc.Wal.take checkpoint_retain ((covered, file) :: t.ckpts.(s));
+    retain ({ covered; file; marked = not lose_marker } :: t.ckpts.(s));
   if not lose_marker then begin
     let digest = Cc.Checkpoint.digest file in
     append_control t s (Cc.Wal.Checkpointed { seq = covered; digest });
     sync_shards t [ (s, 1) ];
-    (* Truncate (or archive) the prefix every retained checkpoint
-       covers — but only once the retention window is full.  Truncating
-       behind a lone checkpoint would make that one file a single point
-       of failure: damage it and the log can no longer reach the
-       truncation point from record zero.  The prefix ends at the least
-       retained redo point, which need not be the older file's: under
-       timestamp order a read-only transaction that reaches the shard
-       late lowers the frontier, so a newer checkpoint can cover less
-       than an older one. *)
+    (* Truncate (or archive) the prefix every retained marked
+       checkpoint covers — but only once the retention window is full.
+       Truncating behind a lone checkpoint would make that one file a
+       single point of failure: damage it and the log can no longer
+       reach the truncation point from record zero.  The prefix ends at
+       the least retained redo point. *)
+    let marked = List.filter (fun f -> f.marked) t.ckpts.(s) in
     let horizon =
-      List.fold_left (fun acc (c, _) -> min acc c) covered t.ckpts.(s)
+      List.fold_left (fun acc f -> min acc f.covered) covered marked
     in
-    if List.length t.ckpts.(s) = checkpoint_retain && horizon > t.wal_base.(s)
+    if List.length marked = checkpoint_retain && horizon > t.wal_base.(s)
     then begin
       (match t.checkpoint with
       | Some { archive = true; _ } ->
@@ -662,14 +755,16 @@ let bump_checkpoint t s =
 
 let checkpoint_files t s =
   check_shard t s "Group.checkpoint_files";
-  List.map snd t.ckpts.(s)
+  List.map (fun c -> c.file) t.ckpts.(s)
+
+let checkpoint_work t = (t.ckpt_taken, t.ckpt_work)
 
 let corrupt_checkpoint t s ~f =
   check_shard t s "Group.corrupt_checkpoint";
   match t.ckpts.(s) with
   | [] -> false
-  | (covered, file) :: tl ->
-    t.ckpts.(s) <- (covered, f file) :: tl;
+  | c :: tl ->
+    t.ckpts.(s) <- { c with file = f c.file } :: tl;
     true
 
 let wal_base t s =
@@ -1041,7 +1136,7 @@ let recover_shard ?resolve t s text =
   in
   match
     Cc.Recovery.restore_checkpointed ~resolve
-      ~checkpoints:(List.map snd t.ckpts.(s))
+      ~checkpoints:(checkpoint_files t s)
       (Cc.Recovery.order_of_policy t.policy) sys text
   with
   | Error e -> Error e
@@ -1076,12 +1171,15 @@ let recover_shard ?resolve t s text =
       shard_report.Cc.Recovery.in_doubt;
     (* Recovery rewrites the WAL (replayed log + re-created Prepared
        markers) durably before the shard returns to service.  The new
-       incarnation starts from record zero with no checkpoints: the old
-       files' positions refer to the pre-crash stream and must not leak
-       into the next crash's recovery. *)
+       incarnation starts from record zero with no checkpoints and an
+       empty checkpoint stream: the old files' positions refer to the
+       pre-crash stream and must not leak into the next crash's
+       recovery. *)
     t.synced_events.(s) <- Cc.Event_log.length (Cc.System.log sys);
     t.synced_ctrls.(s) <- Column.length t.controls.(s).recs;
+    t.unsynced_ts.(s) <- max_int;
     t.ckpts.(s) <- [];
+    t.streams.(s) <- new_stream t.policy sys;
     t.wal_base.(s) <- 0;
     t.archived.(s) <- [];
     (match t.checkpoint with

@@ -100,11 +100,11 @@ val create :
     that shard's owner domain (so syncs overlap across domains); a
     wave's syncs ride on the wave's own jobs.
 
-    [checkpoint] turns on fuzzy checkpointing: each shard writes a
+    [checkpoint] turns on state checkpointing: each shard writes a
     checkpoint file after every [every] commits that land on it
     (staggered across shards so the group never checkpoints in
-    lock-step), keeps the newest two files, and truncates its WAL
-    behind the older one's redo point.  Without it the group never
+    lock-step), keeps its files back to the second-newest marked one,
+    and truncates its WAL behind the older marked file's redo point.  Without it the group never
     checkpoints on its own — {!checkpoint_shard} still works on
     demand.
 
@@ -323,24 +323,39 @@ val durable_shard : t -> int -> string
     checkpointed shard encodes just its tail. *)
 
 val checkpoint_shard : ?lose_marker:bool -> t -> int -> int
-(** Write one fuzzy checkpoint of the shard now, without stopping
-    traffic: capture the durable record stream
-    ({!Cc.Checkpoint.capture}), store the encoded file, append and sync
-    the WAL [Checkpointed] marker that makes it official, then — once
-    two files exist — truncate the WAL behind the older one's redo
-    point (archiving the prefix under
-    [checkpoint.archive]).  Returns the new checkpoint's redo point.
+(** Write one state checkpoint of the shard now, without stopping
+    traffic: feed the shard's fold the durable records since its last
+    checkpoint, fold up to the mark — under [`Static] and [`Hybrid] the
+    group's low-water mark, below every initiation timestamp a live
+    transaction holds on any shard and every decided commit a leg has
+    not applied — and capture the rebuild transaction
+    ({!Cc.Checkpoint.capture}), named [ckpt<shard>_<n>] with [n]
+    counting the shard's checkpoints across incarnations.  Then store
+    the encoded file, append and sync the WAL [Checkpointed] marker
+    that makes it official, and — once two marked files exist —
+    truncate the WAL behind the older one's redo point (archiving the
+    prefix under [checkpoint.archive]).  Returns the new checkpoint's
+    redo point.
 
     [lose_marker] (default false) simulates the crash window where the
     file reached disk but its marker never became durable: the file is
     stored, no marker is written, and no truncation happens — recovery
-    must ignore the file.
+    must ignore the file, and it neither evicts a marked file from the
+    retention window nor sets the truncation horizon.
 
-    @raise Invalid_argument if the shard is out of range or crashed. *)
+    @raise Invalid_argument if the shard is out of range or crashed.
+    @raise Failure if the shard's fold is broken — a commit fed at or
+    below a mark already folded, or a logged result its specification
+    rules out — which a correct run never reaches. *)
 
 val checkpoint_files : t -> int -> string list
 (** The shard's retained checkpoint files, newest first — what recovery
     will be offered.  @raise Invalid_argument on a bad index. *)
+
+val checkpoint_work : t -> int * int
+(** [(checkpoints, work)]: checkpoints taken so far on every shard, and
+    the records their captures read plus the rebuild operations they
+    wrote — the capture-cost counter of the bench's growth section. *)
 
 val corrupt_checkpoint : t -> int -> f:(string -> string) -> bool
 (** Damage the shard's newest checkpoint file in place (fault

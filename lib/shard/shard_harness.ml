@@ -155,6 +155,46 @@ let check_merged_replay (proto : Fh.protocol) group =
   | Ok _ -> None
   | Error f -> Some (Fmt.str "merged replay: %a" Cc.Recovery.pp_failure f)
 
+(* Committed state, shard by shard: each live shard's objects, folded
+   from its own history in its recovery order, must equal the fold of
+   the group's committed projection over those objects.  A shard
+   recovered from a checkpoint lists one rebuild transaction in place
+   of the transactions it folded, which no check by activity name can
+   see through; a check by state can. *)
+let check_state (proto : Fh.protocol) group =
+  let spec _ = Some proto.Fh.spec in
+  let shards = Group.shard_count group in
+  let projected =
+    Array.init shards (fun _ -> Cc.Fold.create ~ts_ordered:false ~spec)
+  in
+  List.iter
+    (fun (a, ops) ->
+      if not (Activity.is_read_only a) then
+        Array.iteri
+          (fun s f ->
+            Cc.Fold.apply f
+              (List.filter (fun (x, _, _) -> Group.shard_of group x = s) ops))
+          projected)
+    (Group.committed_projection group);
+  let rec scan s =
+    if s >= shards then None
+    else if Group.shard_crashed group s then scan (s + 1)
+    else
+      let local =
+        Cc.Fold.of_events
+          ~ts_ordered:(proto.Fh.policy <> `None_)
+          ~spec
+          (History.to_list (Cc.System.history (Group.system group s)))
+      in
+      match Cc.Fold.diff local projected.(s) with
+      | Some msg ->
+        Some
+          (Fmt.str "shard %d's state departs from the committed projection: %s"
+             s msg)
+      | None -> scan (s + 1)
+  in
+  scan 0
+
 let run_checks proto group =
   match check_atomic_commitment group with
   | Some msg -> Some msg
@@ -165,7 +205,10 @@ let run_checks proto group =
       let stuck = Group.in_doubt_count group in
       if stuck > 0 then
         Some (Fmt.str "%d transactions stuck in-doubt after resolution" stuck)
-      else check_merged_replay proto group))
+      else
+        match check_state proto group with
+        | Some msg -> Some msg
+        | None -> check_merged_replay proto group))
 
 (* ------------------------------------------------------------------ *)
 
@@ -445,10 +488,13 @@ let run_soak ?(config = default_soak) () =
             let stuck = Group.in_doubt_count group in
             if stuck > 0 then
               Some (Fmt.str "%d transactions stuck in-doubt" stuck)
-            else if
-              c mod config.check_merged_every = 0 || c = config.cycles
-            then check_merged_replay proto group
-            else None)
+            else
+              match check_state proto group with
+              | Some msg -> Some msg
+              | None ->
+                if c mod config.check_merged_every = 0 || c = config.cycles
+                then check_merged_replay proto group
+                else None)
       in
       let verdict =
         match structural with

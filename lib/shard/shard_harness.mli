@@ -74,6 +74,14 @@ val check_merged_replay :
 (** The merged committed projection replays cleanly against one
     combined fresh system. *)
 
+val check_state : Weihl_fault.Harness.protocol -> Group.t -> string option
+(** Each live shard's objects, folded from its own history
+    ({!Cc.Fold}), have the state the fold of the group's committed
+    projection gives them.  Unlike the checks by activity name above,
+    it sees through a shard recovered from a checkpoint, whose history
+    lists one rebuild transaction in place of the transactions it
+    folded. *)
+
 val run_checks : Weihl_fault.Harness.protocol -> Group.t -> string option
 (** All of the above plus zero-stuck-in-doubt, first failure wins. *)
 

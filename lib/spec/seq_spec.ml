@@ -8,6 +8,7 @@ module type S = sig
   val step : state -> Operation.t -> (state * Value.t) list
   val equal_state : state -> state -> bool
   val pp_state : Format.formatter -> state -> unit
+  val rebuild : state -> Operation.t list
 end
 
 type t = (module S)
@@ -86,6 +87,30 @@ let advance_changes (Frontier ((module S), _, states)) op res =
 
 let determined f op =
   match outcomes f op with [ (res, _) ] -> Some res | _ -> None
+
+let rebuild (Frontier ((module S), _, states)) =
+  match states with
+  | [ target ] ->
+    let rec go s acc = function
+      | [] ->
+        if S.equal_state s target then Ok (List.rev acc)
+        else
+          Error
+            (Fmt.str "%s: rebuild reaches %a, not %a" S.type_name S.pp_state s
+               S.pp_state target)
+      | op :: ops -> (
+        match S.step s op with
+        | [ (s', v) ] -> go s' ((op, v) :: acc) ops
+        | outcomes ->
+          Error
+            (Fmt.str "%s: rebuild step %a has %d outcomes" S.type_name
+               Operation.pp op (List.length outcomes)))
+    in
+    go S.initial [] (S.rebuild target)
+  | _ ->
+    Error
+      (Fmt.str "%s: a frontier of %d states has no single state to rebuild"
+         S.type_name (List.length states))
 
 let frontier_size (Frontier (_, _, states)) = List.length states
 

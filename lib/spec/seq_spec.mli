@@ -33,6 +33,12 @@ module type S = sig
 
   val equal_state : state -> state -> bool
   val pp_state : Format.formatter -> state -> unit
+
+  val rebuild : state -> Operation.t list
+  (** Operations that take [initial] to the state, each with exactly
+      one permissible outcome on the way: what a state checkpoint
+      replays in place of the history that reached the state.  [[]]
+      for [initial]. *)
 end
 
 type t = (module S)
@@ -72,6 +78,15 @@ val determined : frontier -> Operation.t -> Value.t option
 (** [determined f op] is [Some res] when exactly one result is
     permissible for [op] from [f].  Used by online protocols that must
     return a definite answer. *)
+
+val rebuild : frontier -> ((Operation.t * Value.t) list, string) result
+(** The frontier's single state as {!S.rebuild}'s operations, each
+    paired with its one permissible result, checked by stepping them
+    from [initial] to that state.  [Error] when the frontier holds more
+    than one state, a step has other than one outcome, or the steps
+    reach another state.  Equal states rebuild to equal lists, so two
+    frontiers from different [start] calls can be compared through
+    it. *)
 
 val frontier_size : frontier -> int
 (** The number of distinct states the frontier holds.  Cheap; used as a

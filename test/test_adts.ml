@@ -154,6 +154,50 @@ let test_frontier_api () =
   check_bool "spec_of round-trips" true
     (String.equal (Seq_spec.type_name (Seq_spec.spec_of f)) "intset")
 
+(* Every registry ADT: a random logged sequence over its probe
+   alphabet — each step one of the permissible outcomes — keeps a
+   one-state frontier, and the steps [Seq_spec.rebuild] gives for that
+   state take the start to it. *)
+let prop_rebuild_reaches_the_state =
+  let domains = Array.of_list Lint_domain.all in
+  QCheck.Test.make ~count:300
+    ~name:"rebuild: logged sequences keep one state, rebuild reaches it"
+    QCheck.(
+      pair small_nat (list_of_size Gen.(0 -- 30) (pair small_nat small_nat)))
+    (fun (d, steps) ->
+      let d = domains.(d mod Array.length domains) in
+      let alphabet = Array.of_list d.Lint_domain.alphabet in
+      let start = Seq_spec.start d.Lint_domain.spec in
+      let final =
+        List.fold_left
+          (fun f (i, j) ->
+            let op = alphabet.(i mod Array.length alphabet) in
+            match Seq_spec.outcomes f op with
+            | [] -> f
+            | outcomes ->
+              let _, f' = List.nth outcomes (j mod List.length outcomes) in
+              if Seq_spec.frontier_size f' <> 1 then
+                QCheck.Test.fail_reportf "%s: %d states after %a"
+                  d.Lint_domain.name (Seq_spec.frontier_size f') Operation.pp
+                  op;
+              f')
+          start steps
+      in
+      match Seq_spec.rebuild final with
+      | Error msg -> QCheck.Test.fail_reportf "%s: %s" d.Lint_domain.name msg
+      | Ok rebuilt ->
+        let again =
+          List.fold_left
+            (fun f (op, v) ->
+              match Seq_spec.advance f op v with
+              | Some f -> f
+              | None ->
+                QCheck.Test.fail_reportf "%s: rebuild step %a refused"
+                  d.Lint_domain.name Operation.pp op)
+            start rebuilt
+        in
+        Seq_spec.equal_frontier final again)
+
 let suite =
   [
     Alcotest.test_case "intset semantics" `Quick test_intset_semantics;
@@ -173,4 +217,5 @@ let suite =
     Alcotest.test_case "semiqueue non-determinism" `Quick
       test_semiqueue_semantics;
     Alcotest.test_case "frontier API" `Quick test_frontier_api;
+    QCheck_alcotest.to_alcotest prop_rebuild_reaches_the_state;
   ]

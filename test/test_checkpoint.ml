@@ -13,8 +13,8 @@ let protocols = Shard_harness.protocols
 
 (* One seeded burst of sharded traffic over a checkpointing group;
    [archive] keeps the truncated WAL prefixes so tests can reconstruct
-   the full log. *)
-let run_traffic ?(seed = 7) ?(duration = 300) ?(every = 25) proto =
+   the full log.  [on_commit] is the driver's commit hook. *)
+let run_traffic ?(seed = 7) ?(duration = 300) ?(every = 25) ?on_commit proto =
   let group =
     Shard_group.create ~policy:proto.Fault_harness.policy ~seed ~shards:3
       ~checkpoint:{ Shard_group.every; archive = true }
@@ -32,7 +32,7 @@ let run_traffic ?(seed = 7) ?(duration = 300) ?(every = 25) proto =
       seed = (seed * 17) + 1;
     }
   in
-  ignore (Sharded_driver.run ~config group w);
+  ignore (Sharded_driver.run ~config ?on_commit group w);
   (group, w)
 
 let fresh_sys proto w =
@@ -73,17 +73,44 @@ let decode_records text =
 
 let test_roundtrip () =
   let group, _w = run_traffic rw in
+  ignore (Shard_group.resolve_in_doubt group);
   let covered = Shard_group.checkpoint_shard group 0 in
   let file = List.hd (Shard_group.checkpoint_files group 0) in
   match Checkpoint.decode file with
   | Error e -> Alcotest.fail ("decode: " ^ e)
   | Ok c ->
     check_int "covered survives the roundtrip" covered (Checkpoint.covered c);
-    check_bool "some transactions captured" true (Checkpoint.txn_count c > 0);
+    check_bool "some transactions folded" true (Checkpoint.folded c > 0);
     Alcotest.(check (option string))
       "label mirrors the WAL header" (Some "shard-0") (Checkpoint.label c);
-    check_int "as many names as transactions" (Checkpoint.txn_count c)
-      (List.length (Checkpoint.activity_names c));
+    Alcotest.(check string) "re-encoding reproduces the file" file
+      (Checkpoint.encode c);
+    let rebuild = Checkpoint.rebuild c in
+    (match Activity.Set.elements (History.committed rebuild) with
+    | [ a ] ->
+      check_bool "one update activity named for the shard" true
+        ((not (Activity.is_read_only a))
+        && String.starts_with ~prefix:"ckpt0_" (Activity.name a))
+    | acts ->
+      Alcotest.fail
+        (Fmt.str "%d committed activities in the rebuild" (List.length acts)));
+    check_int "rebuild operations are its invocations"
+      (List.length (List.filter Event.is_invoke (History.to_list rebuild)))
+      (Checkpoint.rebuild_ops c);
+    (* Under commit order every committed transaction is folded, so the
+       rebuild holds the committed state of the shard's objects. *)
+    let spec _ = Some Bank_account.spec in
+    let projection = Fold.create ~ts_ordered:false ~spec in
+    List.iter
+      (fun (_, ops) ->
+        Fold.apply projection
+          (List.filter (fun (x, _, _) -> Shard_group.shard_of group x = 0) ops))
+      (Shard_group.committed_projection group);
+    Alcotest.(check (option string))
+      "the rebuild reaches the committed state" None
+      (Fold.diff
+         (Fold.of_events ~ts_ordered:false ~spec (History.to_list rebuild))
+         projection);
     let marker =
       List.find_map
         (function
@@ -185,56 +212,235 @@ let test_truncated_log_without_checkpoint_fails () =
 
 (* --- the equivalence property --------------------------------------- *)
 
+(* Crash [victim] and recover it both ways, each into a fresh system:
+   from the full log — the archived truncation prefixes plus the
+   durable tail — and from checkpoint + tail.  Returns the durable
+   text with both systems and results. *)
+let recover_both proto w group victim =
+  let segments = Shard_group.archived_segments group victim in
+  let files = Shard_group.checkpoint_files group victim in
+  let text = Shard_group.crash_shard group victim in
+  let full = List.concat_map decode_records segments @ decode_records text in
+  let order = order_of proto in
+  let a = fresh_sys proto w and b = fresh_sys proto w in
+  let full_r =
+    Recovery.restore_shard order a (Wal.encode_records ~label:"full" full)
+  in
+  let ckpt_r = Recovery.restore_checkpointed ~checkpoints:files order b text in
+  (text, (a, full_r), (b, ckpt_r))
+
+(* The records a checkpointed recovery of [text] may replay. *)
+let tail_bound text cr =
+  match cr.Recovery.source with
+  | Recovery.From_checkpoint { covered } ->
+    cr.Recovery.wal_records - (covered - Wal.base text)
+  | Recovery.Full_replay -> cr.Recovery.wal_records
+
+(* The rebuild transaction stands for the transactions it folded. *)
+let counts_add_up fr cr =
+  let ckpt = cr.Recovery.shard.Recovery.base in
+  let full_n = fr.Recovery.base.Recovery.replayed in
+  if ckpt.Recovery.folded + ckpt.Recovery.replayed = full_n then None
+  else
+    Some
+      (Fmt.str
+         "folded %d and replayed %d transactions on the checkpoint path, \
+          replayed %d from the full log"
+         ckpt.Recovery.folded ckpt.Recovery.replayed full_n)
+
 (* checkpoint + tail must reach exactly the state a full-log replay
-   reaches, for every protocol and both serialization orders.  The full
-   log is reconstructed from the archived truncation prefixes. *)
+   reaches, for every protocol and both serialization orders. *)
 let prop_ckpt_tail_equals_full =
   QCheck.Test.make ~count:12 ~name:"checkpoint + tail ≡ full-log replay"
     QCheck.(pair (int_bound 1_000) (int_bound 5))
     (fun (seed, pidx) ->
       let proto = List.nth protocols (pidx mod List.length protocols) in
       let group, w = run_traffic ~seed:(seed + 1) ~duration:150 proto in
-      let victim = seed mod 3 in
-      let segments = Shard_group.archived_segments group victim in
-      let files = Shard_group.checkpoint_files group victim in
-      let text = Shard_group.crash_shard group victim in
-      let full =
-        List.concat_map decode_records segments @ decode_records text
-      in
-      let full_text = Wal.encode_records ~label:"full" full in
-      let order = order_of proto in
-      let a = fresh_sys proto w and b = fresh_sys proto w in
-      match
-        ( Recovery.restore_shard order a full_text,
-          Recovery.restore_checkpointed ~checkpoints:files order b text )
-      with
-      | Error f, _ ->
+      match recover_both proto w group (seed mod 3) with
+      | _, (_, Error f), _ ->
         QCheck.Test.fail_reportf "full replay failed: %a" Recovery.pp_failure f
-      | _, Error f ->
+      | _, _, (_, Error f) ->
         QCheck.Test.fail_reportf "checkpointed replay failed: %a"
           Recovery.pp_failure f
-      | Ok fr, Ok cr ->
-        let full_n = fr.Recovery.base.Recovery.replayed in
-        let ckpt_n = cr.Recovery.shard.Recovery.base.Recovery.replayed in
-        if full_n <> ckpt_n then
-          QCheck.Test.fail_reportf
-            "replayed %d transactions from the checkpoint path, %d from the \
-             full log"
-            ckpt_n full_n
-        else if balances a w <> balances b w then
-          QCheck.Test.fail_reportf "recovered states differ"
-        else begin
-          (match cr.Recovery.source with
-          | Recovery.From_checkpoint { covered } ->
-            let bound =
-              cr.Recovery.wal_records - (covered - Wal.base text)
-            in
-            if cr.Recovery.replayed_records > bound then
-              QCheck.Test.fail_reportf "replayed %d records, tail bound %d"
-                cr.Recovery.replayed_records bound
-          | Recovery.Full_replay -> ());
-          true
-        end)
+      | text, (a, Ok fr), (b, Ok cr) -> (
+        match counts_add_up fr cr with
+        | Some msg -> QCheck.Test.fail_report msg
+        | None ->
+          if balances a w <> balances b w then
+            QCheck.Test.fail_reportf "recovered states differ"
+          else if cr.Recovery.replayed_records > tail_bound text cr then
+            QCheck.Test.fail_reportf "replayed %d records, tail bound %d"
+              cr.Recovery.replayed_records (tail_bound text cr)
+          else true))
+
+(* --- the state oracle over the whole catalog -------------------------- *)
+
+(* One crash of one shard of a checkpointing group, recovered both
+   ways.  Traffic runs the plan's 2PC fault at its chosen commit;
+   shards it takes down recover from the decision log first.  The
+   victim is the shard with the longest stream, its newest checkpoint
+   damaged per the plan ([Ckpt_race] loses the marker of a checkpoint
+   taken just before the crash).  [None] when the two recoveries agree
+   on every object's state — compared through [Seq_spec.rebuild],
+   unless either replay substituted a non-deterministic result — the
+   counts add up, and the replay stays within the tail bound. *)
+let state_oracle (proto : Fault_harness.protocol) ~seed =
+  let plan = Shard_plan.generate ~seed in
+  let injected = ref false in
+  let on_commit group g ~nth_multi =
+    if (not !injected) && nth_multi = plan.Shard_plan.fault_at_commit then begin
+      injected := true;
+      let fault, votes_no =
+        Shard_harness.tpc_fault_of plan ~fanout:(Gtxn.fanout g)
+      in
+      Shard_group.commit ~fault ~votes_no group g
+    end
+    else Shard_group.commit group g
+  in
+  let group, w = run_traffic ~seed ~duration:150 ~every:8 ~on_commit proto in
+  let shards = [ 0; 1; 2 ] in
+  let recovered_first =
+    List.for_all
+      (fun s ->
+        (not (Shard_group.shard_crashed group s))
+        || Result.is_ok
+             (Shard_group.recover_shard group s
+                (Shard_group.durable_shard group s)))
+      shards
+  in
+  if not recovered_first then
+    Some "a shard the 2PC fault took down did not recover"
+  else begin
+    let victim =
+      List.fold_left
+        (fun best s ->
+          let count = Shard_group.record_count group in
+          if count s > count best then s else best)
+        0 shards
+    in
+    (match plan.Shard_plan.ckpt with
+    | Shard_plan.Ckpt_race ->
+      ignore (Shard_group.checkpoint_shard ~lose_marker:true group victim)
+    | Shard_plan.Ckpt_pristine -> ()
+    | Shard_plan.Ckpt_bit_flip _ | Shard_plan.Ckpt_torn _ ->
+      ignore
+        (Shard_group.corrupt_checkpoint group victim
+           ~f:(Shard_plan.corrupt_ckpt plan)));
+    match recover_both proto w group victim with
+    | _, (_, Error f), _ ->
+      Some (Fmt.str "full replay failed: %a" Recovery.pp_failure f)
+    | _, _, (_, Error f) ->
+      Some (Fmt.str "checkpointed replay failed: %a" Recovery.pp_failure f)
+    | text, (a, Ok fr), (b, Ok cr) -> (
+      let state sys =
+        Fold.of_events
+          ~ts_ordered:(order_of proto = Recovery.Timestamp_order)
+          ~spec:(fun _ -> Some proto.Fault_harness.spec)
+          (History.to_list (System.history sys))
+      in
+      match counts_add_up fr cr with
+      | Some _ as failed -> failed
+      | None ->
+        if cr.Recovery.replayed_records > tail_bound text cr then
+          Some
+            (Fmt.str "replayed %d records, tail bound %d"
+               cr.Recovery.replayed_records (tail_bound text cr))
+        else if
+          fr.Recovery.base.Recovery.substituted > 0
+          || cr.Recovery.shard.Recovery.base.Recovery.substituted > 0
+        then None
+        else
+          Option.map
+            (fun msg -> "states differ: " ^ msg)
+            (Fold.diff (state a) (state b)))
+  end
+
+let prop_state_oracle =
+  QCheck.Test.make ~count:6
+    ~name:"state oracle: checkpoint + tail ≡ full replay, every protocol"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      List.for_all
+        (fun proto ->
+          match state_oracle proto ~seed with
+          | None -> true
+          | Some msg ->
+            QCheck.Test.fail_reportf "%s, seed %d: %s"
+              proto.Fault_harness.name seed msg)
+        Fault_harness.catalog)
+
+(* --- retention: a lost marker evicts nothing ------------------------ *)
+
+(* Two marked checkpoints, one whose marker is lost, a third marked one,
+   traffic between each, on shard 0; then the newest file is cut in
+   half and the shard crashes.  Only marked files count toward the
+   two-file retention window and the truncation horizon, so the second
+   marked file is still there, and the truncated log still reaches its
+   redo point: recovery falls back to it.  The same run with the marker
+   kept falls back to the third file. *)
+let test_lost_marker_keeps_marked_files () =
+  List.iter
+    (fun name ->
+      let proto = Option.get (Fault_harness.find_protocol name) in
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun lose ->
+              let group =
+                Shard_group.create ~policy:proto.Fault_harness.policy ~seed
+                  ~shards:3
+                  ~checkpoint:{ Shard_group.every = 1_000_000; archive = false }
+                  ()
+              in
+              let w = proto.Fault_harness.workload () in
+              List.iter
+                (fun id ->
+                  Shard_group.add_object group id
+                    proto.Fault_harness.make_object)
+                w.Workload.objects;
+              let traffic k =
+                let config =
+                  {
+                    Sharded_driver.default_config with
+                    arrivals = Clients 4;
+                    duration = 120;
+                    seed = (seed * 7) + k;
+                    activity_base = k * 10_000;
+                  }
+                in
+                ignore (Sharded_driver.run ~config group w)
+              in
+              traffic 0;
+              ignore (Shard_group.checkpoint_shard group 0);
+              traffic 1;
+              let second = Shard_group.checkpoint_shard group 0 in
+              traffic 2;
+              let third =
+                Shard_group.checkpoint_shard ~lose_marker:lose group 0
+              in
+              (* The older marked file recovery must fall back to. *)
+              let older = if lose then second else third in
+              traffic 3;
+              ignore (Shard_group.checkpoint_shard group 0);
+              ignore
+                (Shard_group.corrupt_checkpoint group 0 ~f:(fun f ->
+                     String.sub f 0 (String.length f / 2)));
+              let text = Shard_group.crash_shard group 0 in
+              let what = Fmt.str "%s seed %d lose_marker %b" name seed lose in
+              match Shard_group.recover_shard group 0 text with
+              | Error f ->
+                Alcotest.fail (Fmt.str "%s: %a" what Recovery.pp_failure f)
+              | Ok r -> (
+                check_bool (what ^ ": fell back loudly") true
+                  (r.Recovery.fallbacks <> []);
+                match r.Recovery.source with
+                | Recovery.From_checkpoint { covered } ->
+                  check_int (what ^ ": the older marked file") older covered
+                | Recovery.Full_replay ->
+                  Alcotest.fail (what ^ ": expected the older marked file")))
+            [ true; false ])
+        [ 1; 2; 3; 4 ])
+    [ "escrow"; "rw"; "hybrid" ]
 
 (* --- hybrid: checkpoint recovery keeps agreed timestamps ------------- *)
 
@@ -267,5 +473,8 @@ let suite =
       test_truncated_log_without_checkpoint_fails;
     Alcotest.test_case "hybrid recovery from a checkpoint" `Quick
       test_hybrid_checkpoint_recovery;
+    Alcotest.test_case "lost marker: marked files stay retained" `Quick
+      test_lost_marker_keeps_marked_files;
     to_alcotest prop_ckpt_tail_equals_full;
+    to_alcotest prop_state_oracle;
   ]

@@ -304,10 +304,10 @@ let test_fold_orders_by_timestamp_up_to_the_mark () =
   let spec x =
     if Object_id.equal x acct then Some Bank_account.spec else None
   in
-  let f = Replica_projection.Fold.create ~spec in
+  let f = Fold.create ~ts_ordered:true ~spec in
   let txn name op ts =
     let a = Activity.update name in
-    List.iter (Replica_projection.Fold.feed f)
+    List.iter (Fold.feed f)
       [
         Event.invoke a acct op;
         Event.respond a acct Value.ok;
@@ -315,7 +315,7 @@ let test_fold_orders_by_timestamp_up_to_the_mark () =
       ]
   in
   let balance_is n =
-    match Replica_projection.Fold.frontier f acct with
+    match Fold.frontier f acct with
     | None -> false
     | Some fr ->
       Option.equal Value.equal
@@ -327,14 +327,14 @@ let test_fold_orders_by_timestamp_up_to_the_mark () =
   txn "w" (Bank_account.withdraw 7) 10;
   txn "d" (Bank_account.deposit 10) 5;
   txn "late" (Bank_account.deposit 100) 20;
-  Replica_projection.Fold.upto f 12;
-  check_bool "not broken" true (Replica_projection.Fold.broken f = None);
+  Fold.upto f 12;
+  check_bool "not broken" true (Fold.broken f = None);
   check_bool "ts 5 and 10 folded, ts 20 staged" true (balance_is 3);
-  Replica_projection.Fold.upto f 25;
+  Fold.upto f 25;
   check_bool "ts 20 folded" true (balance_is 103);
   txn "below" (Bank_account.deposit 1) 24;
   check_bool "a commit at or below the mark breaks the fold" true
-    (Replica_projection.Fold.broken f <> None)
+    (Fold.broken f <> None)
 
 (* --- replica crash -------------------------------------------------- *)
 
@@ -395,6 +395,53 @@ let test_failover_zero_lost () =
   drive ~duration:100 ~base:50_000 ~seed:13 group w;
   Replica_tier.sync tier;
   check_equiv tier group ~replicas:2 ~shards:2
+
+(* Failover on a checkpointing group: the primary recovers from a
+   checkpoint, so its history lists a rebuild transaction in place of
+   the transactions the checkpoint folded, and the promotion is
+   verified on per-object state.  The group's checks and the replicas'
+   equivalence hold before and after more traffic. *)
+let test_failover_from_checkpoint () =
+  List.iter
+    (fun (name, seed) ->
+      let p = proto name in
+      let group =
+        Shard_group.create ~policy:p.Fault_harness.policy ~seed
+          ~checkpoint:{ Shard_group.every = 10; archive = false }
+          ~shards:2 ()
+      in
+      let w = p.Fault_harness.workload () in
+      List.iter
+        (fun id -> Shard_group.add_object group id p.Fault_harness.make_object)
+        w.Workload.objects;
+      let tier = tier_of p ~replicas:2 group in
+      drive ~duration:200 ~seed group w;
+      Replica_tier.sync tier;
+      check_bool (name ^ ": the shard checkpointed") true
+        (Shard_group.checkpoint_files group 0 <> []);
+      Replica_tier.crash_primary tier 0;
+      (match Replica_tier.fail_over tier 0 with
+      | Error msg -> Alcotest.fail msg
+      | Ok pr -> (
+        match pr.Replica_tier.verified with
+        | None -> ()
+        | Some msg -> Alcotest.fail (name ^ ": " ^ msg)));
+      check_bool (name ^ ": recovered through a rebuild transaction") true
+        (Activity.Set.exists
+           (fun a -> String.starts_with ~prefix:"ckpt0_" (Activity.name a))
+           (History.committed (System.history (Shard_group.system group 0))));
+      ignore (Shard_group.resolve_in_doubt group);
+      Alcotest.(check (option string))
+        (name ^ ": group checks after failover") None
+        (Shard_harness.run_checks p group);
+      drive ~duration:100 ~base:50_000 ~seed:(seed + 1) group w;
+      Replica_tier.sync tier;
+      ignore (Shard_group.resolve_in_doubt group);
+      Alcotest.(check (option string))
+        (name ^ ": group checks after more traffic") None
+        (Shard_harness.run_checks p group);
+      check_equiv tier group ~replicas:2 ~shards:2)
+    [ ("hybrid", 41); ("multiversion", 43) ]
 
 let test_fencing_refuses_old_epoch () =
   let p = proto "hybrid" in
@@ -537,35 +584,35 @@ let test_pinned_bytes () =
   let ints = Alcotest.(list int) in
   check_int "committed" 402 committed;
   Alcotest.check ints "WAL bases" [ 850; 880; 1853 ] bases;
-  Alcotest.check ints "durable WALs" [ 0x2b8720a3; 0xe1dfc01f; 0xe9e85f23 ]
+  Alcotest.check ints "durable WALs" [ 0xa4c9fbe6; 0x8fb50f11; 0xa6a3df22 ]
     durable;
   Alcotest.(check (list (list int)))
     "checkpoint files"
     [
-      [ 0x0cdd51ca; 0x16d22af5 ]; [ 0xfa9f6d63; 0x9ae09c74 ];
-      [ 0x50391b6a; 0x161a6346 ];
+      [ 0x12ed81ce; 0x6ca4ef66 ]; [ 0x17d3fff6; 0xa37c1fdb ];
+      [ 0xd7410974; 0xeeda5d89 ];
     ]
     ckpts;
   Alcotest.(check (list (list int)))
     "archived prefixes"
     [
       [
-        0x247550f6; 0x81073a2e; 0xb0c7b8f0; 0x1192c7e1; 0x10c5e28f; 0xf1cd8a25;
-        0x1aecbe07; 0x49e9dbfb;
+        0x247550f6; 0x353295c7; 0xf7bad57f; 0x0c56f228; 0x0d290218; 0x9db7bcb2;
+        0x76deedb6; 0xf9294f20;
       ];
       [
-        0x198964d9; 0x04c1ad8f; 0xf7384386; 0xcd5d1dc1; 0xc568d0d6; 0x1b24cc48;
-        0x6bcd4896; 0xba551c4f;
+        0xfac5f6c0; 0x82e040aa; 0x326c7da0; 0x42fc2f8c; 0x46a70a06; 0x45b5d75c;
+        0x3b199989; 0xa1306253;
       ];
       [
-        0x6f9d5c18; 0xa51c6c8e; 0x60968808; 0x7936e52d; 0x351b5cf4; 0xecd7815d;
-        0x54f4a313; 0x792bb171; 0xe4dd425f; 0x69e739d8; 0x19cf46ad; 0xd6ec6f52;
-        0x3d1049b9; 0x21acc6c4; 0x4d62ec23;
+        0x6f9d5c18; 0x884dbc79; 0x66f705a3; 0xb3c0ebb6; 0xe38ffe71; 0x46282e4d;
+        0x7e35cdb8; 0x84cb85b5; 0xae8a1321; 0x8a1c42c7; 0xfa7b8e53; 0xa677eb76;
+        0x1a3ad119; 0xd261f9f1; 0x472cf3cb;
       ];
     ]
     archived;
   check_int "segments shipped" 2412 segments;
-  check_int "shipped segment texts" 0x69d2e8a7 segments_crc
+  check_int "shipped segment texts" 0xaf74c47e segments_crc
 
 (* --- the log as bytes ------------------------------------------------ *)
 
@@ -927,6 +974,8 @@ let suite =
       test_replica_crash_keeps_log_loses_mark;
     Alcotest.test_case "failover: promotion loses nothing" `Quick
       test_failover_zero_lost;
+    Alcotest.test_case "failover: a checkpointing group keeps its state"
+      `Quick test_failover_from_checkpoint;
     Alcotest.test_case "failover: old epoch is fenced" `Quick
       test_fencing_refuses_old_epoch;
     Alcotest.test_case "drill: seeded schedules stay clean" `Quick
