@@ -509,41 +509,20 @@ let faults_cmd schedules quick base_seed protocol verbose soak report =
   | Some cycles -> soak_cmd cycles base_seed report verbose
   | None ->
   let seeds = List.init schedules (fun i -> base_seed + i) in
-  let summary =
-    match protocol with
-    | None -> Fault_harness.run_many ~quick ~seeds ()
-    | Some name -> (
-      match Fault_harness.find_protocol name with
-      | None ->
-        Fmt.failwith "unknown protocol %s (one of: %s)" name
-          (String.concat ", "
-             (List.map
-                (fun p -> p.Fault_harness.name)
-                Fault_harness.catalog))
-      | Some proto ->
-        let results =
-          List.map
-            (fun seed ->
-              Fault_harness.run_schedule ~quick (Fault_plan.generate ~seed)
-                proto)
-            seeds
-        in
-        let count p = List.length (List.filter p results) in
-        {
-          Fault_harness.schedules = List.length results;
-          converged =
-            count (fun r -> r.Fault_harness.verdict = Fault_harness.Converged);
-          corruption_detected =
-            count (fun r ->
-                r.Fault_harness.verdict = Fault_harness.Corruption_detected);
-          diverged =
-            count (fun r ->
-                match r.Fault_harness.verdict with
-                | Fault_harness.Diverged _ -> true
-                | _ -> false);
-          results;
-        })
+  let protocols =
+    Option.map
+      (fun name ->
+        match Fault_harness.find_protocol name with
+        | Some proto -> [ proto ]
+        | None ->
+          Fmt.failwith "unknown protocol %s (one of: %s)" name
+            (String.concat ", "
+               (List.map
+                  (fun p -> p.Fault_harness.name)
+                  Fault_harness.catalog)))
+      protocol
   in
+  let summary = Fault_harness.run_many ~quick ?protocols ~seeds () in
   if verbose then
     List.iter
       (fun r -> Fmt.pr "%a@." Fault_harness.pp_result r)
@@ -796,35 +775,10 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
     hot_keys window mcore jobs inflight sync_us checkpoint_every archive =
   if faults then begin
     let seeds = List.init schedules (fun i -> seed + i) in
-    let summary =
-      match protocol with
-      | None -> Shard_harness.run_many ~quick ~shards ~seeds ()
-      | Some name ->
-        let proto = find_sharded_protocol name in
-        let results =
-          List.map
-            (fun seed ->
-              Shard_harness.run_schedule ~quick ~shards
-                (Shard_plan.generate ~seed) proto)
-            seeds
-        in
-        let count p = List.length (List.filter p results) in
-        {
-          Shard_harness.schedules = List.length results;
-          converged =
-            count (fun r ->
-                r.Shard_harness.verdict = Shard_harness.Converged);
-          corruption_detected =
-            count (fun r ->
-                r.Shard_harness.verdict = Shard_harness.Corruption_detected);
-          diverged =
-            count (fun r ->
-                match r.Shard_harness.verdict with
-                | Shard_harness.Diverged _ -> true
-                | _ -> false);
-          results;
-        }
+    let protocols =
+      Option.map (fun name -> [ find_sharded_protocol name ]) protocol
     in
+    let summary = Shard_harness.run_many ~quick ~shards ?protocols ~seeds () in
     if verbose then
       List.iter
         (fun r -> Fmt.pr "%a@." Shard_harness.pp_result r)
@@ -1081,23 +1035,9 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
            `None_ there are no initiation timestamps to read at. *)
         (if proto.Fault_harness.policy <> `None_ then begin
            let rng = Rng.create ((seed * 131) + 7) in
-           let read_steps () =
-             let rec go n =
-               if n = 0 then None
-               else
-                 let s = w.Workload.generate rng in
-                 if s.Workload.kind = `Read_only then
-                   Some
-                     (List.map
-                        (fun st -> (st.Workload.obj, st.Workload.op))
-                        s.Workload.steps)
-                 else go (n - 1)
-             in
-             go 100
-           in
            let served = ref 0 and bounced = ref 0 in
            for _ = 1 to 8 * replicas do
-             match read_steps () with
+             match Workload.read_steps w rng with
              | None -> ()
              | Some steps -> (
                match Replica_tier.read t steps with
@@ -1183,18 +1123,7 @@ let replica_lag_demo ~shards ~replicas ~seed =
   Replica_tier.sync tier;
   let rng = Rng.create ((seed * 131) + 7) in
   for _ = 1 to 4 * replicas do
-    let rec draw n =
-      if n = 0 then None
-      else
-        let s = w.Workload.generate rng in
-        if s.Workload.kind = `Read_only then
-          Some
-            (List.map
-               (fun st -> (st.Workload.obj, st.Workload.op))
-               s.Workload.steps)
-        else draw (n - 1)
-    in
-    match draw 100 with
+    match Workload.read_steps w rng with
     | None -> ()
     | Some steps -> ignore (Replica_tier.read tier steps)
   done;

@@ -385,12 +385,12 @@ let run_schedule ?(quick = false) (plan : Plan.t) proto =
           result Converged ~replayed ~substituted ~dropped ~resumed ()
       end)
 
-let run_many ?quick ~seeds () =
-  let n_protocols = List.length catalog in
+let run_many ?quick ?(protocols = catalog) ~seeds () =
+  let n_protocols = List.length protocols in
   let results =
     List.mapi
       (fun i seed ->
-        let proto = List.nth catalog (i mod n_protocols) in
+        let proto = List.nth protocols (i mod n_protocols) in
         run_schedule ?quick (Plan.generate ~seed) proto)
       seeds
   in

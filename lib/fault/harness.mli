@@ -63,9 +63,10 @@ type summary = {
 val run_schedule : ?quick:bool -> Plan.t -> protocol -> schedule_result
 (** [quick] shortens both traffic phases (for smoke runs). *)
 
-val run_many : ?quick:bool -> seeds:int list -> unit -> summary
-(** One schedule per seed, protocols assigned round-robin from the
-    {!catalog}. *)
+val run_many :
+  ?quick:bool -> ?protocols:protocol list -> seeds:int list -> unit -> summary
+(** One schedule per seed, [protocols] (default the {!catalog}) assigned
+    round-robin. *)
 
 val divergences : summary -> schedule_result list
 

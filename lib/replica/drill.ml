@@ -128,22 +128,6 @@ let audit_read group (proto : Fh.protocol) seq (r : recorded_read) =
 
 (* ------------------------------------------------------------------ *)
 
-(* Draw read-only scripts out of the workload until one appears; the
-   banking workloads mix audits in, so this terminates fast. *)
-let read_steps w rng =
-  let rec go n =
-    if n = 0 then None
-    else
-      let s = w.Workload.generate rng in
-      if s.Workload.kind = `Read_only then
-        Some
-          (List.map
-             (fun st -> (st.Workload.obj, st.Workload.op))
-             s.Workload.steps)
-      else go (n - 1)
-  in
-  go 100
-
 let run_schedule ?(quick = false) ?(shards = 3) ?(replicas = 3)
     (plan : Shard_plan.t) (proto : Fh.protocol) =
   let group = Group.create ~policy:proto.Fh.policy ~seed:plan.Shard_plan.seed ~shards () in
@@ -163,7 +147,7 @@ let run_schedule ?(quick = false) ?(shards = 3) ?(replicas = 3)
   let note msg = if !diverged = None then diverged := Some msg in
   let read_batch n =
     for _ = 1 to n do
-      match read_steps w rng with
+      match Workload.read_steps w rng with
       | None -> ()
       | Some steps -> (
         incr reads;

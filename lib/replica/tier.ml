@@ -110,35 +110,6 @@ let state t ~replica ~shard =
 (* ------------------------------------------------------------------ *)
 (* The feed side *)
 
-(* The watermark certifying a segment that reaches the feed's end: the
-   group clock reading — every commit with a timestamp at or below it
-   has already appended its records (timestamps are drawn monotonically
-   and records append synchronously in the sequential mode) — clamped
-   below two kinds of commit still to come:
-   - any live update's initiation timestamp: under [`Static] an update
-     draws its timestamp at [begin_txn] and may commit at it long after
-     the clock has passed;
-   - any in-doubt leg on this shard whose recorded decision is a
-     commit: it commits with its agreed timestamp only when resolution
-     reaches it.
-   A read above either must not be declared servable, or it would miss
-   the late commit. *)
-let watermark t s =
-  let w = Timestamp.to_int (Cc.Lamport_clock.now (Group.clock t.group)) in
-  let w =
-    match Group.oldest_live_update t.group with
-    | Some ts -> min w (ts - 1)
-    | None -> w
-  in
-  List.fold_left
-    (fun w (gid, s') ->
-      if s' = s && gid >= 0 then
-        match Group.decision_of t.group gid with
-        | Some (`Commit ts) -> min w (ts - 1)
-        | Some `Abort | None -> w
-      else w)
-    w (Group.in_doubt t.group)
-
 (* Flip one byte of a segment in flight — fault injection; the CRC (or
    the header check) must catch it on arrival. *)
 let corrupt_text text =
@@ -157,17 +128,17 @@ let segment_records = 64
    its text. *)
 type cut = { mark : int; text : string }
 
-(* Cut shard [s]'s segment resuming at position [from].  The watermark
-   rides only on segments that reach the feed's current end — a capped
-   mid-stream slice proves nothing about commits beyond its last
-   record. *)
+(* Cut shard [s]'s segment resuming at position [from].  The watermark,
+   {!Group.serving_mark}, rides only on segments that reach the feed's
+   current end — a capped mid-stream slice proves nothing about commits
+   beyond its last record. *)
 let cut t s ~from =
   let count = Group.record_count t.group s in
   let from = min from count in
   let slice = Group.records_from t.group s ~pos:from ~max:segment_records in
   let reaches_end = from + List.length slice = count in
   {
-    mark = (if reaches_end then watermark t s else -1);
+    mark = (if reaches_end then Group.serving_mark t.group s else -1);
     text = Cc.Wal.segment ~label:(Group.shard_label s) ~base:from slice;
   }
 

@@ -41,13 +41,15 @@
     observe; above it the read blocks (pumping, under [`Wait]) or
     bounces to the primary.  Staleness is detected, never silent.
 
-    The watermark is the group clock at the cut, clamped below every
-    commit still to come at or below it: below the initiation
-    timestamp of any live update ({!Weihl_shard.Group.oldest_live_update}
-    — under [`Static] an update commits at the timestamp it drew at
-    [begin_txn], long after the clock passed it), and below the agreed
-    timestamp of any in-doubt leg on the shard whose decision is a
-    commit.
+    The watermark is {!Weihl_shard.Group.serving_mark}: the group
+    clock at the cut, clamped below every commit the shipped prefix
+    does not hold yet — below the initiation timestamp of any live
+    update ({!Weihl_shard.Group.oldest_live_update} — under [`Static]
+    an update commits at the timestamp it drew at [begin_txn], long
+    after the clock passed it), below the agreed timestamp of any
+    in-doubt leg on the shard whose decision is a commit, and, under
+    group commit, below any commit the shard applied but has not
+    synced.
 
     {2 Serving from folded state}
 

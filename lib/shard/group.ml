@@ -281,12 +281,6 @@ let set_tracer t st =
   t.tracer <- Some st;
   Array.iteri (fun s _ -> install_probe t s) t.shards
 
-let clear_tracer t =
-  (match t.tracer with
-  | Some _ -> Array.iter Cc.System.clear_probe t.shards
-  | None -> ());
-  t.tracer <- None
-
 let tracer t = t.tracer
 
 let txn_span_name g = Fmt.str "txn %s" (Activity.name (Gtxn.activity g))
@@ -353,6 +347,33 @@ let require_active g =
   if not (Gtxn.is_active g) then
     invalid_arg (Fmt.str "Group: transaction %a is not active" Gtxn.pp g)
 
+(* Activities are sequential: while an invocation of a transaction
+   waits, the transaction may retry that invocation and nothing else —
+   no other operation and no commit, or its history would hold an
+   invocation that is never answered. *)
+let still_waiting fn g =
+  match Gtxn.waiting g with
+  | [] -> ()
+  | (x, op) :: _ ->
+    invalid_arg
+      (Fmt.str "%s: transaction %a still waits for %a at %a" fn Gtxn.pp g
+         Operation.pp op Object_id.pp x)
+
+let rec waits_on x op = function
+  | [] -> false
+  | (x', op') :: rest ->
+    (Object_id.equal x x' && Operation.equal op op') || waits_on x op rest
+
+let rec answer x op = function
+  | [] -> []
+  | ((x', op') as w) :: rest ->
+    if Object_id.equal x x' && Operation.equal op op' then rest
+    else w :: answer x op rest
+
+let require_ready fn g =
+  require_active g;
+  still_waiting fn g
+
 let journal_append t g entry =
   let gid = Gtxn.gid g in
   let prev = Option.value ~default:[] (Hashtbl.find_opt t.journal gid) in
@@ -367,6 +388,14 @@ let forget_wait t s txn =
 let drop_leg t s txn =
   Leg_index.remove t.local_index.(s) (Cc.Txn.id txn);
   forget_wait t s txn
+
+(* [g]'s invocation [x, op], run by its leg [txn] on shard [s], was
+   granted or refused: it waits no more. *)
+let answered t s txn g x op =
+  forget_wait t s txn;
+  match Gtxn.waiting g with
+  | [] -> ()
+  | ws -> Gtxn.set_waiting g (answer x op ws)
 
 (* The timestamp by which a committed transaction is ordered in the
    merged replay: commit order needs none (dynamic), static replays in
@@ -656,6 +685,64 @@ let low_water_mark t =
       end)
     t.shards;
   !lo - 1
+
+(* An update that is still live may yet commit at its initiation
+   timestamp (static atomicity draws it at [begin_txn]).  Prepared legs
+   on live shards count whether or not a global transaction still
+   tracks them.  Only [`Static] updates carry an initiation timestamp,
+   so the walk is skipped under the other policies. *)
+let oldest_live_update t =
+  match t.policy with
+  | `None_ | `Hybrid -> None
+  | `Static ->
+    let lo = ref max_int in
+    let see = function
+      | Some ts -> lo := min !lo (Timestamp.to_int ts)
+      | None -> ()
+    in
+    Hashtbl.iter
+      (fun _ g ->
+        match Gtxn.status g with
+        | (Gtxn.Active | Gtxn.In_doubt) when not (Gtxn.is_read_only g) ->
+          see (Gtxn.init_ts g)
+        | _ -> ())
+      t.gtxns;
+    Array.iteri
+      (fun s sys ->
+        if not t.crashed.(s) then
+          List.iter
+            (fun txn ->
+              if not (Cc.Txn.is_read_only txn) then see (Cc.Txn.init_ts txn))
+            (Cc.System.prepared_txns sys))
+      t.shards;
+    if !lo = max_int then None else Some !lo
+
+(* The mark a segment reaching the end of shard [s]'s durable stream
+   certifies for snapshot reads: the group clock reading — every commit
+   at or below it has appended its records — clamped below three kinds
+   of commit the stream does not hold yet:
+   - a live update's initiation timestamp: under [`Static] an update
+     may commit at it long after the clock has passed;
+   - a prepared leg on [s] whose recorded decision is a commit: it
+     commits at its agreed timestamp only when resolution reaches it;
+   - under group commit, a commit [s] applied since its last sync (the
+     message round and in-doubt resolution apply without syncing): its
+     records are not durable, so no segment carries them yet. *)
+let serving_mark t s =
+  let w = Timestamp.to_int (Cc.Lamport_clock.now t.clock) in
+  let w =
+    match oldest_live_update t with Some ts -> min w (ts - 1) | None -> w
+  in
+  List.fold_left
+    (fun w txn ->
+      match Leg_index.find_opt t.local_index.(s) (Cc.Txn.id txn) with
+      | Some g -> (
+        match Hashtbl.find_opt t.decisions (Gtxn.gid g) with
+        | Some (`Commit ts) -> min w (ts - 1)
+        | Some `Abort | None -> w)
+      | None -> w)
+    (min w (t.unsynced_ts.(s) - 1))
+    (Cc.System.prepared_txns t.shards.(s))
 
 (* Write one state checkpoint of shard [s] without stopping traffic:
    feed the shard's fold the durable records since the last checkpoint,
@@ -1070,37 +1157,6 @@ let in_doubt t =
 
 let in_doubt_count t = List.length (in_doubt t)
 
-(* An update that is still live may yet commit at its initiation
-   timestamp (static atomicity draws it at [begin_txn]).  Prepared legs
-   on live shards count whether or not a global transaction still
-   tracks them.  Only [`Static] updates carry an initiation timestamp,
-   so the walk is skipped under the other policies. *)
-let oldest_live_update t =
-  match t.policy with
-  | `None_ | `Hybrid -> None
-  | `Static ->
-    let lo = ref max_int in
-    let see = function
-      | Some ts -> lo := min !lo (Timestamp.to_int ts)
-      | None -> ()
-    in
-    Hashtbl.iter
-      (fun _ g ->
-        match Gtxn.status g with
-        | (Gtxn.Active | Gtxn.In_doubt) when not (Gtxn.is_read_only g) ->
-          see (Gtxn.init_ts g)
-        | _ -> ())
-      t.gtxns;
-    Array.iteri
-      (fun s sys ->
-        if not t.crashed.(s) then
-          List.iter
-            (fun txn ->
-              if not (Cc.Txn.is_read_only txn) then see (Cc.Txn.init_ts txn))
-            (Cc.System.prepared_txns sys))
-      t.shards;
-    if !lo = max_int then None else Some !lo
-
 (* ------------------------------------------------------------------ *)
 (* Crash and recovery *)
 
@@ -1280,7 +1336,7 @@ let victim cycle =
 (* ------------------------------------------------------------------ *)
 (* The merged committed projection *)
 
-let committed_projection_ts t =
+let committed_projection t =
   let c = t.committed in
   let n = Column.length c.activities in
   let order = List.init n Fun.id in
@@ -1299,16 +1355,11 @@ let committed_projection_ts t =
       let last =
         if i + 1 < n then Column.get c.first_op (i + 1) else Column.length c.objs
       in
-      let ts = Column.get c.order_ts i in
       ( Column.get c.activities i,
-        (if ts < 0 then None else Some (Timestamp.v ts)),
         List.init (last - first) (fun k ->
             let j = first + k in
             (Column.get c.objs j, Column.get c.ops j, Column.get c.values j)) ))
     order
-
-let committed_projection t =
-  List.map (fun (activity, _, ops) -> (activity, ops)) (committed_projection_ts t)
 
 let committed_count t = Column.length t.committed.activities
 
@@ -1335,8 +1386,11 @@ let invoke_batch t entries =
   let shards_n = Array.length t.shards in
   let per_shard = Array.make shards_n [] in
   Array.iteri
-    (fun i (g, x, _op) ->
+    (fun i (g, x, op) ->
       require_active g;
+      (match Gtxn.waiting g with
+      | [] -> ()
+      | ws -> if not (waits_on x op ws) then still_waiting "Group.invoke_batch" g);
       let s = shard_of t x in
       if t.crashed.(s) then results.(i) <- Refused "shard down"
       else per_shard.(s) <- i :: per_shard.(s))
@@ -1404,12 +1458,14 @@ let invoke_batch t entries =
             Leg_index.replace t.local_index.(s) (Cc.Txn.id txn) g);
           match r with
           | Cc.Atomic_object.Granted v ->
-            forget_wait t s txn;
+            answered t s txn g x op;
             journal_append t g (x, op, v);
             results.(i) <- Granted v
           | Cc.Atomic_object.Wait blockers ->
             (* Raw blockers: one opened in this batch may not be indexed
                yet; the deadlock search lifts them when it walks. *)
+            if not (waits_on x op (Gtxn.waiting g)) then
+              Gtxn.set_waiting g ((x, op) :: Gtxn.waiting g);
             t.waits.(s) <- Int_map.add (Cc.Txn.id txn) (txn, blockers) t.waits.(s);
             metrics_count Weihl_obs.Shard_metrics.conflict_at t s;
             results.(i) <-
@@ -1418,7 +1474,7 @@ let invoke_batch t entries =
                    (fun b -> Leg_index.find_opt t.local_index.(s) (Cc.Txn.id b))
                    blockers)
           | Cc.Atomic_object.Refused why ->
-            forget_wait t s txn;
+            answered t s txn g x op;
             results.(i) <- Refused why)
         idxs)
     jobs;
@@ -1449,7 +1505,7 @@ let invoke t g x op = List.hd (invoke_batch t [ (g, x, op) ])
    their wave-1 records but before syncing them, so those records are
    lost and the transactions they belonged to are never acknowledged. *)
 let commit_batch ?(crash_before_sync = []) t gs =
-  List.iter require_active gs;
+  List.iter (require_ready "Group.commit_batch") gs;
   let shards_n = Array.length t.shards in
   let crash_set s = List.mem s crash_before_sync in
   let trivial, singles, multis =
@@ -1556,7 +1612,10 @@ let commit_batch ?(crash_before_sync = []) t gs =
      durable: it is not acknowledged, full stop. *)
   List.iter
     (fun (g, s, txn) ->
-      if t.crashed.(s) then record_verdict t g `Abort
+      if t.crashed.(s) then begin
+        record_verdict t g `Abort;
+        trace_end t g ~outcome:"crash before sync"
+      end
       else begin
         metrics_count Weihl_obs.Shard_metrics.local_commit t s;
         Gtxn.set_status g Gtxn.Committed;
@@ -1608,13 +1667,15 @@ let commit_batch ?(crash_before_sync = []) t gs =
     decided;
   run_wave phase2 batch2;
   List.iter
-    (fun (g, legs, _verdict) ->
+    (fun (g, legs, verdict) ->
       (match t.metrics with
       | None -> ()
       | Some m ->
         Weihl_obs.Metrics.Histogram.observe
           (Weihl_obs.Shard_metrics.fanout m)
           (float_of_int (List.length legs)));
+      trace_end t g
+        ~outcome:(match verdict with `Commit _ -> "commit" | `Abort -> "batch abort");
       maybe_prune t g)
     decided;
   (* A shard that died in this batch takes every other active
@@ -1637,6 +1698,6 @@ let commit_batch ?(crash_before_sync = []) t gs =
 let commit ?fault ?votes_no t g =
   match Gtxn.legs g with
   | _ :: _ :: _ as legs ->
-    require_active g;
+    require_ready "Group.commit" g;
     commit_2pc ?fault ?votes_no t g legs
   | [] | [ _ ] -> commit_batch t [ g ]

@@ -171,9 +171,6 @@ val set_tracer : t -> Weihl_obs.Shard_trace.t -> unit
     @raise Invalid_argument if the tracer was built for a different
     shard count. *)
 
-val clear_tracer : t -> unit
-(** Remove the tracer and the per-shard probes. *)
-
 val tracer : t -> Weihl_obs.Shard_trace.t option
 
 (** {1 The transactional facade} *)
@@ -200,7 +197,8 @@ val commit : ?fault:Tpc.fault -> ?votes_no:int list -> t -> Gtxn.t -> unit
     transaction may be left {!Gtxn.status.In_doubt} (some leg prepared,
     no decision reached) and shards may be marked crashed.  Outcomes
     are read back via {!Gtxn.status}.
-    @raise Invalid_argument if the transaction is not active. *)
+    @raise Invalid_argument if the transaction is not active or has an
+    operation still waiting. *)
 
 val abort : ?reason:string -> t -> Gtxn.t -> unit
 (** Abort every active leg (legs on crashed shards are already gone).
@@ -220,7 +218,10 @@ val invoke_batch :
 (** Execute one operation per entry, batched per home shard; results
     come back in entry order.  Equivalent to calling {!invoke} on each
     entry in order, except that different shards' entries run
-    concurrently.  @raise Invalid_argument as {!invoke}. *)
+    concurrently.  @raise Invalid_argument as {!invoke}, or for an
+    entry whose transaction has an operation still waiting from an
+    earlier call, unless the entry retries that same object and
+    operation: activities are sequential. *)
 
 val commit_batch : ?crash_before_sync:int list -> t -> Gtxn.t list -> unit
 (** Commit a batch with group commit and batched synchronous 2PC:
@@ -239,7 +240,7 @@ val commit_batch : ?crash_before_sync:int list -> t -> Gtxn.t list -> unit
     never acknowledged, and multi-shard transactions with a leg there
     abort (no durable yes-vote).  Outcomes are read back via
     {!Gtxn.status}.  @raise Invalid_argument if a transaction is not
-    active. *)
+    active or has an operation still waiting. *)
 
 (** {1 In-doubt resolution} *)
 
@@ -266,6 +267,18 @@ val oldest_live_update : t -> int option
     static atomicity draws it at {!begin_txn} — so no as-of state above
     it is final yet.  [None] when no live update carries one: always
     under [`Hybrid], whose updates draw their timestamp at commit. *)
+
+val serving_mark : t -> int -> int
+(** The timestamp up to which shard [s]'s durable record stream, read
+    to its end ({!record_count}), holds every commit: the group clock
+    reading, clamped below {!oldest_live_update}, below the agreed
+    timestamp of every prepared leg on [s] whose recorded decision is a
+    commit, and — under group commit — below every commit [s] applied
+    since its last sync (the message round of {!commit} and in-doubt
+    resolution apply a commit without syncing it).  A replica that has
+    applied the stream to its end may serve snapshot reads at or below
+    it.  Unlike {!checkpoint_shard}'s low-water mark it ignores live
+    read-only transactions, which add nothing to the stream. *)
 
 (** {1 Durability, checkpoints, crash, recovery} *)
 
@@ -431,16 +444,6 @@ val committed_projection :
     order under [`None_], timestamp order under [`Static] / [`Hybrid].
     Feed it to {!Cc.Recovery.replay_txns} against one combined fresh
     system: global atomicity holds iff the merged replay validates. *)
-
-val committed_projection_ts :
-  t ->
-  (Activity.t * Timestamp.t option * (Object_id.t * Operation.t * Value.t) list)
-  list
-(** {!committed_projection} with each transaction's serialization
-    timestamp exposed (its commit timestamp for updates, initiation
-    timestamp for hybrid read-only transactions; [None] under
-    [`None_]).  A replica tier filters this by timestamp to obtain the
-    committed state {e as of} a snapshot read's initiation time. *)
 
 val committed_count : t -> int
 (** Committed global transactions so far, in constant time. *)

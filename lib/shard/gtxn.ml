@@ -12,6 +12,7 @@ type t = {
   mutable status : status;
   mutable legs : (int * Cc.Txn.t) list; (* shard -> local leg, oldest first *)
   mutable commit_ts : Timestamp.t option;
+  mutable waiting : (Object_id.t * Operation.t) list;
   mutable trace_ctx : trace_ctx option;
   mutable mark : int; (* colour stamp for graph walks *)
 }
@@ -24,6 +25,7 @@ let make ?init_ts ~gid activity =
     status = Active;
     legs = [];
     commit_ts = None;
+    waiting = [];
     trace_ctx = None;
     mark = 0;
   }
@@ -40,6 +42,8 @@ let is_active t = t.status = Active
 let set_status t s = t.status <- s
 let commit_ts t = t.commit_ts
 let set_commit_ts t ts = t.commit_ts <- Some ts
+let waiting t = t.waiting
+let set_waiting t w = t.waiting <- w
 let legs t = List.rev t.legs
 let shards t = List.rev_map fst t.legs
 let leg t s = List.assoc_opt s t.legs

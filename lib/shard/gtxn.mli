@@ -35,6 +35,13 @@ val set_status : t -> status -> unit
 val commit_ts : t -> Timestamp.t option
 val set_commit_ts : t -> Timestamp.t -> unit
 
+val waiting : t -> (Object_id.t * Operation.t) list
+val set_waiting : t -> (Object_id.t * Operation.t) list -> unit
+(** The invocations that answered [Wait] and have not been granted or
+    refused since — more than one only when one batch sent the
+    transaction to several shards at once.  Activities are sequential,
+    so until they are answered the transaction may only retry them. *)
+
 val legs : t -> (int * Cc.Txn.t) list
 (** [(shard, local leg)] pairs, oldest first. *)
 

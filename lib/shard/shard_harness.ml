@@ -195,7 +195,7 @@ let check_state (proto : Fh.protocol) group =
   in
   scan 0
 
-let run_checks proto group =
+let run_checks ?(merged = true) proto group =
   match check_atomic_commitment group with
   | Some msg -> Some msg
   | None -> (
@@ -208,7 +208,7 @@ let run_checks proto group =
       else
         match check_state proto group with
         | Some msg -> Some msg
-        | None -> check_merged_replay proto group))
+        | None -> if merged then check_merged_replay proto group else None))
 
 (* ------------------------------------------------------------------ *)
 
@@ -315,7 +315,7 @@ let run_schedule ?(quick = false) ?(shards = 3) (plan : Shard_plan.t)
       | None ->
         result Converged ~reinstated ~resolved:(resolved + leftover) ~resumed))
 
-let run_many ?quick ?shards ~seeds () =
+let run_many ?quick ?shards ?(protocols = protocols) ~seeds () =
   let n = List.length protocols in
   let results =
     List.mapi
@@ -478,26 +478,9 @@ let run_soak ?(config = default_soak) () =
           wal_records - (covered - base)
       in
       ignore (Group.resolve_in_doubt group);
-      let structural =
-        match check_atomic_commitment group with
-        | Some msg -> Some msg
-        | None -> (
-          match check_ts_agreement group with
-          | Some msg -> Some msg
-          | None ->
-            let stuck = Group.in_doubt_count group in
-            if stuck > 0 then
-              Some (Fmt.str "%d transactions stuck in-doubt" stuck)
-            else
-              match check_state proto group with
-              | Some msg -> Some msg
-              | None ->
-                if c mod config.check_merged_every = 0 || c = config.cycles
-                then check_merged_replay proto group
-                else None)
-      in
+      let merged = c mod config.check_merged_every = 0 || c = config.cycles in
       let verdict =
-        match structural with
+        match run_checks ~merged proto group with
         | Some msg -> Diverged msg
         | None ->
           if replayed > bound then

@@ -82,8 +82,11 @@ val check_state : Weihl_fault.Harness.protocol -> Group.t -> string option
     lists one rebuild transaction in place of the transactions it
     folded. *)
 
-val run_checks : Weihl_fault.Harness.protocol -> Group.t -> string option
-(** All of the above plus zero-stuck-in-doubt, first failure wins. *)
+val run_checks :
+  ?merged:bool -> Weihl_fault.Harness.protocol -> Group.t -> string option
+(** All of the above plus zero-stuck-in-doubt, first failure wins.
+    [merged] (default true) runs {!check_merged_replay}; the soak skips
+    it between its cadence points. *)
 
 val tpc_fault_of :
   Shard_plan.t -> fanout:int -> Weihl_dist.Tpc.fault * int list
@@ -99,8 +102,14 @@ val run_schedule :
 (** [quick] shortens both traffic phases; default 3 shards. *)
 
 val run_many :
-  ?quick:bool -> ?shards:int -> seeds:int list -> unit -> summary
-(** One schedule per seed, protocols assigned round-robin. *)
+  ?quick:bool ->
+  ?shards:int ->
+  ?protocols:Weihl_fault.Harness.protocol list ->
+  seeds:int list ->
+  unit ->
+  summary
+(** One schedule per seed, [protocols] (default {!protocols}) assigned
+    round-robin. *)
 
 val divergences : summary -> schedule_result list
 

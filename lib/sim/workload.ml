@@ -20,6 +20,19 @@ type t = {
 
 let step ?continue_if obj op = { obj; op; continue_if }
 
+(* Banking workloads mix audits in, so a read-only script turns up
+   within a few draws. *)
+let read_steps w rng =
+  let rec go n =
+    if n = 0 then None
+    else
+      let s = w.generate rng in
+      if s.kind = `Read_only then
+        Some (List.map (fun st -> (st.obj, st.op)) s.steps)
+      else go (n - 1)
+  in
+  go 100
+
 (* Zipfian rank sampler: key i (0-based) drawn with weight
    1/(i+1)^theta.  theta = 0 is uniform; theta around 1 is the classic
    skew where a few keys soak up most of the traffic. *)

@@ -31,6 +31,10 @@ type t = {
 
 val step : ?continue_if:(Value.t -> bool) -> Object_id.t -> Operation.t -> step
 
+val read_steps : t -> Rng.t -> (Object_id.t * Operation.t) list option
+(** Draw scripts until a read-only one appears and return its steps —
+    the shape of a snapshot read.  [None] if 100 draws bring none. *)
+
 (** {1 Key distributions}
 
     Samplers return an index in [0 .. n-1]; feed them to {!banking}'s

@@ -460,9 +460,13 @@ let deadlock_search_run ~domains seed =
              want)
   in
   let active () = List.filter Gtxn.is_active !live in
-  let waiting t =
-    List.exists (fun x -> Hashtbl.mem pending (Gtxn.gid t, x)) accounts
+  let pending_of t =
+    List.filter_map
+      (fun x ->
+        Option.map (fun op -> (t, x, op)) (Hashtbl.find_opt pending (Gtxn.gid t, x)))
+      accounts
   in
+  let waiting t = pending_of t <> [] in
   let some_of xs = List.filter (fun _ -> Rng.bool rng) xs in
   let amount () = Rng.int_range rng 1 5 in
   for step = 1 to 60 do
@@ -473,21 +477,21 @@ let deadlock_search_run ~domains seed =
         Shard_group.begin_txn g (Activity.update (Fmt.str "u%d" !names)) :: !live
     | 0 | 1 | 2 | 3 | 4 ->
       (* One or two objects per transaction, so a transaction can wait
-         on two shards at once; a waiting transaction retries its
-         pending operation on that object. *)
+         on two shards at once.  Activities are sequential: a waiting
+         transaction retries its pending operations and nothing else. *)
       let entries =
         List.concat_map
           (fun t ->
-            let x = Rng.pick rng accounts in
-            let xs =
-              if Rng.bool rng then [ x ]
-              else [ x; Rng.pick rng (List.filter (( != ) x) accounts) ]
-            in
-            List.map
-              (fun x ->
-                match Hashtbl.find_opt pending (Gtxn.gid t, x) with
-                | Some op -> (t, x, op)
-                | None ->
+            match pending_of t with
+            | _ :: _ as retries -> retries
+            | [] ->
+              let x = Rng.pick rng accounts in
+              let xs =
+                if Rng.bool rng then [ x ]
+                else [ x; Rng.pick rng (List.filter (( != ) x) accounts) ]
+              in
+              List.map
+                (fun x ->
                   let op =
                     match Rng.int rng 3 with
                     | 0 -> Bank_account.deposit (amount ())
@@ -495,7 +499,7 @@ let deadlock_search_run ~domains seed =
                     | _ -> Bank_account.balance
                   in
                   (t, x, op))
-              xs)
+                xs)
           (some_of (active ()))
       in
       List.iter2
@@ -514,11 +518,12 @@ let deadlock_search_run ~domains seed =
       | _ :: _ as ts when Rng.int rng 3 = 0 -> Shard_group.abort g (Rng.pick rng ts)
       | _ -> ())
     | 7 -> (
-      match List.filter (fun t -> Gtxn.fanout t >= 2) (active ()) with
+      match
+        List.filter (fun t -> Gtxn.fanout t >= 2 && not (waiting t)) (active ())
+      with
       | t :: _ when Rng.bool rng ->
         (* The coordinator dies after PREPARE: the legs stay prepared,
-           indexed, and in other transactions' way — a leg that was
-           waiting included. *)
+           indexed, and in other transactions' way. *)
         Shard_group.commit
           ~fault:{ Tpc.no_fault with Tpc.f_coordinator_crash = Tpc.After_prepare }
           g t
@@ -533,7 +538,7 @@ let deadlock_search_run ~domains seed =
   !disagreement
 
 let prop_deadlock_search_matches_oracle =
-  QCheck.Test.make ~count:40
+  QCheck.Test.make ~count:60
     ~name:"deadlock search: the mirror finds the merged snapshots' cycle"
     QCheck.(int_range 1 100_000)
     (fun seed ->

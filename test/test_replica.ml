@@ -9,8 +9,11 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 
 let proto name = Option.get (Fault_harness.find_protocol name)
 
-let build (p : Fault_harness.protocol) ~shards ~seed =
-  let group = Shard_group.create ~policy:p.Fault_harness.policy ~seed ~shards () in
+let build ?group_commit (p : Fault_harness.protocol) ~shards ~seed =
+  let group =
+    Shard_group.create ~policy:p.Fault_harness.policy ?group_commit ~seed
+      ~shards ()
+  in
   let w = p.Fault_harness.workload () in
   List.iter
     (fun id -> Shard_group.add_object group id p.Fault_harness.make_object)
@@ -179,6 +182,39 @@ let test_stale_read_bounces () =
     match o.Replica_tier.values with
     | [ (_, _, Value.Int 150) ] -> ()
     | _ -> Alcotest.fail "replica served early state")
+
+(* Under group commit a two-shard [commit] runs the 2PC message round,
+   which applies its decision without a sync: the deposits are in each
+   shard's history but not yet in its durable stream, so no segment
+   carries them.  The serving mark must stay below them, so the read
+   bounces to the primary instead of serving the balances from before
+   the deposits. *)
+let test_unsynced_commit_holds_the_mark () =
+  let p = proto "hybrid" in
+  let group, w = build ~group_commit:true p ~shards:2 ~seed:7 in
+  let on s =
+    List.find (fun x -> Shard_group.shard_of group x = s) w.Workload.objects
+  in
+  let steps = [ (on 0, Bank_account.balance); (on 1, Bank_account.balance) ] in
+  let tier = tier_of p ~replicas:1 group in
+  let g = Shard_group.begin_txn group (Activity.update "dep") in
+  List.iter
+    (fun (x, _) ->
+      match Shard_group.invoke group g x (Bank_account.deposit 100) with
+      | Shard_group.Granted _ -> ()
+      | _ -> Alcotest.fail "deposit refused")
+    steps;
+  Shard_group.commit group g;
+  Replica_tier.pump tier;
+  match Replica_tier.read ~replica:0 tier steps with
+  | Error msg -> Alcotest.fail msg
+  | Ok o -> (
+    match o.Replica_tier.values with
+    | [ (_, _, Value.Int 100); (_, _, Value.Int 100) ] -> ()
+    | vs ->
+      Alcotest.failf "read missed the commit: %a"
+        Fmt.(list ~sep:(any ", ") Value.pp)
+        (List.map (fun (_, _, v) -> v) vs))
 
 let test_reads_round_robin_and_match_primary () =
   let p = proto "hybrid" in
@@ -960,6 +996,8 @@ let suite =
       test_lag_schedule_catches_up;
     Alcotest.test_case "read: stale reads bounce, never serve early state"
       `Quick test_stale_read_bounces;
+    Alcotest.test_case "read: an unsynced commit holds the mark" `Quick
+      test_unsynced_commit_holds_the_mark;
     Alcotest.test_case "read: round-robin replicas serve snapshots" `Quick
       test_reads_round_robin_and_match_primary;
     Alcotest.test_case "read: a live static update holds the mark" `Quick

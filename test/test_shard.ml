@@ -24,8 +24,8 @@ let cross_pair =
   in
   (on 0, on 1)
 
-let rw_group ?metrics ?(seed = 1) ?(shards = 2) () =
-  let g = Shard_group.create ?metrics ~seed ~shards () in
+let rw_group ?metrics ?group_commit ?(seed = 1) ?(shards = 2) () =
+  let g = Shard_group.create ?metrics ?group_commit ~seed ~shards () in
   List.iter
     (fun x ->
       Shard_group.add_object g x (fun log id ->
@@ -298,6 +298,101 @@ let test_cross_shard_deadlock () =
     check_bool "youngest is the victim" true (Gtxn.equal v t2);
     Shard_group.abort ~reason:"deadlock" g v;
     check_bool "cycle broken" true (Shard_group.find_deadlock g = None)
+
+(* --- sequential activities ------------------------------------------ *)
+
+(* Activities are sequential: while [two]'s deposit on [x] waits behind
+   [one], [two] may retry it and nothing else.  Were a second operation
+   granted and the commit accepted, the shard's history would hold an
+   invocation that is never answered. *)
+let test_waiting_txn_may_only_retry () =
+  let g = rw_group ~shards:1 () in
+  let x = List.nth accounts 0 and y = List.nth accounts 1 in
+  let one = Shard_group.begin_txn g (Activity.update "one") in
+  let two = Shard_group.begin_txn g (Activity.update "two") in
+  deposit g one x 1;
+  let waits () =
+    match Shard_group.invoke g two x (Bank_account.deposit 1) with
+    | Shard_group.Wait _ -> ()
+    | _ -> Alcotest.fail "two should wait behind one"
+  in
+  waits ();
+  let rejected what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted while an operation waits" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejected "another operation" (fun () ->
+      ignore (Shard_group.invoke g two y (Bank_account.deposit 1)));
+  rejected "a commit" (fun () -> Shard_group.commit g two);
+  rejected "a batch commit" (fun () -> Shard_group.commit_batch g [ two ]);
+  (* The retry stays legal, and once it is granted so is the rest. *)
+  waits ();
+  Shard_group.commit g one;
+  deposit g two x 1;
+  deposit g two y 1;
+  Shard_group.commit g two;
+  check_bool "committed" true (Gtxn.status two = Gtxn.Committed);
+  check_bool "the shard history is well-formed" true
+    (Wellformed.is_well_formed Wellformed.Base
+       (System.history (Shard_group.system g 0)))
+
+(* [commit_batch] ends the coordinator-side span of every transaction
+   it settles, whatever its fate: each begun transaction has exactly
+   one B and one E on pid 0. *)
+let test_commit_batch_ends_every_span () =
+  let on s k =
+    List.nth
+      (List.filter (fun x -> Shard_router.shard_of ~shards:2 x = s) accounts)
+      k
+  in
+  let settle ?crash_before_sync txns =
+    let g = rw_group ~group_commit:true () in
+    let tracer = Obs.Shard_trace.create ~shards:2 in
+    Shard_group.set_tracer g tracer;
+    let gts =
+      List.map
+        (fun (name, xs) ->
+          let gt = Shard_group.begin_txn g (Activity.update name) in
+          List.iter (fun x -> deposit g gt x 1) xs;
+          gt)
+        txns
+    in
+    Shard_group.commit_batch ?crash_before_sync g gts;
+    let evs = Obs.Shard_trace.events tracer in
+    List.iter
+      (fun (name, _) ->
+        let count ph =
+          List.length
+            (List.filter
+               (fun e ->
+                 e.Obs.Trace.pid = 0 && e.Obs.Trace.ph = ph
+                 && e.Obs.Trace.name = "txn " ^ name)
+               evs)
+        in
+        check_int (name ^ ": one begin") 1 (count Obs.Trace.B);
+        check_int (name ^ ": one end") 1 (count Obs.Trace.E))
+      txns;
+    gts
+  in
+  ignore
+    (settle
+       [ ("multi", [ on 0 0; on 1 0 ]); ("single", [ on 0 1 ]) ]);
+  (* Shard 1 dies before its wave-1 sync: the multi-shard transaction
+     aborts and the single-shard commit there is lost. *)
+  match
+    settle ~crash_before_sync:[ 1 ]
+      [
+        ("multi", [ on 0 0; on 1 0 ]);
+        ("lost", [ on 1 1 ]);
+        ("kept", [ on 0 1 ]);
+      ]
+  with
+  | [ multi; lost; kept ] ->
+    check_bool "multi aborted" true (Gtxn.status multi = Gtxn.Aborted);
+    check_bool "lost aborted" true (Gtxn.status lost = Gtxn.Aborted);
+    check_bool "kept committed" true (Gtxn.status kept = Gtxn.Committed)
+  | _ -> assert false
 
 (* --- driver and harness --------------------------------------------- *)
 
@@ -611,6 +706,10 @@ let suite =
       test_participant_crash_held_in_doubt_then_aborts;
     Alcotest.test_case "cross-shard deadlock victimizes the youngest" `Quick
       test_cross_shard_deadlock;
+    Alcotest.test_case "a waiting transaction may only retry" `Quick
+      test_waiting_txn_may_only_retry;
+    Alcotest.test_case "trace: commit_batch ends every span it settles" `Quick
+      test_commit_batch_ends_every_span;
     Alcotest.test_case "driver: clean sharded run" `Quick test_driver_clean_run;
     Alcotest.test_case "driver: per-shard metrics" `Quick test_driver_metrics;
     Alcotest.test_case "harness: quick fault sweep has no divergence" `Slow
