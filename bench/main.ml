@@ -20,38 +20,20 @@ let section title =
 (* Shared system builders                                              *)
 (* ------------------------------------------------------------------ *)
 
-let build_accounts protocol ids =
-  let policy =
-    match protocol with
-    | `Multiversion -> `Static
-    | `Hybrid | `Hybrid_escrow -> `Hybrid
-    | `Rw | `Commutativity | `Escrow -> `None_
-  in
-  let sys = System.create ~policy () in
-  let log = System.log sys in
-  List.iter
-    (fun id ->
-      let obj =
-        match protocol with
-        | `Rw -> Op_locking.rw log id (module Bank_account)
-        | `Commutativity ->
-          Op_locking.commutativity log id (module Bank_account)
-        | `Escrow -> Escrow_account.make log id
-        | `Multiversion -> Multiversion.make log id Bank_account.spec
-        | `Hybrid -> Hybrid.of_adt log id (module Bank_account)
-        | `Hybrid_escrow -> Hybrid_account.make log id
-      in
-      System.add_object sys obj)
-    ids;
-  sys
+let catalog_protocol name =
+  match Fault_harness.find_protocol name with
+  | Some p -> p
+  | None -> Fmt.failwith "%s protocol missing from the fault catalog" name
 
+(* A fresh system holding the catalog protocol [name]'s objects. *)
+let build_accounts name ids = Fault_harness.system (catalog_protocol name) ids
+
+(* The label a table prints for a catalog protocol. *)
 let protocol_name = function
-  | `Rw -> "rw-2pl"
-  | `Commutativity -> "commutativity"
-  | `Escrow -> "escrow (dynamic)"
-  | `Multiversion -> "multiversion"
-  | `Hybrid -> "hybrid"
-  | `Hybrid_escrow -> "hybrid-escrow"
+  | "rw" -> "rw-2pl"
+  | "escrow" -> "escrow (dynamic)"
+  | "hybrid_account" -> "hybrid-escrow"
+  | name -> name
 
 (* The median of [trials] monotonic-clock timings, in nanoseconds, of
    the thunk [prepare] returns; each trial prepares afresh, untimed. *)
@@ -108,7 +90,7 @@ let e1 () =
             (protocol_name protocol) o.Driver.committed o.Driver.waits
             (o.Driver.aborted_deadlock + o.Driver.aborted_refused)
             o.Driver.gave_up (Driver.throughput o))
-        [ `Rw; `Commutativity; `Escrow ];
+        [ "rw"; "commutativity"; "escrow" ];
       Fmt.pr "@.")
     headrooms;
   Fmt.pr
@@ -295,7 +277,7 @@ let e3 () =
             o.Driver.waits_read_only
             (o.Driver.aborted_deadlock + o.Driver.aborted_refused)
             (Driver.throughput o))
-        [ `Rw; `Commutativity; `Multiversion; `Hybrid; `Hybrid_escrow ];
+        [ "rw"; "commutativity"; "multiversion"; "hybrid"; "hybrid_account" ];
       Fmt.pr "@.")
     [ 4; 8; 16 ];
   Fmt.pr
@@ -325,8 +307,7 @@ let e4 () =
   let skews = [ 0; 2; 4; 8; 16 ] in
   List.iter
     (fun skew ->
-      let sys = System.create ~policy:`Static () in
-      let log = System.log sys in
+      let sys = build_accounts "multiversion" (Workload.account_ids 4) in
       let rng = Rng.create (1000 + skew) in
       let counter = ref 0 in
       System.set_ts_source sys (fun () ->
@@ -336,16 +317,12 @@ let e4 () =
              bits keep timestamps unique. *)
           let logical = max 0 (!counter - Rng.int rng (skew + 1)) in
           Timestamp.v ((logical * 4096) + !counter));
-      List.iter
-        (fun id ->
-          System.add_object sys (Multiversion.make log id Bank_account.spec))
-        (Workload.account_ids 4);
       let w = Workload.banking ~accounts:4 ~audit_fraction:0.1 () in
       let o = Driver.run ~config sys w in
       Fmt.pr "%-6d %-18s %9d %9d %9d %11.1f@." skew "multiversion"
         o.Driver.committed o.Driver.aborted_refused o.Driver.waits
         (Driver.throughput o);
-      let sys2 = build_accounts `Commutativity (Workload.account_ids 4) in
+      let sys2 = build_accounts "commutativity" (Workload.account_ids 4) in
       let o2 = Driver.run ~config sys2 w in
       Fmt.pr "%-6d %-18s %9d %9d %9d %11.1f@." skew "commutativity"
         o2.Driver.committed o2.Driver.aborted_refused o2.Driver.waits
@@ -456,7 +433,7 @@ let e6 () =
   let accounts = 4 in
   let ids = Workload.account_ids accounts in
   let initial_total = 1000 in
-  let sys = build_accounts `Hybrid ids in
+  let sys = build_accounts "hybrid" ids in
   List.iter (fun id -> seed_account sys id (initial_total / accounts)) ids;
   let rng = Rng.create 99 in
   let audits = 300 in
@@ -1102,7 +1079,8 @@ module J = Obs.Json
 let sim_section ~quick =
   let duration = if quick then 300 else 1200 in
   let accounts = 16 in
-  let scenario protocol pname clients =
+  let scenario protocol clients =
+    let pname = protocol_name protocol in
     let sys = build_accounts protocol (Workload.account_ids accounts) in
     let w = Workload.banking ~accounts ~audit_fraction:0.15 () in
     let config =
@@ -1162,8 +1140,8 @@ let sim_section ~quick =
     (List.concat_map
        (fun clients ->
          [
-           scenario `Rw "rw-2pl" clients;
-           scenario `Hybrid "hybrid" clients;
+           scenario "rw" clients;
+           scenario "hybrid" clients;
          ])
        [ 8; 32 ])
 
@@ -1177,7 +1155,6 @@ let sim_section ~quick =
 let synth_section ~quick =
   let duration = if quick then 600 else 2000 in
   let headroom = 200 in
-  let account_domain = Lint_domain.find_exn "account" in
   let alphabet_workload ~balance_fraction =
     (* Scripts drawn from the synthesis alphabet itself
        ({deposit 5; deposit 2; withdraw 3; withdraw 6; balance}), so
@@ -1207,16 +1184,8 @@ let synth_section ~quick =
             { Workload.kind = `Update; label = "synth-mix"; steps });
     }
   in
-  let build_derived () =
-    let sys = System.create ~policy:`None_ () in
-    let log = System.log sys in
-    let synthesis = Synthesize.of_domain ~depth:3 account_domain in
-    System.add_object sys
-      (Synthesize.make_object synthesis log Workload.hot_account);
-    sys
-  in
-  let scenario build pname =
-    let sys = build () in
+  let scenario protocol pname =
+    let sys = build_accounts protocol [ Workload.hot_account ] in
     seed_account sys Workload.hot_account headroom;
     let config =
       {
@@ -1249,14 +1218,10 @@ let synth_section ~quick =
   in
   let runs =
     [
-      scenario (fun () -> build_accounts `Rw [ Workload.hot_account ]) "rw-2pl";
-      scenario
-        (fun () -> build_accounts `Commutativity [ Workload.hot_account ])
-        "commutativity";
-      scenario build_derived "derived_account";
-      scenario
-        (fun () -> build_accounts `Escrow [ Workload.hot_account ])
-        "escrow";
+      scenario "rw" "rw-2pl";
+      scenario "commutativity" "commutativity";
+      scenario "derived_account" "derived_account";
+      scenario "escrow" "escrow";
     ]
   in
   let find name =
@@ -1292,19 +1257,12 @@ let open_loop_section ~quick =
     if quick then [ 0.05; 0.2; 0.8 ] else [ 0.05; 0.1; 0.2; 0.4; 0.8 ]
   in
   let shards = 4 in
-  let proto =
-    match Fault_harness.find_protocol "escrow" with
-    | Some p -> p
-    | None -> Fmt.failwith "escrow protocol missing from the fault catalog"
-  in
+  let proto = catalog_protocol "escrow" in
   let w = proto.Fault_harness.workload () in
   let scenario rate =
     let group =
-      Shard_group.create ~policy:proto.Fault_harness.policy ~seed:5 ~shards ()
+      Shard_harness.group ~seed:5 ~shards proto w.Workload.objects
     in
-    List.iter
-      (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)
-      w.Workload.objects;
     let config =
       {
         Sharded_driver.default_config with
@@ -1388,15 +1346,11 @@ let multicore_section ~quick =
     let run () =
       let metrics = Obs.Shard_metrics.create ~shards () in
       let group =
-        Shard_group.create ~metrics ~seed:11 ~domains ~group_commit:true
+        Shard_harness.group ~metrics ~seed:11 ~domains ~group_commit:true
           ~sync_cost:(fun () -> Unix.sleepf (sync_cost_us *. 1e-6))
-          ~shards ()
+          ~shards (catalog_protocol "rw")
+          (Workload.account_ids accounts)
       in
-      List.iter
-        (fun x ->
-          Shard_group.add_object group x (fun log id ->
-              Op_locking.rw log id (module Bank_account)))
-        (Workload.account_ids accounts);
       let config =
         { Sharded_driver.default_config with jobs; inflight; seed = 11 }
       in
@@ -1482,31 +1436,20 @@ let recovery_section ~quick =
   let duration = if quick then 600 else 1500 in
   let shards = 3 in
   let every = 40 in
-  let proto =
-    match Fault_harness.find_protocol "escrow" with
-    | Some p -> p
-    | None -> Fmt.failwith "escrow protocol missing from the fault catalog"
-  in
+  let proto = catalog_protocol "escrow" in
   let w = proto.Fault_harness.workload () in
   let group =
-    Shard_group.create ~policy:proto.Fault_harness.policy ~seed:9 ~shards
+    Shard_harness.group ~seed:9 ~shards
       ~checkpoint:{ Shard_group.default_checkpoint with every }
-      ()
+      proto w.Workload.objects
   in
-  List.iter
-    (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)
-    w.Workload.objects;
   let config = { Sharded_driver.default_config with arrivals = Clients 4; duration; seed = 9 } in
   ignore (Sharded_driver.run ~config group w);
   let victim = 1 in
   let files = Shard_group.checkpoint_files group victim in
   let log_records = Shard_group.record_count group victim in
   let text = Shard_group.crash_shard group victim in
-  let sys = System.create ~policy:proto.Fault_harness.policy () in
-  List.iter
-    (fun id ->
-      System.add_object sys (proto.Fault_harness.make_object (System.log sys) id))
-    w.Workload.objects;
+  let sys = Fault_harness.system proto w.Workload.objects in
   let order = Recovery.order_of_policy proto.Fault_harness.policy in
   let report =
     match Recovery.restore_checkpointed ~checkpoints:files order sys text with
@@ -1665,19 +1608,11 @@ let growth_commit_wave group rng ids ~n ~prefix ~started op =
    own generator, so the transactions stay those of the pump run. *)
 let growth_pump_run ?(reads = false) ~commits () =
   let accounts = 256 in
-  let proto =
-    match Fault_harness.find_protocol "hybrid" with
-    | Some p -> p
-    | None -> Fmt.failwith "hybrid protocol missing from the fault catalog"
-  in
-  let group =
-    Shard_group.create ~policy:proto.Fault_harness.policy ~group_commit:true
-      ~shards:growth_shards ()
-  in
+  let proto = catalog_protocol "hybrid" in
   let ids = Workload.account_ids accounts in
-  List.iter
-    (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)
-    ids;
+  let group =
+    Shard_harness.group ~group_commit:true ~shards:growth_shards proto ids
+  in
   let tier =
     Replica_tier.create ~replicas:growth_replicas
       ~make_object:proto.Fault_harness.make_object group
@@ -1738,20 +1673,13 @@ let growth_ckpt_every = 25
 (* The transfer-shaped run at [commits] transfers after the funding
    wave: per-checkpoint capture work, then per-recovery replay work. *)
 let growth_ckpt_run ~commits () =
-  let proto =
-    match Fault_harness.find_protocol "escrow" with
-    | Some p -> p
-    | None -> Fmt.failwith "escrow protocol missing from the fault catalog"
-  in
-  let group =
-    Shard_group.create ~policy:proto.Fault_harness.policy ~group_commit:true
-      ~checkpoint:{ Shard_group.every = growth_ckpt_every; archive = false }
-      ~shards:growth_ckpt_shards ()
-  in
+  let proto = catalog_protocol "escrow" in
   let ids = Workload.account_ids growth_ckpt_accounts in
-  List.iter
-    (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)
-    ids;
+  let group =
+    Shard_harness.group ~group_commit:true
+      ~checkpoint:{ Shard_group.every = growth_ckpt_every; archive = false }
+      ~shards:growth_ckpt_shards proto ids
+  in
   let funding =
     List.mapi
       (fun i x ->

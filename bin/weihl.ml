@@ -116,90 +116,38 @@ let write_file path contents =
     Fmt.epr "weihl: cannot write %s: %s@." path reason;
     exit 1
 
+(* Each workload with its ADT and the catalog protocol [--protocol
+   escrow] selects for it: the data-dependent object for that ADT. *)
+let sim_workloads =
+  let account = (module Bank_account : Adt_sig.S) in
+  [
+    ("banking", account, "escrow", fun () -> Workload.banking ());
+    ("hot", account, "escrow", fun () -> Workload.hot_withdrawals ());
+    ("set", (module Intset), "da_set", fun () -> Workload.set_ops ());
+    ("kv", (module Kv_map), "da_kv", fun () -> Workload.kv_ops ());
+    ( "semiqueue",
+      (module Semiqueue),
+      "da_semiqueue",
+      fun () -> Workload.semiqueue_producers_consumers () );
+  ]
+
 let sim_cmd protocol workload clients duration seed dump trace metrics =
-  let mk_account_obj sys id =
-    let log = System.log sys in
-    match protocol with
-    | "rw" -> Op_locking.rw log id (module Bank_account)
-    | "commutativity" -> Op_locking.commutativity log id (module Bank_account)
-    | "escrow" -> Escrow_account.make log id
-    | "multiversion" -> Multiversion.make log id Bank_account.spec
-    | "hybrid" -> Hybrid.of_adt log id (module Bank_account)
-    | p -> Fmt.failwith "unknown protocol %s" p
+  let adt, data_dependent, workload =
+    match List.find_opt (fun (w, _, _, _) -> w = workload) sim_workloads with
+    | Some (_, adt, dd, w) -> (adt, dd, w)
+    | None ->
+      Fmt.failwith "unknown workload %s (banking|hot|set|kv|semiqueue)" workload
   in
-  let policy =
-    match protocol with
-    | "multiversion" -> `Static
-    | "hybrid" -> `Hybrid
-    | _ -> `None_
+  let proto =
+    match (Fault_harness.generic protocol adt workload, protocol) with
+    | Some p, _ -> p
+    | None, "escrow" ->
+      let p = Option.get (Fault_harness.find_protocol data_dependent) in
+      { p with workload }
+    | None, p -> Fmt.failwith "unknown protocol %s" p
   in
-  let sys = System.create ~policy () in
-  let w =
-    match workload with
-    | "banking" ->
-      let w = Workload.banking () in
-      List.iter (fun id -> System.add_object sys (mk_account_obj sys id))
-        w.Workload.objects;
-      w
-    | "hot" ->
-      let w = Workload.hot_withdrawals () in
-      List.iter (fun id -> System.add_object sys (mk_account_obj sys id))
-        w.Workload.objects;
-      w
-    | "set" ->
-      let w = Workload.set_ops () in
-      let log = System.log sys in
-      List.iter
-        (fun id ->
-          let obj =
-            match protocol with
-            | "rw" -> Op_locking.rw log id (module Intset)
-            | "commutativity" -> Op_locking.commutativity log id (module Intset)
-            | "escrow" -> Da_set.make log id (* data-dependent set *)
-            | "multiversion" -> Multiversion.make log id Intset.spec
-            | "hybrid" -> Hybrid.of_adt log id (module Intset)
-            | p -> Fmt.failwith "unknown protocol %s" p
-          in
-          System.add_object sys obj)
-        w.Workload.objects;
-      w
-    | "kv" ->
-      let w = Workload.kv_ops () in
-      let log = System.log sys in
-      List.iter
-        (fun id ->
-          let obj =
-            match protocol with
-            | "rw" -> Op_locking.rw log id (module Kv_map)
-            | "commutativity" -> Op_locking.commutativity log id (module Kv_map)
-            | "escrow" -> Da_kv.make log id (* data-dependent map *)
-            | "multiversion" -> Multiversion.make log id Kv_map.spec
-            | "hybrid" -> Hybrid.of_adt log id (module Kv_map)
-            | p -> Fmt.failwith "unknown protocol %s" p
-          in
-          System.add_object sys obj)
-        w.Workload.objects;
-      w
-    | "semiqueue" ->
-      let w = Workload.semiqueue_producers_consumers () in
-      let log = System.log sys in
-      List.iter
-        (fun id ->
-          let obj =
-            match protocol with
-            | "rw" -> Op_locking.rw log id (module Semiqueue)
-            | "commutativity" ->
-              Op_locking.commutativity log id (module Semiqueue)
-            | "escrow" -> Da_semiqueue.make log id (* data-dependent *)
-            | "multiversion" -> Multiversion.make log id Semiqueue.spec
-            | "hybrid" -> Hybrid.of_adt log id (module Semiqueue)
-            | p -> Fmt.failwith "unknown protocol %s" p
-          in
-          System.add_object sys obj)
-        w.Workload.objects;
-      w
-    | w -> Fmt.failwith "unknown workload %s (banking|hot|set|kv|semiqueue)" w
-  in
+  let w = proto.Fault_harness.workload () in
+  let sys = Fault_harness.system proto w.Workload.objects in
   let config = { Driver.default_config with clients; duration; seed } in
   let recorder =
     if trace <> None || metrics then Some (Obs.Recorder.create ()) else None
@@ -349,13 +297,13 @@ let recover_cmd file protocol order_name =
           in
           System.add_object sys o)
       (History.objects h);
-    (match Recovery.restore order sys h with
-    | Ok n ->
-      Fmt.pr "recovered %d committed transactions@." n;
+    (match Recovery.replay order sys h with
+    | Ok r ->
+      Fmt.pr "recovered %d committed transactions@." r.Recovery.replayed;
       Fmt.pr "replayed history:@.%a@." History.pp (System.history sys);
       0
-    | Error e ->
-      Fmt.epr "recovery failed: %s@." e;
+    | Error f ->
+      Fmt.epr "recovery failed: %a@." Recovery.pp_failure f;
       1)
 
 (* ------------------------------------------------------------------ *)
@@ -504,6 +452,15 @@ let soak_cmd cycles seed report verbose =
     List.iter (fun c -> Fmt.epr "  %a@." Shard_harness.pp_cycle c) ds;
     1
 
+(* The protocol [name] of [protocols]; an unknown name lists them. *)
+let find_in ~what protocols name =
+  let name_of (p : Fault_harness.protocol) = p.Fault_harness.name in
+  match List.find_opt (fun p -> name_of p = name) protocols with
+  | Some p -> p
+  | None ->
+    Fmt.failwith "unknown %s %s (one of: %s)" what name
+      (String.concat ", " (List.map name_of protocols))
+
 let faults_cmd schedules quick base_seed protocol verbose soak report =
   match soak with
   | Some cycles -> soak_cmd cycles base_seed report verbose
@@ -511,15 +468,7 @@ let faults_cmd schedules quick base_seed protocol verbose soak report =
   let seeds = List.init schedules (fun i -> base_seed + i) in
   let protocols =
     Option.map
-      (fun name ->
-        match Fault_harness.find_protocol name with
-        | Some proto -> [ proto ]
-        | None ->
-          Fmt.failwith "unknown protocol %s (one of: %s)" name
-            (String.concat ", "
-               (List.map
-                  (fun p -> p.Fault_harness.name)
-                  Fault_harness.catalog)))
+      (fun name -> [ find_in ~what:"protocol" Fault_harness.catalog name ])
       protocol
   in
   let summary = Fault_harness.run_many ~quick ?protocols ~seeds () in
@@ -539,19 +488,8 @@ let faults_cmd schedules quick base_seed protocol verbose soak report =
 (* weihl shard                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let find_sharded_protocol name =
-  match
-    List.find_opt
-      (fun (p : Fault_harness.protocol) -> p.Fault_harness.name = name)
-      Shard_harness.protocols
-  with
-  | Some p -> p
-  | None ->
-    Fmt.failwith "unknown sharded protocol %s (one of: %s)" name
-      (String.concat ", "
-         (List.map
-            (fun (p : Fault_harness.protocol) -> p.Fault_harness.name)
-            Shard_harness.protocols))
+let find_sharded_protocol =
+  find_in ~what:"sharded protocol" Shard_harness.protocols
 
 let shard_sweep_to_json (s : Shard_harness.summary) =
   let num n = Obs.Json.Num (float_of_int n) in
@@ -829,13 +767,9 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
         else None
       in
       let group =
-        Shard_group.create ~policy:proto.Fault_harness.policy ?metrics:sm ~seed
-          ~domains ?group_commit ?sync_cost ?checkpoint ~shards ()
+        Shard_harness.group ?metrics:sm ~seed ~domains ?group_commit
+          ?sync_cost ?checkpoint ~shards proto w.Workload.objects
       in
-      List.iter
-        (fun id ->
-          Shard_group.add_object group id proto.Fault_harness.make_object)
-        w.Workload.objects;
       (group, sm)
     in
     let domains_field group =
@@ -1087,12 +1021,8 @@ let replica_lag_demo ~shards ~replicas ~seed =
   let w = proto.Fault_harness.workload () in
   let sm = Obs.Shard_metrics.create ~replicas ~shards () in
   let group =
-    Shard_group.create ~policy:proto.Fault_harness.policy ~metrics:sm ~seed
-      ~shards ()
+    Shard_harness.group ~metrics:sm ~seed ~shards proto w.Workload.objects
   in
-  List.iter
-    (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)
-    w.Workload.objects;
   let tier =
     Replica_tier.create ~metrics:sm ~seed ~replicas
       ~make_object:proto.Fault_harness.make_object group
@@ -1211,19 +1141,32 @@ let trace_analyze_cmd file top json =
 (* Baseline gating: a committed LINT_0.json is the floor.  A protocol
    regresses when it reports more unsound findings than the snapshot
    (normally: any) or a strictly higher looseness — new protocols
-   absent from the snapshot only have to be sound. *)
-let baseline_regressions baseline (report : Lint.report) =
-  let to_str_opt j = Obs.Json.to_str j in
+   absent from the snapshot only have to be sound.  A baseline
+   protocol the run did not certify regresses too, unless the run was
+   restricted to another one with [--protocol]. *)
+let baseline_regressions ?protocol baseline (report : Lint.report) =
   let protos =
     Option.value ~default:[]
       (Option.bind (Obs.Json.member "protocols" baseline) Obs.Json.to_list)
   in
-  let find name =
-    List.find_opt
-      (fun p ->
-        Option.bind (Obs.Json.member "protocol" p) to_str_opt = Some name)
+  let name_of p = Option.bind (Obs.Json.member "protocol" p) Obs.Json.to_str in
+  let certified name =
+    List.exists (fun (p : Lint.protocol_cert) -> p.Lint.protocol = name)
+      report.Lint.protocols
+  in
+  let dropped =
+    List.filter_map
+      (fun bj ->
+        match name_of bj with
+        | Some name
+          when (protocol = None || protocol = Some name)
+               && not (certified name) ->
+          Some
+            (Fmt.str "%s: in the baseline but not certified by this run" name)
+        | _ -> None)
       protos
   in
+  let find name = List.find_opt (fun p -> name_of p = Some name) protos in
   List.concat_map
     (fun (p : Lint.protocol_cert) ->
       match find p.Lint.protocol with
@@ -1259,6 +1202,7 @@ let baseline_regressions baseline (report : Lint.report) =
         in
         unsound_reg @ loose_reg)
     report.Lint.protocols
+  @ dropped
 
 let lint_cmd protocol depth budget json baseline self_test verbose =
   if self_test then begin
@@ -1292,7 +1236,7 @@ let lint_cmd protocol depth budget json baseline self_test verbose =
         match Obs.Json.of_string s with
         | Error e -> Fmt.failwith "cannot parse baseline %s: %s" path e
         | Ok b ->
-          let rs = baseline_regressions b report in
+          let rs = baseline_regressions ?protocol b report in
           List.iter (fun r -> Fmt.epr "lint: REGRESSION vs %s: %s@." path r) rs;
           if rs = [] then
             Fmt.pr "baseline %s: no unsoundness or looseness regression@." path;
@@ -1369,7 +1313,11 @@ let sim_term =
     Arg.(
       value & opt string "escrow"
       & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
-          ~doc:"rw | commutativity | escrow | multiversion | hybrid")
+          ~doc:
+            "rw | commutativity | escrow | multiversion | hybrid.  All but \
+             escrow are generic protocols over the workload's ADT; escrow \
+             is the catalog's data-dependent protocol for it (escrow, \
+             da_set, da_kv or da_semiqueue).")
   in
   let workload =
     Arg.(

@@ -1,39 +1,80 @@
 open Weihl_event
 module Seq_spec = Weihl_spec.Seq_spec
 
-let all : (string * Seq_spec.t) list =
+type entry = {
+  name : string;
+  adt : (module Adt_sig.S);
+  alphabet : Operation.t list;
+}
+
+let entries =
   [
-    ("intset", Intset.spec);
-    ("counter", Counter.spec);
-    ("account", Bank_account.spec);
-    ("queue", Fifo_queue.spec);
-    ("register", Register.spec);
-    ("kv", Kv_map.spec);
-    ("semiqueue", Semiqueue.spec);
-    ("stack", Stack.spec);
-    ("pqueue", Priority_queue.spec);
-    ("blind_counter", Blind_counter.spec);
-    ("log", Append_log.spec);
+    {
+      name = "intset";
+      adt = (module Intset);
+      alphabet =
+        Intset.
+          [ insert 1; insert 2; delete 1; delete 2; member 1; member 2; size ];
+    };
+    {
+      name = "counter";
+      adt = (module Counter);
+      alphabet = [ Counter.increment ];
+    };
+    {
+      name = "account";
+      adt = (module Bank_account);
+      alphabet =
+        Bank_account.[ deposit 5; deposit 2; withdraw 3; withdraw 6; balance ];
+    };
+    {
+      name = "queue";
+      adt = (module Fifo_queue);
+      alphabet = Fifo_queue.[ enqueue 1; enqueue 2; dequeue ];
+    };
+    {
+      name = "register";
+      adt = (module Register);
+      alphabet = Register.[ read; write 1; write 2 ];
+    };
+    {
+      name = "kv";
+      adt = (module Kv_map);
+      alphabet =
+        Kv_map.[ put 1 10; put 1 20; put 2 10; get 1; get 2; remove 1; size ];
+    };
+    {
+      name = "semiqueue";
+      adt = (module Semiqueue);
+      alphabet = Semiqueue.[ enq 1; enq 2; deq ];
+    };
+    {
+      name = "stack";
+      adt = (module Stack);
+      alphabet = Stack.[ push 1; push 2; pop ];
+    };
+    {
+      name = "pqueue";
+      adt = (module Priority_queue);
+      alphabet = Priority_queue.[ add 1; add 5; extract_min; find_min ];
+    };
+    {
+      name = "blind_counter";
+      adt = (module Blind_counter);
+      alphabet = Blind_counter.[ bump 1; bump 2; read ];
+    };
+    {
+      name = "log";
+      adt = (module Append_log);
+      alphabet = Append_log.[ append 1; append 2; size; read 0 ];
+    };
   ]
 
-let all_modules : (string * (module Adt_sig.S)) list =
-  [
-    ("intset", (module Intset));
-    ("counter", (module Counter));
-    ("account", (module Bank_account));
-    ("queue", (module Fifo_queue));
-    ("register", (module Register));
-    ("kv", (module Kv_map));
-    ("semiqueue", (module Semiqueue));
-    ("stack", (module Stack));
-    ("pqueue", (module Priority_queue));
-    ("blind_counter", (module Blind_counter));
-    ("log", (module Append_log));
-  ]
-
+let spec { adt = (module A); _ } = A.spec
+let read_only { adt = (module A); _ } op = A.classify op = Adt_sig.Read
+let entry name = List.find_opt (fun e -> e.name = name) entries
+let all = List.map (fun e -> (e.name, spec e)) entries
 let find name = List.assoc_opt name all
-
-let find_module name = List.assoc_opt name all_modules
 
 (* Guess an object's type from the operation names appearing on it.
    The order of the tests resolves ambiguous names deterministically:

@@ -1,22 +1,25 @@
-open Weihl_event
 module Cc = Weihl_cc
-module Adt = Weihl_adt
+module Fh = Weihl_fault.Harness
+module Seq_spec = Weihl_spec.Seq_spec
 
 type entry = {
   name : string;
   policy : Cc.System.ts_policy;
   domain : Domain.t;
-  make_object : Cc.Event_log.t -> Object_id.t -> Cc.Atomic_object.t;
+  make_object : Cc.Event_log.t -> Weihl_event.Object_id.t -> Cc.Atomic_object.t;
 }
 
-let account = Domain.find_exn "account"
-let intset = Domain.find_exn "intset"
+let is_derived name = String.starts_with ~prefix:"derived_" name
 
-(* One synthesized protocol per registry domain, compiled lazily (and
-   memoized) at the canonical depth 3 — the certification depth CI
-   runs.  Probing at other depths still certifies the same shipped
-   table, which is the honest question: is the compiled artifact
-   sound? *)
+let domain_of spec =
+  List.find
+    (fun d -> Seq_spec.type_name d.Domain.spec = Seq_spec.type_name spec)
+    Domain.all
+
+(* One synthesized protocol per registry domain, at the canonical depth
+   3 — the certification depth CI runs.  Probing at other depths still
+   certifies the same shipped table, which is the honest question: is
+   the compiled artifact sound? *)
 let derived (d : Domain.t) =
   {
     name = "derived_" ^ d.Domain.name;
@@ -28,98 +31,18 @@ let derived (d : Domain.t) =
   }
 
 let all =
-  [
-    {
-      name = "rw";
-      policy = `None_;
-      domain = account;
-      make_object =
-        (fun log id -> Cc.Op_locking.rw log id (module Adt.Bank_account));
-    };
-    {
-      name = "commutativity";
-      policy = `None_;
-      domain = account;
-      make_object =
-        (fun log id ->
-          Cc.Op_locking.commutativity log id (module Adt.Bank_account));
-    };
-    {
-      name = "escrow";
-      policy = `None_;
-      domain = account;
-      make_object = Cc.Escrow_account.make;
-    };
-    {
-      name = "rw_undo";
-      policy = `None_;
-      domain = account;
-      make_object =
-        (fun log id -> Cc.Rw_undo.make log id (module Adt.Bank_account));
-    };
-    {
-      name = "multiversion";
-      policy = `Static;
-      domain = account;
-      make_object =
-        (fun log id -> Cc.Multiversion.make log id Adt.Bank_account.spec);
-    };
-    {
-      name = "hybrid";
-      policy = `Hybrid;
-      domain = account;
-      make_object =
-        (fun log id -> Cc.Hybrid.of_adt log id (module Adt.Bank_account));
-    };
-    {
-      name = "hybrid_account";
-      policy = `Hybrid;
-      domain = account;
-      make_object = Cc.Hybrid_account.make;
-    };
-    {
-      name = "da_set";
-      policy = `None_;
-      domain = intset;
-      make_object = Cc.Da_set.make;
-    };
-    {
-      name = "multiversion_set";
-      policy = `Static;
-      domain = intset;
-      make_object = (fun log id -> Cc.Multiversion.make log id Adt.Intset.spec);
-    };
-    {
-      name = "da_generic_set";
-      policy = `None_;
-      domain = intset;
-      make_object = (fun log id -> Cc.Da_generic.make log id Adt.Intset.spec);
-    };
-    {
-      name = "da_kv";
-      policy = `None_;
-      domain = Domain.find_exn "kv";
-      make_object = Cc.Da_kv.make;
-    };
-    {
-      name = "da_semiqueue";
-      policy = `None_;
-      domain = Domain.find_exn "semiqueue";
-      make_object = Cc.Da_semiqueue.make;
-    };
-    {
-      name = "da_queue";
-      policy = `None_;
-      domain = Domain.find_exn "queue";
-      make_object = (fun log id -> Cc.Da_queue.make log id);
-    };
-    {
-      name = "da_counter";
-      policy = `None_;
-      domain = Domain.find_exn "blind_counter";
-      make_object = Cc.Da_counter.make;
-    };
-  ]
+  List.filter_map
+    (fun (p : Fh.protocol) ->
+      if is_derived p.Fh.name then None
+      else
+        Some
+          {
+            name = p.Fh.name;
+            policy = p.Fh.policy;
+            domain = domain_of p.Fh.spec;
+            make_object = p.Fh.make_object;
+          })
+    Fh.catalog
   @ List.map derived Domain.all
 
 let find name = List.find_opt (fun e -> e.name = name) all

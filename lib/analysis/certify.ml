@@ -1,5 +1,6 @@
 module Json = Weihl_obs.Json
 module Commutativity = Weihl_theory.Commutativity
+module T = Weihl_theory.Synthesize
 
 type protocol_cert = {
   protocol : string;
@@ -24,12 +25,6 @@ type report = {
   protocols : protocol_cert list;
   warnings : string list;
 }
-
-let derived_prefix = "derived_"
-
-let is_derived name =
-  String.length name > String.length derived_prefix
-  && String.sub name 0 (String.length derived_prefix) = derived_prefix
 
 let certify_protocol ~depth (entry : Catalog.entry) =
   let probe = Probe.run ~depth entry in
@@ -77,7 +72,7 @@ let certify_protocol ~depth (entry : Catalog.entry) =
     (* Derived protocols ship the table compiled at the canonical depth
        (see Catalog); report the synthesis behind the object probed, not
        a recompile at the probe depth. *)
-    if is_derived entry.Catalog.name then
+    if Catalog.is_derived entry.Catalog.name then
       Some (Synthesize.of_domain ~depth:3 entry.Catalog.domain)
     else None
   in
@@ -133,7 +128,7 @@ let collect_warnings ?budget tables protocols =
         Option.bind p.synthesis (fun s ->
             stats_warning
               ~what:(Fmt.str "synthesis %s" p.protocol)
-              ~budget:(Some (Synthesize.budget_for (Synthesize.depth s)))
+              ~budget:(Some (T.budget_for (Synthesize.depth s)))
               (Weihl_theory.Synthesize.stats (Synthesize.table s))))
       protocols
   in
@@ -192,7 +187,7 @@ let synthesis_to_json s =
     [
       ("depth", Json.Num (float_of_int (Synthesize.depth s)));
       ( "budget",
-        Json.Num (float_of_int (Synthesize.budget_for (Synthesize.depth s))) );
+        Json.Num (float_of_int (T.budget_for (Synthesize.depth s))) );
       ( "exploration",
         Synthesize.stats_to_json (Weihl_theory.Synthesize.stats table) );
       ( "classes",

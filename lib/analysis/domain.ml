@@ -1,5 +1,6 @@
 open Weihl_event
 module Adt = Weihl_adt
+module Registry = Weihl_adt.Adt_registry
 
 type t = {
   name : string;
@@ -9,47 +10,17 @@ type t = {
   read_only : Operation.t -> bool;
 }
 
-let of_adt name (module A : Adt.Adt_sig.S) alphabet =
+let of_entry (e : Registry.entry) =
+  let (module A : Adt.Adt_sig.S) = e.Registry.adt in
   {
-    name;
+    name = e.Registry.name;
     spec = A.spec;
-    alphabet;
+    alphabet = e.Registry.alphabet;
     commutes = A.commutes;
-    read_only = (fun op -> A.classify op = Adt.Adt_sig.Read);
+    read_only = Registry.read_only e;
   }
 
-let all =
-  [
-    of_adt "intset"
-      (module Adt.Intset)
-      Adt.Intset.
-        [ insert 1; insert 2; delete 1; delete 2; member 1; member 2; size ];
-    of_adt "counter" (module Adt.Counter) [ Adt.Counter.increment ];
-    of_adt "account"
-      (module Adt.Bank_account)
-      Adt.Bank_account.[ deposit 5; deposit 2; withdraw 3; withdraw 6; balance ];
-    of_adt "queue"
-      (module Adt.Fifo_queue)
-      Adt.Fifo_queue.[ enqueue 1; enqueue 2; dequeue ];
-    of_adt "register"
-      (module Adt.Register)
-      Adt.Register.[ read; write 1; write 2 ];
-    of_adt "kv"
-      (module Adt.Kv_map)
-      Adt.Kv_map.[ put 1 10; put 1 20; put 2 10; get 1; get 2; remove 1; size ];
-    of_adt "semiqueue" (module Adt.Semiqueue) Adt.Semiqueue.[ enq 1; enq 2; deq ];
-    of_adt "stack" (module Adt.Stack) Adt.Stack.[ push 1; push 2; pop ];
-    of_adt "pqueue"
-      (module Adt.Priority_queue)
-      Adt.Priority_queue.[ add 1; add 5; extract_min; find_min ];
-    of_adt "blind_counter"
-      (module Adt.Blind_counter)
-      Adt.Blind_counter.[ bump 1; bump 2; read ];
-    of_adt "log"
-      (module Adt.Append_log)
-      Adt.Append_log.[ append 1; append 2; size; read 0 ];
-  ]
-
+let all = List.map of_entry Registry.entries
 let find name = List.find_opt (fun d -> d.name = name) all
 
 let find_exn name =

@@ -1,13 +1,13 @@
-(** Bounded probe domains: one finite operation alphabet per catalogue
-    ADT, rich enough to exercise every conflict class of its
-    hand-written table on small argument values.
+(** Bounded probe domains: the certifier's view of each registry ADT
+    ({!Weihl_adt.Adt_registry.entries}), with the finite operation
+    alphabet the registry states for it — rich enough to exercise every
+    conflict class of its hand-written table on small argument values.
 
     Everything the certifier derives is quantified over these alphabets
     and over serial setups built from them, so the alphabets fix the
     soundness/completeness bound of the whole analysis: a table or
     grant-rule error only shows up if some pair of alphabet operations
-    witnesses it.  The alphabets deliberately mirror the ones
-    [test_commutativity.ml] has always used, extended to every ADT. *)
+    witnesses it. *)
 
 open Weihl_event
 
@@ -21,10 +21,9 @@ type t = {
       (** from the ADT's read/write classification *)
 }
 
-val of_adt : string -> (module Weihl_adt.Adt_sig.S) -> Operation.t list -> t
-
 val all : t list
-(** One domain per registry ADT, same names as {!Weihl_adt.Adt_registry.all}. *)
+(** One domain per registry ADT, in {!Weihl_adt.Adt_registry.entries}
+    order. *)
 
 val find : string -> t option
 

@@ -1,5 +1,4 @@
 open Weihl_event
-module Cc = Weihl_cc
 module Json = Weihl_obs.Json
 module T = Weihl_theory.Synthesize
 module Commutativity = Weihl_theory.Commutativity
@@ -10,51 +9,18 @@ let domain t = t.domain
 let depth t = t.depth
 let table t = t.table
 
-(* The budget headroom over the lint depth: enough for the bounded
-   alphabets that do stabilize (intset, register, kv, counter close
-   within a handful of levels) without letting the unbounded ones
-   (account balances, queue contents) blow the exploration up. *)
-let budget_for depth = depth + 3
+let entry (d : Domain.t) =
+  match Weihl_adt.Adt_registry.entry d.Domain.name with
+  | Some e -> e
+  | None -> invalid_arg ("Synthesize: not a registry domain: " ^ d.Domain.name)
 
-let synthesize_domain ~depth (d : Domain.t) =
-  T.synthesize d.Domain.spec ~alphabet:d.Domain.alphabet ~depth
-    ~budget:(budget_for depth)
-
-let cache : (string * int, t) Hashtbl.t = Hashtbl.create 16
-let cache_lock = Mutex.create ()
-
-let of_domain ?(depth = 3) (d : Domain.t) =
-  let key = (d.Domain.name, depth) in
-  match
-    Mutex.protect cache_lock (fun () -> Hashtbl.find_opt cache key)
-  with
-  | Some t -> t
-  | None ->
-    let t = { domain = d; depth; table = synthesize_domain ~depth d } in
-    Mutex.protect cache_lock (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some t -> t
-        | None ->
-          Hashtbl.add cache key t;
-          t)
+let of_domain ?(depth = 3) d =
+  { domain = d; depth; table = T.of_adt ~depth (entry d) }
 
 let all ?depth () = List.map (of_domain ?depth) Domain.all
 
-let conflict_of (d : Domain.t) (table : T.t) kp kq =
-  match T.conflict table kp kq with
-  | Some b -> b
-  | None ->
-    (* Off-alphabet operation: no cell and no op-level projection to
-       consult.  Fall back to read/write classification — exactly the
-       conservative relation [Op_locking.rw] uses, so the synthesized
-       protocol degrades to rw locking off its alphabet instead of
-       guessing. *)
-    not (d.Domain.read_only (fst kp) && d.Domain.read_only (fst kq))
-
 let make_object ?table t log id =
-  let tbl = Option.value table ~default:t.table in
-  Cc.Derived_locking.make log id t.domain.Domain.spec
-    ~conflict:(conflict_of t.domain tbl)
+  T.make_object (entry t.domain) (Option.value table ~default:t.table) log id
 
 let protocol_name t = "derived_" ^ t.domain.Domain.name
 
@@ -75,7 +41,7 @@ let to_json t =
       ("adt", Json.Str t.domain.Domain.name);
       ("protocol", Json.Str (protocol_name t));
       ("depth", Json.Num (float_of_int t.depth));
-      ("budget", Json.Num (float_of_int (budget_for t.depth)));
+      ("budget", Json.Num (float_of_int (T.budget_for t.depth)));
       ("exploration", stats_to_json (T.stats t.table));
       ( "classes",
         Json.List

@@ -1,34 +1,29 @@
-(** Per-domain protocol synthesis: the bridge from the certifier's
-    derived relation to a runnable catalog protocol.
+(** Per-domain protocol synthesis: the certifier's view of the
+    synthesized [derived_<adt>] protocols.
 
-    For each probe {!Domain}, {!of_domain} compiles the result-aware
-    conflict matrix ([Weihl_theory.Synthesize]) over the domain's
-    bounded alphabet — memoized per (domain, depth) so lint, probes,
-    the bench and the CLI all share one synthesis — and
-    {!make_object} wraps it into a [Weihl_cc.Derived_locking] object.
-    {!Catalog} registers one such protocol per ADT under the name
-    [derived_<adt>], which puts the synthesized family through the
-    identical pair/triple/multi-op/cross-shard certification as the
-    hand-written protocols.
+    For each probe {!Domain}, {!of_domain} fetches the result-aware
+    conflict matrix the theory layer compiles over the registry
+    alphabet ([Weihl_theory.Synthesize.of_adt], memoized per (ADT,
+    depth), so lint, probes, the fault sweeps, the bench and the CLI
+    all share one synthesis), and {!make_object} wraps it into a
+    [Weihl_cc.Derived_locking] object.  {!Catalog} registers one such
+    protocol per ADT under the name [derived_<adt>], which puts the
+    synthesized family through the identical pair/triple/multi-op/
+    cross-shard certification as the hand-written protocols.
 
     Runtime operations outside the synthesis alphabet fall back to the
     table's op-level projection, and past that to read/write
     classification — conservative at every step, so off-alphabet
     traffic degrades to rw locking rather than guessing. *)
 
-open Weihl_event
-
 type t
 
-val budget_for : int -> int
-(** The growth budget used for a synthesis at a given depth
-    ([depth + 3]) — exported so the lint report can state the budget a
-    non-stabilizing exploration exhausted. *)
-
 val of_domain : ?depth:int -> Domain.t -> t
-(** Synthesize (or fetch the memoized) table for the domain: explored
-    to [depth] (default 3) generator levels, budgeted up to
-    {!budget_for}[ depth] until the frontier count stabilizes. *)
+(** The memoized table for a registry domain: explored to [depth]
+    (default 3) generator levels, budgeted up to
+    {!Weihl_theory.Synthesize.budget_for}[ depth]
+    until the frontier count stabilizes.
+    @raise Invalid_argument for a domain not in {!Domain.all}. *)
 
 val all : ?depth:int -> unit -> t list
 (** One synthesis per registry domain, in {!Domain.all} order. *)
@@ -39,15 +34,6 @@ val table : t -> Weihl_theory.Synthesize.t
 
 val protocol_name : t -> string
 (** ["derived_<adt>"] — the catalog name of the synthesized protocol. *)
-
-val conflict_of :
-  Domain.t ->
-  Weihl_theory.Synthesize.t ->
-  Operation.t * Value.t ->
-  Operation.t * Value.t ->
-  bool
-(** The complete runtime conflict relation: table cell, then op-level
-    projection, then read/write fallback for off-alphabet operations. *)
 
 val make_object :
   ?table:Weihl_theory.Synthesize.t ->

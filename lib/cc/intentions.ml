@@ -32,8 +32,6 @@ let view t txn =
        failure here is a protocol bug. *)
     invalid_arg "Intentions.view: recorded intentions no longer replay"
 
-let committed_frontier t = t.committed
-
 let peek t txn op =
   match Seq_spec.outcomes (view t txn) op with
   | [] -> None

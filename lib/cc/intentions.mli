@@ -18,8 +18,6 @@ val view : t -> Txn.t -> Weihl_spec.Seq_spec.frontier
 (** Committed state as seen by the transaction: the committed frontier
     advanced through its own intentions. *)
 
-val committed_frontier : t -> Weihl_spec.Seq_spec.frontier
-
 val peek : t -> Txn.t -> Operation.t -> Value.t option
 (** The result the operation would receive from the transaction's view
     (the specification's first permissible outcome), without recording

@@ -158,47 +158,31 @@ let replay_txns_ts ~init_ts ~commit_ts sys txns =
 let no_ts _ = None
 let replay_txns sys txns = replay_txns_ts ~init_ts:no_ts ~commit_ts:no_ts sys txns
 
-(* History-based replay reinstates the logged timestamps: the initiation
-   timestamp from the activity's [<initiate(t)>] event and the commit
-   timestamp from its [<commit(t)>] event, when present.  A recovered
-   site must answer the same timestamps it answered before the crash —
-   under hybrid atomicity those were agreed cross-site at commit, and
-   re-deriving them locally would break the agreement. *)
-let replay order sys h =
+(* Replay reinstates the logged timestamps, searched in [events]: the
+   initiation timestamp from the activity's [<initiate(t)>] event and
+   the commit timestamp from its [<commit(t)>] event, when present.  A
+   recovered site must answer the same timestamps it answered before
+   the crash — under hybrid atomicity those were agreed cross-site at
+   commit, and re-deriving them locally would break the agreement. *)
+let replay_logged events sys txns =
   let init_ts a =
     List.find_map
       (function
         | Event.Initiate (a', _, ts) when Activity.equal a a' -> Some ts
         | _ -> None)
-      (History.to_list h)
+      events
   in
   let commit_ts a =
     List.find_map
       (function
         | Event.Commit (a', _, (Some _ as ts)) when Activity.equal a a' -> ts
         | _ -> None)
-      (History.to_list h)
+      events
   in
-  replay_txns_ts ~init_ts ~commit_ts sys (committed_in_order order h)
+  replay_txns_ts ~init_ts ~commit_ts sys txns
 
-let restore order sys h =
-  match replay order sys h with
-  | Ok r -> Ok r.replayed
-  | Error f -> Error (Fmt.str "%a" pp_failure f)
-
-let restore_from_text order sys text =
-  match Notation.history_of_string text with
-  | Error e -> Error (Fmt.str "%a" Notation.pp_error e)
-  | Ok h -> restore order sys h
-
-let restore_durable order sys text =
-  match Wal.decode text with
-  | Error e -> Error (Corrupt e)
-  | Ok (h, status) -> (
-    let dropped = match status with Wal.Intact -> 0 | Wal.Torn n -> n in
-    match replay order sys h with
-    | Ok r -> Ok { r with dropped_records = dropped }
-    | Error f -> Error f)
+let replay order sys h =
+  replay_logged (History.to_list h) sys (committed_in_order order h)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded recovery: reinstate in-doubt (prepared, undecided)
@@ -284,24 +268,6 @@ let restore_records ?(resolve = fun _ -> `Unknown) ?skip ?prelude ?(folded = 0)
       | Wal.Event _ | Wal.Control (Wal.Checkpointed _) -> ())
     records;
   let prepared = List.rev !prepared in
-  (* Prelude activities and stream activities are disjoint (the [skip]
-     filter below removes the overlap), so one concatenated search
-     space serves both. *)
-  let ts_events = prelude_events @ events in
-  let init_ts a =
-    List.find_map
-      (function
-        | Event.Initiate (a', _, ts) when Activity.equal a a' -> Some ts
-        | _ -> None)
-      ts_events
-  in
-  let commit_ts a =
-    List.find_map
-      (function
-        | Event.Commit (a', _, (Some _ as ts)) when Activity.equal a a' -> ts
-        | _ -> None)
-      ts_events
-  in
   let txns =
     let tail_txns =
       committed_in_order order h
@@ -332,7 +298,10 @@ let restore_records ?(resolve = fun _ -> `Unknown) ?skip ?prelude ?(folded = 0)
       in
       merge prelude_txns tail_txns
   in
-  match replay_txns_ts ~init_ts ~commit_ts sys txns with
+  (* Prelude activities and stream activities are disjoint (the [skip]
+     filter above removes the overlap), so one concatenated search
+     space serves both. *)
+  match replay_logged (prelude_events @ events) sys txns with
   | Error f -> Error f
   | Ok base ->
     let base =
@@ -387,14 +356,6 @@ let restore_records ?(resolve = fun _ -> `Unknown) ?skip ?prelude ?(folded = 0)
     in
     go prepared
 
-let dropped_of = function Wal.Intact -> 0 | Wal.Torn n -> n
-
-let restore_shard ?resolve order sys text =
-  match Wal.decode_records text with
-  | Error e -> Error (Corrupt e)
-  | Ok (records, status) ->
-    restore_records ?resolve order sys records ~dropped:(dropped_of status)
-
 (* ------------------------------------------------------------------ *)
 (* Checkpoint-aware recovery *)
 
@@ -417,7 +378,7 @@ let restore_checkpointed ?resolve ?(checkpoints = []) order sys text =
   match Wal.decode_records text with
   | Error e -> Error (Corrupt e)
   | Ok (records, status) ->
-    let dropped = dropped_of status in
+    let dropped = match status with Wal.Intact -> 0 | Wal.Torn n -> n in
     let base = Wal.base text in
     let total = List.length records in
     (* Checkpointed markers newest first: only a marker durable in the

@@ -80,22 +80,6 @@ val replay :
     is counted as a substitution; one the specification rules out is a
     divergence.  The system's log will contain the replayed events. *)
 
-val restore :
-  order -> System.t -> History.t -> (int, string) result
-(** {!replay}, reporting only the number of transactions replayed. *)
-
-val restore_from_text :
-  order -> System.t -> string -> (int, string) result
-(** {!restore} after parsing the (unframed) notation text form. *)
-
-val restore_durable :
-  order -> System.t -> string -> (report, failure) result
-(** Crash recovery proper: {!Wal.decode} the durable log — truncating a
-    torn tail, rejecting mid-log corruption — then {!replay} the
-    committed prefix.  This is the invariant the fault harness checks:
-    recovery lands on exactly the state of the committed projection of
-    the surviving log. *)
-
 (** {1 Sharded recovery}
 
     A shard participating in two-phase commit can crash between its
@@ -120,19 +104,6 @@ type shard_report = {
           {!System.abort_prepared} once the coordinator's decision is
           learned *)
 }
-
-val restore_shard :
-  ?resolve:(int -> [ `Commit of Timestamp.t option | `Abort | `Unknown ]) ->
-  order ->
-  System.t ->
-  string ->
-  (shard_report, failure) result
-(** {!restore_durable} for a shard WAL with control records: replay the
-    committed projection, then reinstate every transaction with a
-    durable [Prepared] record but no commit/abort in the surviving log,
-    and resolve each from its durable [Decided] record when present,
-    else via [resolve] (e.g. a query against the coordinator's decision
-    log; default [`Unknown], leaving it in-doubt). *)
 
 (** {1 Checkpoint-aware recovery}
 
@@ -177,9 +148,19 @@ val restore_checkpointed :
   System.t ->
   string ->
   (checkpointed_report, failure) result
-(** {!restore_shard} with checkpoint files: [checkpoints] holds the
-    retained checkpoint file texts (any order; matched to durable
-    [Checkpointed] markers by digest).  Markers are tried newest first;
-    each unusable one adds a [fallbacks] note.  With no usable
-    checkpoint and an untruncated log this degrades to exactly
-    {!restore_shard}. *)
+(** Crash recovery proper, the one restore path: {!Wal.decode_records}
+    the durable log — truncating a torn tail, rejecting mid-log
+    corruption with {!failure.Corrupt} — then replay its committed
+    projection ({!replay}'s engine), reinstate every transaction with a
+    durable [Prepared] record but no commit/abort in the surviving log,
+    and resolve each from its durable [Decided] record when present,
+    else via [resolve] (e.g. a query against the coordinator's decision
+    log; default [`Unknown], leaving it in-doubt).
+
+    [checkpoints] holds the retained checkpoint file texts (any order;
+    matched to durable [Checkpointed] markers by digest).  Markers are
+    tried newest first; each unusable one adds a [fallbacks] note.
+    With no checkpoint the whole surviving log is replayed
+    ([Full_replay]); this is the invariant the fault harness checks:
+    recovery lands on exactly the state of the committed projection of
+    the surviving log. *)

@@ -23,7 +23,6 @@ let object_id = function
 let is_invoke = function Invoke _ -> true | _ -> false
 let is_respond = function Respond _ -> true | _ -> false
 let is_commit = function Commit _ -> true | _ -> false
-let is_abort = function Abort _ -> true | _ -> false
 let is_initiate = function Initiate _ -> true | _ -> false
 
 let timestamp = function

@@ -40,7 +40,6 @@ val object_id : t -> Object_id.t
 val is_invoke : t -> bool
 val is_respond : t -> bool
 val is_commit : t -> bool
-val is_abort : t -> bool
 val is_initiate : t -> bool
 
 val timestamp : t -> Timestamp.t option

@@ -41,27 +41,6 @@ let blind_counter_workload () =
 let banking () = Workload.banking ~accounts:4 ~transfer_max:10 ()
 let hot () = Workload.hot_withdrawals ()
 
-(* The synthesized account protocol, compiled here from the theory
-   layer directly (the analysis layer's memoized synthesis sits above
-   lib/shard, which depends on this library).  The workload draws from
-   the synthesis alphabet so crash/recovery cycles exercise the
-   compiled (op, result) cells, not just the conservative off-alphabet
-   fallback. *)
-let derived_account_alphabet =
-  Adt.Bank_account.[ deposit 5; deposit 2; withdraw 3; withdraw 6; balance ]
-
-let derived_account_table =
-  lazy
-    (Weihl_theory.Synthesize.synthesize Adt.Bank_account.spec
-       ~alphabet:derived_account_alphabet ~depth:3 ~budget:6)
-
-let derived_account_conflict table a b =
-  match Weihl_theory.Synthesize.conflict table a b with
-  | Some c -> c
-  | None ->
-    let read (op, _) = Adt.Bank_account.classify op = Adt.Adt_sig.Read in
-    not (read a && read b)
-
 let derived_account_workload () =
   let obj = Object_id.v "acct" in
   let ops = Adt.Bank_account.[| deposit 5; deposit 2; withdraw 3; withdraw 6 |] in
@@ -84,23 +63,45 @@ let derived_account_workload () =
   in
   { Workload.name = "derived_account"; objects = [ obj ]; generate }
 
+(* The generic families run any ADT from its module alone — its
+   specification, commutativity table and read/write classification. *)
+let families =
+  [
+    ("rw", `None_, fun adt log id -> Cc.Op_locking.rw log id adt);
+    ( "commutativity",
+      `None_,
+      fun adt log id -> Cc.Op_locking.commutativity log id adt );
+    ( "multiversion",
+      `Static,
+      fun (module A : Adt.Adt_sig.S) log id ->
+        Cc.Multiversion.make log id A.spec );
+    ("hybrid", `Hybrid, fun adt log id -> Cc.Hybrid.of_adt log id adt);
+  ]
+
+let generic family ((module A : Adt.Adt_sig.S) as adt) workload =
+  List.find_map
+    (fun (name, policy, make) ->
+      if name = family then
+        Some { name; policy; spec = A.spec; workload; make_object = make adt }
+      else None)
+    families
+
+let generic_exn family adt workload = Option.get (generic family adt workload)
+
+(* A synthesized protocol: the registry ADT's depth-3 table, the one
+   lint certifies.  It is fetched when the object is built, so grant
+   decisions, which run on shard worker domains, only ever read it. *)
+let derived adt log id =
+  let e = Option.get (Adt.Adt_registry.entry adt) in
+  Weihl_theory.Synthesize.(make_object e (of_adt e) log id)
+
+let account = (module Adt.Bank_account : Adt.Adt_sig.S)
+let set_ops () = Workload.set_ops ()
+
 let catalog =
   [
-    {
-      name = "rw";
-      policy = `None_;
-      spec = Adt.Bank_account.spec;
-      workload = banking;
-      make_object = (fun log id -> Cc.Op_locking.rw log id (module Adt.Bank_account));
-    };
-    {
-      name = "commutativity";
-      policy = `None_;
-      spec = Adt.Bank_account.spec;
-      workload = banking;
-      make_object =
-        (fun log id -> Cc.Op_locking.commutativity log id (module Adt.Bank_account));
-    };
+    generic_exn "rw" account banking;
+    generic_exn "commutativity" account banking;
     {
       name = "escrow";
       policy = `None_;
@@ -113,22 +114,10 @@ let catalog =
       policy = `None_;
       spec = Adt.Bank_account.spec;
       workload = banking;
-      make_object = (fun log id -> Cc.Rw_undo.make log id (module Adt.Bank_account));
+      make_object = (fun log id -> Cc.Rw_undo.make log id account);
     };
-    {
-      name = "multiversion";
-      policy = `Static;
-      spec = Adt.Bank_account.spec;
-      workload = banking;
-      make_object = (fun log id -> Cc.Multiversion.make log id Adt.Bank_account.spec);
-    };
-    {
-      name = "hybrid";
-      policy = `Hybrid;
-      spec = Adt.Bank_account.spec;
-      workload = banking;
-      make_object = (fun log id -> Cc.Hybrid.of_adt log id (module Adt.Bank_account));
-    };
+    generic_exn "multiversion" account banking;
+    generic_exn "hybrid" account banking;
     {
       name = "hybrid_account";
       policy = `Hybrid;
@@ -140,21 +129,18 @@ let catalog =
       name = "da_set";
       policy = `None_;
       spec = Adt.Intset.spec;
-      workload = (fun () -> Workload.set_ops ());
+      workload = set_ops;
       make_object = Cc.Da_set.make;
     };
     {
+      (generic_exn "multiversion" (module Adt.Intset) set_ops) with
       name = "multiversion_set";
-      policy = `Static;
-      spec = Adt.Intset.spec;
-      workload = (fun () -> Workload.set_ops ());
-      make_object = (fun log id -> Cc.Multiversion.make log id Adt.Intset.spec);
     };
     {
       name = "da_generic_set";
       policy = `None_;
       spec = Adt.Intset.spec;
-      workload = (fun () -> Workload.set_ops ());
+      workload = set_ops;
       make_object = (fun log id -> Cc.Da_generic.make log id Adt.Intset.spec);
     };
     {
@@ -190,15 +176,7 @@ let catalog =
       policy = `None_;
       spec = Adt.Bank_account.spec;
       workload = derived_account_workload;
-      make_object =
-        (fun log id ->
-          (* Forced here, when the object is built, so grant decisions
-             only ever read the table: they run on shard worker domains,
-             and a lazy forced from two domains at once raises
-             [CamlinternalLazy.Undefined]. *)
-          let table = Lazy.force derived_account_table in
-          Cc.Derived_locking.make log id Adt.Bank_account.spec
-            ~conflict:(derived_account_conflict table));
+      make_object = derived "account";
     };
   ]
 
@@ -224,13 +202,16 @@ type summary = {
   results : schedule_result list;
 }
 
-let build proto =
+let system proto ids =
   let sys = Cc.System.create ~policy:proto.policy () in
-  let w = proto.workload () in
   List.iter
     (fun id -> Cc.System.add_object sys (proto.make_object (Cc.System.log sys) id))
-    w.Workload.objects;
-  (sys, w)
+    ids;
+  sys
+
+let build proto =
+  let w = proto.workload () in
+  (system proto w.Workload.objects, w)
 
 (* The exponential atomicity checkers only digest small histories; past
    the cap the schedule still validates replay against the
@@ -328,7 +309,7 @@ let run_schedule ?(quick = false) (plan : Plan.t) proto =
   (* Phase 3: recover a fresh system from what survived. *)
   let order = Cc.Recovery.order_of_policy proto.policy in
   let sys2, w2 = build proto in
-  match Cc.Recovery.restore_durable order sys2 damaged with
+  match Cc.Recovery.restore_checkpointed order sys2 damaged with
   | Error (Cc.Recovery.Corrupt e) ->
     if plan.Plan.log_fault = Plan.Pristine then
       result
@@ -338,7 +319,7 @@ let run_schedule ?(quick = false) (plan : Plan.t) proto =
   | Error (Cc.Recovery.Divergent msg) -> result (Diverged msg) ()
   | Error (Cc.Recovery.Checkpoint_invalid msg) ->
     result (Diverged (Fmt.str "checkpoint invalid: %s" msg)) ()
-  | Ok report -> (
+  | Ok { Cc.Recovery.shard = { base = report; _ }; _ } -> (
     let replayed = report.Cc.Recovery.replayed
     and substituted = report.Cc.Recovery.substituted
     and dropped = report.Cc.Recovery.dropped_records in

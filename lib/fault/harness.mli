@@ -8,7 +8,7 @@
     + snapshot the durable log ({!Weihl_cc.Wal}) and damage it per the
       plan's log fault;
     + recover a second, fresh system from the damaged log with
-      {!Weihl_cc.Recovery.restore_durable} — in commit order for
+      {!Weihl_cc.Recovery.restore_checkpointed} — in commit order for
       dynamic-atomic protocols, timestamp order for static and hybrid;
     + resume seeded traffic on the recovered system and check the
       combined history still satisfies the protocol's atomicity
@@ -34,10 +34,33 @@ type protocol = {
 
 val catalog : protocol list
 (** Every online protocol in the repository, each paired with the
-    workload that exercises it, spanning all three timestamp
-    policies. *)
+    workload that exercises it, spanning all three timestamp policies:
+    the one table from a protocol name to its policy, specification,
+    constructor and workload.  Fourteen are hand-written; the last,
+    [derived_account], is the account table the theory layer
+    synthesizes ({!Weihl_theory.Synthesize.of_adt}), the same table
+    [weihl lint] certifies.  The certifier's catalog, [weihl sim] and
+    the benches read their protocols from here. *)
 
 val find_protocol : string -> protocol option
+
+val generic :
+  string ->
+  (module Weihl_adt.Adt_sig.S) ->
+  (unit -> Weihl_sim.Workload.t) ->
+  protocol option
+(** [generic family adt workload] is the generic protocol [family] —
+    ["rw"], ["commutativity"], ["multiversion"] or ["hybrid"] — over
+    [adt], named after the family; [None] for any other name.  A
+    generic protocol needs nothing of an ADT beyond its module (its
+    specification, commutativity table and read/write
+    classification); the catalog's [rw], [commutativity],
+    [multiversion], [multiversion_set] and [hybrid] are built with
+    it. *)
+
+val system : protocol -> Weihl_event.Object_id.t list -> Weihl_cc.System.t
+(** A fresh system under the protocol's policy holding one of its
+    objects per id, in order. *)
 
 type verdict = Converged | Corruption_detected | Diverged of string
 

@@ -12,28 +12,5 @@ type event =
 
 type sink = { emit : time:float -> event -> unit }
 
-let noop = { emit = (fun ~time:_ _ -> ()) }
-
 let tee sinks =
   { emit = (fun ~time ev -> List.iter (fun s -> s.emit ~time ev) sinks) }
-
-let pp_event ppf = function
-  | Txn_begin { txn; name; read_only } ->
-    Fmt.pf ppf "begin t%d %s%s" txn name (if read_only then " (ro)" else "")
-  | Txn_commit { txn } -> Fmt.pf ppf "commit t%d" txn
-  | Txn_abort { txn; reason } -> Fmt.pf ppf "abort t%d (%s)" txn reason
-  | Op_invoke { txn; obj; op; depth } ->
-    Fmt.pf ppf "invoke t%d %s.%s depth=%d" txn obj op depth
-  | Op_grant { txn; obj; op } -> Fmt.pf ppf "grant t%d %s.%s" txn obj op
-  | Op_wait { txn; obj; op; blockers } ->
-    Fmt.pf ppf "wait t%d %s.%s on %a" txn obj op
-      Fmt.(list ~sep:comma int)
-      blockers
-  | Op_refuse { txn; obj; op; why } ->
-    Fmt.pf ppf "refuse t%d %s.%s (%s)" txn obj op why
-  | Deadlock_victim { victim; cycle } ->
-    Fmt.pf ppf "deadlock victim t%d cycle %a" victim
-      Fmt.(list ~sep:(any "->") int)
-      cycle
-  | Gauge_set { name; value } -> Fmt.pf ppf "gauge %s=%g" name value
-  | Count { name; site } -> Fmt.pf ppf "count %s site=%d" name site

@@ -31,10 +31,5 @@ type sink = { emit : time:float -> event -> unit }
     in the discrete-event driver, microseconds in the multicore
     runtime. *)
 
-val noop : sink
-(** Discards everything. *)
-
 val tee : sink list -> sink
 (** Fan an event out to several sinks in order. *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -19,7 +19,6 @@ let phase_of_string = function
   | "f" -> Some F
   | _ -> None
 
-let pp_phase ppf p = Fmt.string ppf (string_of_phase p)
 
 type ev = {
   name : string;

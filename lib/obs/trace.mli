@@ -64,4 +64,3 @@ val parse : string -> (ev list, string) result
 (** Re-read an exported trace; fails on documents that are not an
     array of well-formed trace events. *)
 
-val pp_phase : Format.formatter -> phase -> unit

@@ -85,11 +85,7 @@ let audit_read group (proto : Fh.protocol) seq (r : recorded_read) =
       (fun s -> History.to_list (Cc.System.history (Group.system group s)))
       shards
   in
-  let sys = Cc.System.create ~policy:(Group.policy group) () in
-  List.iter
-    (fun (x, _) ->
-      Cc.System.add_object sys (proto.Fh.make_object (Cc.System.log sys) x))
-    (Group.objects group);
+  let sys = Fh.system proto (List.map fst (Group.objects group)) in
   let keep (txn : Projection.txn) =
     match txn.Projection.ts with
     | Some ts -> Timestamp.to_int ts <= r.r_ts
@@ -130,11 +126,11 @@ let audit_read group (proto : Fh.protocol) seq (r : recorded_read) =
 
 let run_schedule ?(quick = false) ?(shards = 3) ?(replicas = 3)
     (plan : Shard_plan.t) (proto : Fh.protocol) =
-  let group = Group.create ~policy:proto.Fh.policy ~seed:plan.Shard_plan.seed ~shards () in
   let w = proto.Fh.workload () in
-  List.iter
-    (fun id -> Group.add_object group id proto.Fh.make_object)
-    w.Workload.objects;
+  let group =
+    Shard_harness.group ~seed:plan.Shard_plan.seed ~shards proto
+      w.Workload.objects
+  in
   let tier =
     Tier.create ~faults:plan.Shard_plan.ship ~seed:plan.Shard_plan.seed
       ~replicas ~make_object:proto.Fh.make_object group

@@ -811,7 +811,6 @@ let reads_at t ~replica = t.n_reads_at.(replica)
 let reads_primary t = t.n_reads_primary
 let reads_waited t = t.n_reads_waited
 let entries_consulted t = t.n_entries_consulted
-let channel_now t = Msim.now t.sim
 let channel_dropped t = Msim.messages_dropped t.sim
 let channel_duplicated t = Msim.messages_duplicated t.sim
 let channel_reordered t = Msim.messages_reordered t.sim

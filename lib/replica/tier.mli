@@ -284,9 +284,6 @@ val entries_consulted : t -> int
     Deterministic for a seeded call sequence — the growth counter
     behind a read's cost model. *)
 
-val channel_now : t -> int
-(** Virtual time of the shipping channel. *)
-
 val channel_dropped : t -> int
 val channel_duplicated : t -> int
 val channel_reordered : t -> int

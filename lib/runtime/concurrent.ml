@@ -146,8 +146,3 @@ let atomically t activity body =
        deadlock resolution; abort best-effort. *)
     (try abort t txn with Invalid_argument _ -> ());
     raise e
-
-let durable t = locked t (fun () -> Cc.Event_log.durable (Cc.System.log t.system))
-
-let restore_durable order t text =
-  locked t (fun () -> Cc.Recovery.restore_durable order t.system text)

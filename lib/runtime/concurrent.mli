@@ -52,18 +52,6 @@ val abort : t -> Weihl_cc.Txn.t -> unit
 val history : t -> History.t
 (** Snapshot of the event log (takes the lock). *)
 
-val durable : t -> string
-(** The crash-safe WAL form of the event log (takes the lock); see
-    {!Weihl_cc.Wal}. *)
-
-val restore_durable :
-  Weihl_cc.Recovery.order -> t -> string ->
-  (Weihl_cc.Recovery.report, Weihl_cc.Recovery.failure) result
-(** The restart half of a crash-restart cycle: decode a durable log
-    and replay its committed transactions into this (fresh) runtime's
-    objects, after which normal traffic can resume.  Takes the lock
-    for the whole replay. *)
-
 val atomically :
   t -> Activity.t -> (Weihl_cc.Txn.t -> (Object_id.t -> Operation.t -> Value.t) -> 'a) ->
   ('a, string) result

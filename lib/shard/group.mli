@@ -32,7 +32,7 @@
 
     The group also models failure: {!crash_shard} drops a shard's
     volatile state (returning its WAL), {!recover_shard} rebuilds it
-    via {!Weihl_cc.Recovery.restore_shard} — reinstating prepared
+    via {!Weihl_cc.Recovery.restore_checkpointed} — reinstating prepared
     in-doubt legs — and {!resolve_in_doubt} applies the coordinator's
     decision log (presumed abort for unrecorded transactions). *)
 

@@ -40,12 +40,18 @@ type summary = {
   results : schedule_result list;
 }
 
+let group ?metrics ?seed ?domains ?group_commit ?sync_cost ?checkpoint
+    ~shards (proto : Fh.protocol) ids =
+  let g =
+    Group.create ~policy:proto.Fh.policy ?metrics ?seed ?domains
+      ?group_commit ?sync_cost ?checkpoint ~shards ()
+  in
+  List.iter (fun id -> Group.add_object g id proto.Fh.make_object) ids;
+  g
+
 let build (proto : Fh.protocol) ~shards ~seed =
-  let group = Group.create ~policy:proto.Fh.policy ~seed ~shards () in
   let w = proto.Fh.workload () in
-  List.iter (fun id -> Group.add_object group id proto.Fh.make_object)
-    w.Workload.objects;
-  (group, w)
+  (group ~seed ~shards proto w.Workload.objects, w)
 
 (* Translate the plan's abstract fault into a concrete [Tpc.fault] for
    a transaction of the given fan-out.  Message faults apply to the
@@ -146,11 +152,7 @@ let check_ts_agreement group =
    serialization order — must replay cleanly against one combined
    fresh system holding all the objects. *)
 let check_merged_replay (proto : Fh.protocol) group =
-  let sys = Cc.System.create ~policy:proto.Fh.policy () in
-  let w = proto.Fh.workload () in
-  List.iter
-    (fun id -> Cc.System.add_object sys (proto.Fh.make_object (Cc.System.log sys) id))
-    w.Workload.objects;
+  let sys = Fh.system proto (proto.Fh.workload ()).Workload.objects in
   match Cc.Recovery.replay_txns sys (Group.committed_projection group) with
   | Ok _ -> None
   | Error f -> Some (Fmt.str "merged replay: %a" Cc.Recovery.pp_failure f)
@@ -400,17 +402,13 @@ let run_soak ?(config = default_soak) () =
   let rng = Weihl_sim.Rng.create ((config.soak_seed * 101) + 3) in
   let n = List.length protocols in
   let proto = List.nth protocols (config.soak_seed mod n) in
+  let w = proto.Fh.workload () in
   let group =
-    Group.create ~policy:proto.Fh.policy ~seed:config.soak_seed
-      ~shards:config.soak_shards
+    group ~seed:config.soak_seed ~shards:config.soak_shards
       ~checkpoint:
         { Group.default_checkpoint with every = config.checkpoint_every }
-      ()
+      proto w.Workload.objects
   in
-  let w = proto.Fh.workload () in
-  List.iter
-    (fun id -> Group.add_object group id proto.Fh.make_object)
-    w.Workload.objects;
   let reports = ref [] in
   let committed = ref 0 in
   (* A failed recovery leaves its victim down — the group cannot take

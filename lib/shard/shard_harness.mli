@@ -58,6 +58,21 @@ val protocols : Weihl_fault.Harness.protocol list
 (** The banking protocols of the fault catalog — the ones whose
     transfers scatter transactions across shards. *)
 
+val group :
+  ?metrics:Weihl_obs.Shard_metrics.t ->
+  ?seed:int ->
+  ?domains:int ->
+  ?group_commit:bool ->
+  ?sync_cost:(unit -> unit) ->
+  ?checkpoint:Group.checkpoint_config ->
+  shards:int ->
+  Weihl_fault.Harness.protocol ->
+  Weihl_event.Object_id.t list ->
+  Group.t
+(** A fresh {!Group.create} group under the protocol's policy — the
+    optional arguments pass through — holding one of its objects per
+    id ({!Group.add_object}), in order. *)
+
 (** {1 Global-atomicity checks}
 
     Shared with the replica tier's failover drill, which adds its own

@@ -14,4 +14,3 @@ val push : 'a t -> time:int -> 'a -> unit
 val pop : 'a t -> (int * 'a) option
 (** The earliest (time, value), ties broken by push order. *)
 
-val peek_time : 'a t -> int option

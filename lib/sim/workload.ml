@@ -182,19 +182,6 @@ let queue_producers_consumers ?(producers_fraction = 0.6) () =
   in
   { name = "queue"; objects = [ queue_object ]; generate }
 
-let counter_object = Object_id.v "counter"
-
-let counter_increments () =
-  let generate _rng =
-    {
-      kind = `Update;
-      label = "increment";
-      steps = [ step counter_object Weihl_adt.Counter.increment ];
-    }
-  in
-  { name = "counter"; objects = [ counter_object ]; generate }
-
-
 let hot_account = Object_id.v "hot"
 
 let hot_withdrawals ?(withdraw_max = 5) ?(deposit_fraction = 0.3) () =

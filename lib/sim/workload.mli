@@ -114,8 +114,3 @@ val semiqueue_producers_consumers : ?producers_fraction:float -> unit -> t
 (** Producers enqueue 1-2 values; consumers dequeue one — the workload
     where non-determinism lets consumers run in parallel. *)
 
-val counter_object : Object_id.t
-(** The single shared counter used by {!counter_increments}. *)
-
-val counter_increments : unit -> t
-(** Single-increment transactions on one shared counter. *)

@@ -37,5 +37,3 @@ let accepts env h =
   List.for_all
     (fun x -> object_accepts (Spec_env.find_exn env x) (History.project_object x h))
     (History.objects h)
-
-let serial_and_accepts env h = History.serial h && accepts env h

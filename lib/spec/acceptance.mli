@@ -27,5 +27,3 @@ val accepts : Spec_env.t -> History.t -> bool
     @raise Invalid_argument if some object of [h] has no specification
     in [env]. *)
 
-val serial_and_accepts : Spec_env.t -> History.t -> bool
-(** [accepts] together with the requirement that [h] is serial. *)

@@ -45,13 +45,3 @@ let verdicts t =
       hybrid_atomic =
         (if timestamped then Some (Atomicity.hybrid_atomic t.env h) else None);
     }
-
-let pp_opt ppf = function
-  | None -> Fmt.string ppf "n/a"
-  | Some b -> Fmt.bool ppf b
-
-let pp_verdicts ppf v =
-  Fmt.pf ppf
-    "well-formed: %b; atomic: %a; dynamic: %a; static: %a; hybrid: %a"
-    v.well_formed pp_opt v.atomic pp_opt v.dynamic_atomic pp_opt
-    v.static_atomic pp_opt v.hybrid_atomic

@@ -34,4 +34,3 @@ val verdicts : t -> verdicts
     [hybrid] are [None] when some committed activity lacks a timestamp
     (they would be trivially false). *)
 
-val pp_verdicts : Format.formatter -> verdicts -> unit

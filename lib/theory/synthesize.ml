@@ -199,6 +199,48 @@ let force_commute t kp kq =
       (Fmt.str "Synthesize.force_commute: %a / %a not in the %s table" pp_key
          kp pp_key kq t.adt)
 
+module Registry = Weihl_adt.Adt_registry
+
+(* The budget headroom over the lint depth: enough for the bounded
+   alphabets that do stabilize (intset, register, kv, counter close
+   within a handful of levels) without letting the unbounded ones
+   (account balances, queue contents) blow the exploration up. *)
+let budget_for depth = depth + 3
+
+let memo : (string * int, t) Hashtbl.t = Hashtbl.create 16
+let memo_lock = Mutex.create ()
+
+let of_adt ?(depth = 3) (e : Registry.entry) =
+  let key = (e.Registry.name, depth) in
+  match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key) with
+  | Some t -> t
+  | None ->
+    let t =
+      synthesize (Registry.spec e) ~alphabet:e.Registry.alphabet ~depth
+        ~budget:(budget_for depth)
+    in
+    Mutex.protect memo_lock (fun () ->
+        match Hashtbl.find_opt memo key with
+        | Some t -> t
+        | None ->
+          Hashtbl.add memo key t;
+          t)
+
+let conflict_of e table kp kq =
+  match conflict table kp kq with
+  | Some b -> b
+  | None ->
+    (* Off-alphabet operation: no cell and no op-level projection to
+       consult.  Fall back to read/write classification — exactly the
+       conservative relation [Op_locking.rw] uses, so the synthesized
+       protocol degrades to rw locking off its alphabet instead of
+       guessing. *)
+    not (Registry.read_only e (fst kp) && Registry.read_only e (fst kq))
+
+let make_object e table log id =
+  Weihl_cc.Derived_locking.make log id (Registry.spec e)
+    ~conflict:(conflict_of e table)
+
 let pp ppf t =
   let commute, conflicts, unknown = counts t in
   Fmt.pf ppf "@[<v>%s: %d result classes over %d operations (%a)@,"

@@ -94,6 +94,34 @@ val force_commute : t -> key -> key -> t
     seeded corruption the mutation self-test must catch.  Raises
     [Invalid_argument] if either key is off the table. *)
 
+(** {1 The registry's tables}
+
+    One compiled table per registry ADT and depth, shared by everything
+    that runs or certifies a [derived_<adt>] protocol: lint, the fault
+    sweeps, the bench and the CLI. *)
+
+val budget_for : int -> int
+(** The growth budget of a synthesis at a given depth ([depth + 3]). *)
+
+val of_adt : ?depth:int -> Weihl_adt.Adt_registry.entry -> t
+(** The ADT's table over its registry alphabet, explored to [depth]
+    (default 3) generator levels and budgeted to {!budget_for}[ depth]
+    until the frontier count stabilizes.  Memoized per (ADT, depth)
+    under a lock, so shard domains building objects at once share one
+    compilation. *)
+
+val make_object :
+  Weihl_adt.Adt_registry.entry ->
+  t ->
+  Weihl_cc.Event_log.t ->
+  Object_id.t ->
+  Weihl_cc.Atomic_object.t
+(** The [derived_<adt>] protocol: a [Weihl_cc.Derived_locking] object
+    whose runtime conflict relation is the table's {!conflict}, then
+    the ADT's read/write classification for operations outside the
+    alphabet.  The table is an argument so the mutation self-test can
+    pass a corrupted copy. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_key : Format.formatter -> key -> unit
 

@@ -15,15 +15,12 @@ let protocols = Shard_harness.protocols
    [archive] keeps the truncated WAL prefixes so tests can reconstruct
    the full log.  [on_commit] is the driver's commit hook. *)
 let run_traffic ?(seed = 7) ?(duration = 300) ?(every = 25) ?on_commit proto =
-  let group =
-    Shard_group.create ~policy:proto.Fault_harness.policy ~seed ~shards:3
-      ~checkpoint:{ Shard_group.every; archive = true }
-      ()
-  in
   let w = proto.Fault_harness.workload () in
-  List.iter
-    (fun id -> Shard_group.add_object group id proto.Fault_harness.make_object)
-    w.Workload.objects;
+  let group =
+    Shard_harness.group ~seed ~shards:3
+      ~checkpoint:{ Shard_group.every; archive = true }
+      proto w.Workload.objects
+  in
   let config =
     {
       Sharded_driver.default_config with
@@ -35,18 +32,8 @@ let run_traffic ?(seed = 7) ?(duration = 300) ?(every = 25) ?on_commit proto =
   ignore (Sharded_driver.run ~config ?on_commit group w);
   (group, w)
 
-let fresh_sys proto w =
-  let sys = System.create ~policy:proto.Fault_harness.policy () in
-  List.iter
-    (fun id ->
-      System.add_object sys (proto.Fault_harness.make_object (System.log sys) id))
-    w.Workload.objects;
-  sys
-
-let order_of proto =
-  match proto.Fault_harness.policy with
-  | `None_ -> Recovery.Commit_order
-  | _ -> Recovery.Timestamp_order
+let fresh_sys proto w = Fault_harness.system proto w.Workload.objects
+let order_of proto = Recovery.order_of_policy proto.Fault_harness.policy
 
 (* Every account's balance as one read-only probe per object, so two
    recovered systems can be compared for state equality. *)
@@ -224,7 +211,9 @@ let recover_both proto w group victim =
   let order = order_of proto in
   let a = fresh_sys proto w and b = fresh_sys proto w in
   let full_r =
-    Recovery.restore_shard order a (Wal.encode_records ~label:"full" full)
+    Recovery.restore_checkpointed order a
+      (Wal.encode_records ~label:"full" full)
+    |> Result.map (fun r -> r.Recovery.shard)
   in
   let ckpt_r = Recovery.restore_checkpointed ~checkpoints:files order b text in
   (text, (a, full_r), (b, ckpt_r))
@@ -386,18 +375,12 @@ let test_lost_marker_keeps_marked_files () =
         (fun seed ->
           List.iter
             (fun lose ->
-              let group =
-                Shard_group.create ~policy:proto.Fault_harness.policy ~seed
-                  ~shards:3
-                  ~checkpoint:{ Shard_group.every = 1_000_000; archive = false }
-                  ()
-              in
               let w = proto.Fault_harness.workload () in
-              List.iter
-                (fun id ->
-                  Shard_group.add_object group id
-                    proto.Fault_harness.make_object)
-                w.Workload.objects;
+              let group =
+                Shard_harness.group ~seed ~shards:3
+                  ~checkpoint:{ Shard_group.every = 1_000_000; archive = false }
+                  proto w.Workload.objects
+              in
               let traffic k =
                 let config =
                   {

@@ -79,7 +79,7 @@ let test_restore_rejects_illegal_log () =
      so rather than install it. *)
   let sys = fresh_set_system () in
   match
-    Recovery.restore_durable Recovery.Commit_order sys
+    Recovery.restore_checkpointed Recovery.Commit_order sys
       (Wal.encode sec3_not_atomic)
   with
   | Error (Recovery.Divergent _) -> ()
@@ -156,9 +156,9 @@ let wal_corruption_never_silent =
            projection. *)
         &&
         let sys = fresh_set_system () in
-        (match Recovery.restore_durable Recovery.Commit_order sys damaged with
+        (match Recovery.restore_checkpointed Recovery.Commit_order sys damaged with
         | Ok r ->
-          r.Recovery.replayed
+          r.Recovery.shard.Recovery.base.Recovery.replayed
           = List.length (Recovery.committed_in_order Recovery.Commit_order h')
         | Error _ -> false))
 

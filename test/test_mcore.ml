@@ -614,15 +614,11 @@ let positioned_reads_run ~proto ~group_commit ~domains ~archive seed =
   let p = Option.get (Fault_harness.find_protocol proto) in
   let accounts = Workload.account_ids 6 in
   let g =
-    Shard_group.create ~policy:p.Fault_harness.policy ~seed ~domains
-      ~group_commit
+    Shard_harness.group ~seed ~domains ~group_commit
       ~checkpoint:{ Shard_group.every = 6; archive }
-      ~shards:3 ()
+      ~shards:3 p accounts
   in
   Fun.protect ~finally:(fun () -> Shard_group.shutdown g) @@ fun () ->
-  List.iter
-    (fun x -> Shard_group.add_object g x p.Fault_harness.make_object)
-    accounts;
   let rng = Rng.create seed in
   let live = ref [] and names = ref 0 and pending = Hashtbl.create 16 in
   let disagreement = ref None in

@@ -28,9 +28,14 @@ let test_escrow_crash_restart () =
   let wal = Notation.history_to_string (System.history sys) in
   let sys' = System.create () in
   System.add_object sys' (Escrow_account.make (System.log sys') y);
-  (match Recovery.restore_from_text Recovery.Commit_order sys' wal with
-  | Ok n -> check_int "two transactions replayed" 2 n
-  | Error e -> Alcotest.fail e);
+  let h =
+    match Notation.history_of_string wal with
+    | Ok h -> h
+    | Error e -> Alcotest.failf "%a" Notation.pp_error e
+  in
+  (match Recovery.replay Recovery.Commit_order sys' h with
+  | Ok r -> check_int "two transactions replayed" 2 r.Recovery.replayed
+  | Error f -> Alcotest.failf "%a" Recovery.pp_failure f);
   let audit = System.begin_txn sys' (Activity.update "audit") in
   (match granted (System.invoke sys' audit y Bank_account.balance) with
   | Value.Int 70 -> ()
@@ -53,9 +58,9 @@ let test_set_recovery_preserves_contents () =
   let h = System.history sys in
   let sys' = System.create () in
   System.add_object sys' (Da_set.make (System.log sys') x);
-  (match Recovery.restore Recovery.Commit_order sys' h with
-  | Ok n -> check_int "three transactions" 3 n
-  | Error e -> Alcotest.fail e);
+  (match Recovery.replay Recovery.Commit_order sys' h with
+  | Ok r -> check_int "three transactions" 3 r.Recovery.replayed
+  | Error f -> Alcotest.failf "%a" Recovery.pp_failure f);
   let t = System.begin_txn sys' (Activity.update "probe") in
   let probe op =
     Value.to_string (granted (System.invoke sys' t x op))
@@ -84,9 +89,9 @@ let test_static_recovery_in_timestamp_order () =
   let h = System.history sys in
   let sys' = System.create ~policy:`Static () in
   System.add_object sys' (Multiversion.make (System.log sys') x Intset.spec);
-  (match Recovery.restore Recovery.Timestamp_order sys' h with
-  | Ok n -> check_int "two transactions" 2 n
-  | Error e -> Alcotest.fail e);
+  (match Recovery.replay Recovery.Timestamp_order sys' h with
+  | Ok r -> check_int "two transactions" 2 r.Recovery.replayed
+  | Error f -> Alcotest.failf "%a" Recovery.pp_failure f);
   check_bool "recovered history static atomic" true
     (Atomicity.static_atomic set_env (System.history sys'))
 
@@ -112,9 +117,10 @@ let test_divergence_detected () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  match Recovery.restore Recovery.Commit_order sys' h with
+  match Recovery.replay Recovery.Commit_order sys' h with
   | Ok _ -> Alcotest.fail "expected divergence"
-  | Error msg ->
+  | Error f ->
+    let msg = Fmt.str "%a" Recovery.pp_failure f in
     check_bool "describes the divergence" true
       (contains msg "divergence" || contains msg "refused"
       || contains msg "stalled")

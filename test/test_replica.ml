@@ -9,16 +9,11 @@ let to_alcotest = QCheck_alcotest.to_alcotest
 
 let proto name = Option.get (Fault_harness.find_protocol name)
 
-let build ?group_commit (p : Fault_harness.protocol) ~shards ~seed =
-  let group =
-    Shard_group.create ~policy:p.Fault_harness.policy ?group_commit ~seed
-      ~shards ()
-  in
+let build ?group_commit ?checkpoint (p : Fault_harness.protocol) ~shards ~seed =
   let w = p.Fault_harness.workload () in
-  List.iter
-    (fun id -> Shard_group.add_object group id p.Fault_harness.make_object)
-    w.Workload.objects;
-  (group, w)
+  ( Shard_harness.group ?group_commit ?checkpoint ~seed ~shards p
+      w.Workload.objects,
+    w )
 
 let tier_of ?faults ?stale ?seed (p : Fault_harness.protocol) ~replicas group =
   Replica_tier.create ?faults ?stale ?seed ~replicas
@@ -441,15 +436,10 @@ let test_failover_from_checkpoint () =
   List.iter
     (fun (name, seed) ->
       let p = proto name in
-      let group =
-        Shard_group.create ~policy:p.Fault_harness.policy ~seed
+      let group, w =
+        build p ~seed ~shards:2
           ~checkpoint:{ Shard_group.every = 10; archive = false }
-          ~shards:2 ()
       in
-      let w = p.Fault_harness.workload () in
-      List.iter
-        (fun id -> Shard_group.add_object group id p.Fault_harness.make_object)
-        w.Workload.objects;
       let tier = tier_of p ~replicas:2 group in
       drive ~duration:200 ~seed group w;
       Replica_tier.sync tier;
@@ -530,16 +520,11 @@ let pinned_shards = 3
 
 let pinned_digests () =
   let p = proto "hybrid" in
-  let group =
-    Shard_group.create ~policy:p.Fault_harness.policy ~seed:3
-      ~group_commit:true
+  let group, w =
+    build p ~seed:3 ~group_commit:true
       ~checkpoint:{ Shard_group.every = 20; archive = true }
-      ~shards:pinned_shards ()
+      ~shards:pinned_shards
   in
-  let w = p.Fault_harness.workload () in
-  List.iter
-    (fun id -> Shard_group.add_object group id p.Fault_harness.make_object)
-    w.Workload.objects;
   let tier = tier_of p ~replicas:2 group in
   let shards = List.init pinned_shards Fun.id in
   let shipped = ref [] and torn = ref 0 in
@@ -736,11 +721,7 @@ let test_replica_events_pinned () =
    replayed by [Recovery.replay], then the steps run as a read-only
    activity at [ts]. *)
 let replay_read (p : Fault_harness.protocol) group ~ts events steps =
-  let sys = System.create ~policy:(Shard_group.policy group) () in
-  List.iter
-    (fun (x, _) ->
-      System.add_object sys (p.Fault_harness.make_object (System.log sys) x))
-    (Shard_group.objects group);
+  let sys = Fault_harness.system p (List.map fst (Shard_group.objects group)) in
   let keep (txn : Replica_projection.txn) =
     match txn.Replica_projection.ts with
     | Some t -> Timestamp.to_int t <= ts

@@ -17,7 +17,7 @@ let contains s sub =
 
 let fresh_table (d : Lint_domain.t) ~depth =
   Synthesize_table.synthesize d.spec ~alphabet:d.alphabet ~depth
-    ~budget:(Synthesize.budget_for depth)
+    ~budget:(Synthesize_table.budget_for depth)
 
 (* --- determinism --------------------------------------------------- *)
 
