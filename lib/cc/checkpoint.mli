@@ -48,13 +48,34 @@
       every in-doubt transaction.  Records of folded transactions that
       straddle [covered] are skipped by activity name at replay.
 
+    {2 The file}
+
+    {v
+      weihl-ckpt 3 @<covered> <folded> <objects> [label]
+      rebuild <none|static|hybrid> <ts> <name>
+      skip <n>
+      <n skipped activity names, one per line>
+      <crc> <object> <op> <result> <op> <result> ...   (<objects> lines)
+      weihl-wal 1
+      <the in-doubt Prepared records in Wal framing>
+    v}
+
+    The rebuild line holds the transaction's policy, timestamp and
+    name, so a {e state line} holds only its object and the object's
+    rebuild steps: each operation one token (arguments joined by bare
+    commas), each followed by its result, all behind a CRC-32 of the
+    text after the CRC.  State lines come in object order, one per
+    object not at its specification's [initial] state.  Naming neither
+    the checkpoint nor a position, an unchanged object's line is the
+    same text in every file, which is what lets {!capture} reuse it.
+
     {2 Durability and damage}
 
     A checkpoint file only {e counts} once a {!Wal.control.Checkpointed}
     marker carrying its CRC-32 digest is durable in the WAL — a file
     whose write raced a crash has no synced marker and is ignored.
-    Every payload line carries its own CRC (the {!Wal} framing), the
-    file must decode [Intact] (a torn tail is damage here, not
+    Every state line and in-doubt record carries its own CRC, the
+    in-doubt set must decode [Intact] (a torn tail is damage here, not
     truncation), and the digest ties the file to its marker.  Any
     mismatch makes recovery fall back loudly to an older checkpoint or
     a full-log replay ({!Recovery.restore_checkpointed}) — never
@@ -63,7 +84,7 @@
 open Weihl_event
 
 val magic : string
-(** First tokens of every checkpoint header: ["weihl-ckpt 2"]. *)
+(** First tokens of every checkpoint header: ["weihl-ckpt 3"]. *)
 
 type t
 
@@ -104,8 +125,8 @@ val in_doubt : t -> (int * Activity.t) list
 
 type stream
 (** One shard's record stream as far as checkpoints have read it: the
-    fold, and the position bookkeeping behind the redo point, the skip
-    set and the in-doubt set. *)
+    fold, the position bookkeeping behind the redo point, the skip set
+    and the in-doubt set, and each moved object's cached state line. *)
 
 val stream :
   policy:System.ts_policy ->
@@ -122,12 +143,36 @@ val feed : stream -> Wal.record list -> unit
     only, or a crash could leave a checkpoint claiming more than the
     log. *)
 
+type capture = {
+  file : string;  (** the durable file, as {!decode} reads it *)
+  covered : int;  (** its redo point *)
+  objects : int;  (** its state lines: the objects the rebuild sets *)
+  rebuild_ops : int;  (** operations in its rebuild transaction *)
+  rederived : int;
+      (** objects whose state was derived and encoded again for this
+          capture; every other state line was reused from the cache *)
+}
+
 val capture :
-  stream -> mark:int -> name:string -> ?label:string -> unit -> (t, string) result
-(** Fold up to [mark] (ignored under commit order) and snapshot the
-    stream.  [name] names the rebuild transaction: it must be unique
-    per shard and per checkpoint.  [Error] when the fold is broken or
-    a folded state cannot be rebuilt. *)
+  stream -> mark:int -> name:string -> ?label:string -> unit ->
+  (capture, string) result
+(** Fold up to [mark] (ignored under commit order), snapshot the
+    stream and write the durable file.  [name] names the rebuild
+    transaction: it must be unique per shard and per checkpoint.
+
+    The stream caches each moved object's state line with the frontier
+    it was derived from ({!Fold.iter_moved}).  A line is reused only
+    while its object's frontier is physically that frontier; any other
+    object is re-derived ({!Weihl_spec.Seq_spec.rebuild}) and its line
+    re-encoded, and an object back at its specification's [initial]
+    state writes no line.  So a capture costs one derivation per object
+    the fold moved since the previous capture, plus a copy of every
+    line.
+
+    [Error] when the fold is broken, a folded state cannot be rebuilt,
+    or an object's name is empty or holds a space or a newline.
+    @raise Invalid_argument if the label, [name] or a skipped name
+    holds a newline. *)
 
 (** {1 The durable file} *)
 
@@ -135,16 +180,12 @@ val digest : string -> int
 (** CRC-32 of an encoded checkpoint file — the value carried by its
     {!Wal.control.Checkpointed} marker. *)
 
-val encode : t -> string
-(** The durable file: a ["weihl-ckpt 2 @<covered> <folded> [label]"]
-    header line, a ["skip <n>"] line and the [n] skipped names one per
-    line, then the rebuild events and in-doubt [Prepared] records in
-    {!Wal.encode_records} framing.
-    @raise Invalid_argument if the label or a skipped name holds a
-    newline. *)
-
 val decode : string -> (t, string) result
-(** Parse and validate a checkpoint file.  Fails on a damaged header or
-    skip set, any record-level damage, or a torn tail — a checkpoint is
-    all-or-nothing, so every failure here is a loud reason to fall back,
-    never a prefix to salvage. *)
+(** Parse and validate a checkpoint file, each state line once; the
+    accessors above only read what it parsed.  Never raises: a damaged
+    header, rebuild line or skip set, a state line whose CRC fails or
+    whose step does not parse, objects out of order or repeated, a line
+    count that disagrees with the header, and any damage to the
+    in-doubt set, torn tail included, are each an [Error] with a
+    one-line reason — a checkpoint is all-or-nothing, so every failure
+    here is a loud reason to fall back, never a prefix to salvage. *)

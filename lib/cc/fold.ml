@@ -132,6 +132,8 @@ let upto t h =
     t.mark <- h
   end
 
+let iter_moved t f = Names.iter (fun x fr -> f (Object_id.v x) fr) t.frontiers
+
 let rebuild t =
   let moved =
     Names.fold (fun x f acc -> (Object_id.v x, f) :: acc) t.frontiers []

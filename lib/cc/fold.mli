@@ -58,11 +58,19 @@ val frontier : t -> Object_id.t -> Weihl_spec.Seq_spec.frontier option
     specification's start for an object no folded update touched;
     [None] for an unknown object. *)
 
+val iter_moved :
+  t -> (Object_id.t -> Weihl_spec.Seq_spec.frontier -> unit) -> unit
+(** [iter_moved t f] applies [f] to every object a folded update has
+    moved, with its frontier as of the mark, in no particular order.
+    Folding an update replaces the object's frontier and never mutates
+    it, so while an object's frontier is physically the one a caller
+    derived something from, that derivation still holds. *)
+
 val rebuild :
   t -> ((Object_id.t * (Operation.t * Value.t) list) list, string) result
 (** Every object whose folded state is not its specification's start,
     in object order, with the operations that rebuild it
-    ({!Weihl_spec.Seq_spec.rebuild}). *)
+    ({!Weihl_spec.Seq_spec.rebuild}), each derived afresh. *)
 
 val of_events :
   ts_ordered:bool ->

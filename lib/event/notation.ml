@@ -20,7 +20,7 @@ let split_commas s = String.split_on_char ',' s |> List.map String.trim
 
 let parse_nat s = int_of_string_opt s
 
-let parse_value s =
+let value_of_string s =
   let s = String.trim s in
   if s = "()" then Some Value.Unit
   else if s = "true" then Some (Value.Bool true)
@@ -44,6 +44,22 @@ let split_call s =
       let name = String.sub s 0 i in
       let args = String.sub s (i + 1) (String.length s - i - 2) in
       Ok (String.trim name, Some args)
+
+(* The operation [name(args)], its arguments split on commas. *)
+let call name args =
+  let parsed = List.map value_of_string (split_commas args) in
+  if List.exists Option.is_none parsed then
+    Error (Fmt.str "cannot parse arguments of %s" name)
+  else Ok (Operation.make name (List.filter_map Fun.id parsed))
+
+let operation_of_string s =
+  match split_call (String.trim s) with
+  | Error e -> Error e
+  | Ok (name, args) when name <> "" && String.for_all is_ident_char name -> (
+    match args with
+    | Some args -> call name args
+    | None -> Ok (Operation.make name []))
+  | Ok _ -> Error (Fmt.str "cannot parse operation %S" s)
 
 let event_of_string ?(read_only = default_read_only)
     ?(results = default_results) s =
@@ -83,19 +99,15 @@ let event_of_string ?(read_only = default_read_only)
           | Some t -> Ok (Event.initiate activity obj (Timestamp.v t))
           | None -> Error "initiation timestamp must be a natural number")
         | Ok ("initiate", None) -> Error "initiate requires a timestamp"
-        | Ok (name, Some args) ->
-          let parsed = List.map parse_value (split_commas args) in
-          if List.exists Option.is_none parsed then
-            Error (Fmt.str "cannot parse arguments of %s" name)
-          else
-            Ok
-              (Event.invoke activity obj
-                 (Operation.make name (List.filter_map Fun.id parsed)))
+        | Ok (name, Some args) -> (
+          match call name args with
+          | Ok op -> Ok (Event.invoke activity obj op)
+          | Error e -> Error e)
         | Ok (bare, None) -> (
           (* A bare body is a result if it looks like a literal or is a
              registered symbolic result; otherwise a no-argument
              invocation. *)
-          match parse_value bare with
+          match value_of_string bare with
           | Some (Value.Sym sym) when not (List.mem sym results) ->
             Ok (Event.invoke activity obj (Operation.make sym []))
           | Some v -> Ok (Event.respond activity obj v)

@@ -43,6 +43,15 @@ val event_of_string :
     read as symbolic results rather than invocations (default: ["ok";
     "insufficient_funds"; "empty"; "none"]). *)
 
+val value_of_string : string -> Value.t option
+(** One [value] of the grammar: [()], [true], [false], an integer or an
+    identifier. *)
+
+val operation_of_string : string -> (Operation.t, string) result
+(** One invocation body: an identifier, or an identifier with
+    comma-separated [args] in parentheses.  Unlike {!event_of_string},
+    a bare identifier is always an operation. *)
+
 val history_of_string :
   ?read_only:(string -> bool) ->
   ?results:string list ->

@@ -779,9 +779,8 @@ let checkpoint_shard ?(lose_marker = false) t s =
       failwith (Fmt.str "Group.checkpoint_shard: shard %d: %s" s msg)
   in
   t.ckpt_taken <- t.ckpt_taken + 1;
-  t.ckpt_work <- t.ckpt_work + count - fed + Cc.Checkpoint.rebuild_ops ckpt;
-  let file = Cc.Checkpoint.encode ckpt in
-  let covered = Cc.Checkpoint.covered ckpt in
+  t.ckpt_work <- t.ckpt_work + count - fed + ckpt.rebuild_ops;
+  let file = ckpt.file and covered = ckpt.covered in
   t.ckpts.(s) <-
     retain ({ covered; file; marked = not lose_marker } :: t.ckpts.(s));
   if not lose_marker then begin
@@ -823,7 +822,14 @@ let checkpoint_shard ?(lose_marker = false) t s =
   | Some st ->
     St.span (St.shard st s) ~name:"checkpoint" ~cat:"ckpt" ~ts:(St.now st)
       ~dur:0. ~tid:0
-      ~args:[ ("covered", St.num covered); ("age", St.num age) ]);
+      ~args:
+        [
+          ("covered", St.num covered);
+          ("age", St.num age);
+          ("rederived", St.num ckpt.rederived);
+          ("objects", St.num ckpt.objects);
+          ("bytes", St.num (String.length file));
+        ]);
   covered
 
 (* The commit paths call this once per commit landing on shard [s];

@@ -348,7 +348,10 @@ val checkpoint_shard : ?lose_marker:bool -> t -> int -> int
     that makes it official, and — once two marked files exist —
     truncate the WAL behind the older one's redo point (archiving the
     prefix under [checkpoint.archive]).  Returns the new checkpoint's
-    redo point.
+    redo point.  Under a tracer, the shard's [checkpoint] span carries
+    the redo point ([covered]), the records behind it ([age]), the
+    objects re-derived for this capture ([rederived]), the state lines
+    written ([objects]) and the file's size ([bytes]).
 
     [lose_marker] (default false) simulates the crash window where the
     file reached disk but its marker never became durable: the file is

@@ -1,6 +1,7 @@
-(* Fuzzy checkpoints: capture/encode/decode, marker-gated officialness,
-   loud fallbacks on damage, bounded tail replay, and the equivalence
-   property checkpoint + tail ≡ full-log replay. *)
+(* Fuzzy checkpoints: capture and decode, the incremental capture,
+   marker-gated officialness, loud fallbacks on damage, bounded tail
+   replay, and the equivalence property checkpoint + tail ≡ full-log
+   replay. *)
 
 open Core
 open Helpers
@@ -56,7 +57,7 @@ let decode_records text =
   | Ok (rs, _) -> rs
   | Error e -> Alcotest.fail (Fmt.str "wal decode: %a" Wal.pp_error e)
 
-(* --- capture / encode / decode -------------------------------------- *)
+(* --- capture / decode ------------------------------------------------ *)
 
 let test_roundtrip () =
   let group, _w = run_traffic rw in
@@ -70,8 +71,6 @@ let test_roundtrip () =
     check_bool "some transactions folded" true (Checkpoint.folded c > 0);
     Alcotest.(check (option string))
       "label mirrors the WAL header" (Some "shard-0") (Checkpoint.label c);
-    Alcotest.(check string) "re-encoding reproduces the file" file
-      (Checkpoint.encode c);
     let rebuild = Checkpoint.rebuild c in
     (match Activity.Set.elements (History.committed rebuild) with
     | [ a ] ->
@@ -273,7 +272,7 @@ let prop_ckpt_tail_equals_full =
    on every object's state — compared through [Seq_spec.rebuild],
    unless either replay substituted a non-deterministic result — the
    counts add up, and the replay stays within the tail bound. *)
-let state_oracle (proto : Fault_harness.protocol) ~seed =
+let oracle_traffic proto ~seed =
   let plan = Shard_plan.generate ~seed in
   let injected = ref false in
   let on_commit group g ~nth_multi =
@@ -287,6 +286,10 @@ let state_oracle (proto : Fault_harness.protocol) ~seed =
     else Shard_group.commit group g
   in
   let group, w = run_traffic ~seed ~duration:150 ~every:8 ~on_commit proto in
+  (plan, group, w)
+
+let state_oracle (proto : Fault_harness.protocol) ~seed =
+  let plan, group, w = oracle_traffic proto ~seed in
   let shards = [ 0; 1; 2 ] in
   let recovered_first =
     List.for_all
@@ -357,6 +360,342 @@ let prop_state_oracle =
             QCheck.Test.fail_reportf "%s, seed %d: %s"
               proto.Fault_harness.name seed msg)
         Fault_harness.catalog)
+
+(* --- incremental capture: the line cache against a fresh derivation -- *)
+
+(* The rebuild transaction laid out from scratch: per object its steps,
+   opened by an initiation under [`Static], then one commit per object,
+   carrying [ts] under [`Hybrid]. *)
+let rebuild_from_scratch policy ~name ~ts objects =
+  let rb = Activity.update name and ts = Timestamp.v ts in
+  List.concat_map
+    (fun (x, steps) ->
+      (match policy with `Static -> [ Event.Initiate (rb, x, ts) ] | _ -> [])
+      @ List.concat_map
+          (fun (op, v) ->
+            [ Event.Invoke (rb, x, op); Event.Respond (rb, x, v) ])
+          steps)
+    objects
+  @ List.map
+      (fun (x, _) ->
+        Event.Commit (rb, x, match policy with `Hybrid -> Some ts | _ -> None))
+      objects
+
+(* Capture [stream] and decode the file: [Ok] the capture when the
+   decoded rebuild equals the one laid out from [Fold.rebuild
+   reference] — a fold fed the same events to the same mark — and the
+   capture's counts agree with the file, [Error] why not otherwise. *)
+let check_capture ~policy ~mark ~name ~ts stream reference =
+  match Checkpoint.capture stream ~mark ~name () with
+  | Error msg -> Error ("capture: " ^ msg)
+  | Ok c -> (
+    match (Checkpoint.decode c.Checkpoint.file, Fold.rebuild reference) with
+    | Error msg, _ -> Error ("decode: " ^ msg)
+    | _, Error msg -> Error ("reference: " ^ msg)
+    | Ok d, Ok objects ->
+      let expected = rebuild_from_scratch policy ~name ~ts objects in
+      if
+        not
+          (List.equal Event.equal expected
+             (History.to_list (Checkpoint.rebuild d)))
+      then
+        Error
+          (Fmt.str "%s: the decoded rebuild differs from the one derived from \
+                    scratch (%d objects)"
+             name (List.length objects))
+      else if
+        c.Checkpoint.objects <> List.length objects
+        || c.Checkpoint.rebuild_ops <> Checkpoint.rebuild_ops d
+        || c.Checkpoint.covered <> Checkpoint.covered d
+      then Error (name ^ ": the capture's counts disagree with its file")
+      else Ok c)
+
+(* Replay one shard's record stream through a fresh stream, capturing
+   where the group captured (at each [Checkpointed] marker), after
+   every commit record, so that objects keep appearing between
+   captures, and at the end; each time at the highest mark no later
+   update commits at or below.  [None] when every capture passes
+   {!check_capture}, its rebuild timestamp the largest one the capture
+   folded. *)
+let replay_captures (proto : Fault_harness.protocol) records =
+  let policy = proto.Fault_harness.policy in
+  let ts_ordered = policy <> `None_ in
+  let spec _ = Some proto.Fault_harness.spec in
+  let records = Array.of_list records in
+  let n = Array.length records in
+  let first_ts = Hashtbl.create 64 in
+  Array.iter
+    (function
+      | Wal.Event e -> (
+        let a = Activity.name (Event.activity e) in
+        match Event.timestamp e with
+        | Some ts when not (Hashtbl.mem first_ts a) ->
+          Hashtbl.add first_ts a (Timestamp.to_int ts)
+        | _ -> ())
+      | Wal.Control _ -> ())
+    records;
+  let ts_of a = Option.value ~default:(-1) (Hashtbl.find_opt first_ts a) in
+  let safe = Array.make (n + 1) max_int in
+  for p = n - 1 downto 0 do
+    safe.(p) <-
+      (match records.(p) with
+      | Wal.Event (Event.Commit (a, _, _))
+        when (not (Activity.is_read_only a)) && ts_of (Activity.name a) >= 0 ->
+        min safe.(p + 1) (ts_of (Activity.name a) - 1)
+      | _ -> safe.(p + 1))
+  done;
+  let stream = Checkpoint.stream ~policy ~spec in
+  let reference = Fold.create ~ts_ordered ~spec in
+  let committed = Hashtbl.create 64 and aborted = Hashtbl.create 8 in
+  let fed = ref 0 in
+  let capture_at p =
+    let chunk = Array.to_list (Array.sub records !fed (p - !fed)) in
+    fed := p;
+    Checkpoint.feed stream chunk;
+    List.iter
+      (function
+        | Wal.Event e -> (
+          Fold.feed reference e;
+          match e with
+          | Event.Commit (a, _, _) ->
+            Hashtbl.replace committed (Activity.name a) ()
+          | Event.Abort (a, _) -> Hashtbl.replace aborted (Activity.name a) ()
+          | _ -> ())
+        | Wal.Control _ -> ())
+      chunk;
+    let mark = safe.(p) in
+    if ts_ordered then Fold.upto reference mark;
+    let ts =
+      Hashtbl.fold
+        (fun a () acc ->
+          let ts = ts_of a in
+          if
+            (not (Hashtbl.mem aborted a))
+            && ((not ts_ordered) || (ts >= 0 && ts <= mark))
+          then max acc ts
+          else acc)
+        committed 0
+    in
+    let name = Fmt.str "ckpt_at_%d" p in
+    match check_capture ~policy ~mark ~name ~ts stream reference with
+    | Ok _ -> None
+    | Error msg -> Some msg
+  in
+  let points =
+    List.filter
+      (fun p ->
+        p = n
+        || (match records.(p) with
+           | Wal.Control (Wal.Checkpointed _) -> true
+           | _ -> false)
+        ||
+        match records.(p - 1) with
+        | Wal.Event (Event.Commit _) -> true
+        | _ -> false)
+      (List.init n succ)
+  in
+  List.find_map capture_at points
+
+let prop_incremental_capture =
+  QCheck.Test.make ~count:4
+    ~name:"incremental capture: every capture decodes to a fresh derivation"
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      List.for_all
+        (fun proto ->
+          let _, group, _ = oracle_traffic proto ~seed in
+          List.for_all
+            (fun s ->
+              let records =
+                List.concat_map decode_records
+                  (Shard_group.archived_segments group s)
+                @ decode_records (Shard_group.durable_shard group s)
+              in
+              match replay_captures proto records with
+              | None -> true
+              | Some msg ->
+                QCheck.Test.fail_reportf "%s, seed %d, shard %d: %s"
+                  proto.Fault_harness.name seed s msg)
+            [ 0; 1; 2 ])
+        Fault_harness.catalog)
+
+let account i = Object_id.v (Fmt.str "acct%d" i)
+
+(* One committed update transaction's records: each step's invocation
+   and response, then one commit per object. *)
+let committed_txn name steps =
+  let a = Activity.update name in
+  List.concat_map
+    (fun (x, op, v) ->
+      [ Event.Invoke (a, x, op); Event.Respond (a, x, v) ])
+    steps
+  @ List.map
+      (fun x -> Event.Commit (a, x, None))
+      (List.sort_uniq Object_id.compare (List.map (fun (x, _, _) -> x) steps))
+  |> List.map (fun e -> Wal.Event e)
+
+let deposits name amounts =
+  committed_txn name
+    (List.map (fun (x, n) -> (x, Bank_account.deposit n, Value.ok)) amounts)
+
+(* Accounts under commit order, fed one committed transaction at a time:
+   funding, a capture with nothing new, a wave over some accounts, a
+   new account in the middle of the order, an account drained back to
+   its initial balance.  Each capture re-derives exactly the accounts
+   the fold moved since the previous one. *)
+let test_incremental_capture () =
+  let spec _ = Some Bank_account.spec in
+  let stream = Checkpoint.stream ~policy:`None_ ~spec in
+  let reference = Fold.create ~ts_ordered:false ~spec in
+  let step = ref 0 in
+  let capture what records ~rederived ~objects =
+    Checkpoint.feed stream records;
+    List.iter
+      (function Wal.Event e -> Fold.feed reference e | Wal.Control _ -> ())
+      records;
+    incr step;
+    match
+      check_capture ~policy:`None_ ~mark:(-1) ~name:(Fmt.str "ckpt_%d" !step)
+        ~ts:0 stream reference
+    with
+    | Error msg -> Alcotest.fail (what ^ ": " ^ msg)
+    | Ok c ->
+      check_int (what ^ ": objects re-derived") rederived
+        c.Checkpoint.rederived;
+      check_int (what ^ ": state lines") objects c.Checkpoint.objects;
+      c.Checkpoint.file
+  in
+  (* The state lines: every line after the skip set's, before the
+     in-doubt set. *)
+  let state_lines file =
+    let lines = String.split_on_char '\n' file in
+    let rec after_skip = function
+      | l :: rest when String.starts_with ~prefix:"skip " l -> rest
+      | _ :: rest -> after_skip rest
+      | [] -> []
+    in
+    List.filter
+      (fun l -> l <> "" && not (String.starts_with ~prefix:Wal.magic l))
+      (after_skip lines)
+  in
+  let funded =
+    capture "funding"
+      (deposits "fund" (List.init 10 (fun i -> (account i, 100))))
+      ~rederived:10 ~objects:10
+  in
+  let again = capture "nothing new" [] ~rederived:0 ~objects:10 in
+  Alcotest.(check (list string))
+    "an unmoved object's line is reused verbatim" (state_lines funded)
+    (state_lines again);
+  ignore
+    (capture "a wave over 3 accounts"
+       (deposits "wave" [ (account 1, 5); (account 4, 5); (account 7, 5) ])
+       ~rederived:3 ~objects:10);
+  ignore
+    (capture "a new account mid-order"
+       (deposits "open" [ (Object_id.v "acct45", 9) ])
+       ~rederived:1 ~objects:11);
+  let drained =
+    capture "an account drained to its initial balance"
+      (committed_txn "drain"
+         [ (account 2, Bank_account.withdraw 100, Value.ok) ])
+      ~rederived:1 ~objects:10
+  in
+  check_bool "the drained account writes no line" false
+    (List.exists
+       (fun l -> List.nth_opt (String.split_on_char ' ' l) 1 = Some "acct2")
+       (state_lines drained));
+  ignore (capture "nothing new again" [] ~rederived:0 ~objects:10)
+
+(* --- decode: damage is an Error with a one-line reason, never a raise - *)
+
+let test_decode_errors () =
+  let spec _ = Some Bank_account.spec in
+  let stream = Checkpoint.stream ~policy:`None_ ~spec in
+  Checkpoint.feed stream
+    (deposits "fund" (List.init 4 (fun i -> (account i, 10 + i))));
+  let file =
+    match
+      Checkpoint.capture stream ~mark:(-1) ~name:"ckpt_1" ~label:"shard-0" ()
+    with
+    | Ok c -> c.Checkpoint.file
+    | Error msg -> Alcotest.fail msg
+  in
+  (match Checkpoint.decode file with
+  | Ok d -> check_int "the intact file decodes" 4 (Checkpoint.rebuild_ops d)
+  | Error msg -> Alcotest.fail ("intact file: " ^ msg));
+  let lines = String.split_on_char '\n' file in
+  (* Lines 0-2 are the header, rebuild line and skip count (no skipped
+     names here); the state lines follow. *)
+  let first_state = 3 in
+  let with_lines f = String.concat "\n" (f lines) in
+  let replace i l =
+    with_lines (List.mapi (fun j x -> if j = i then l else x))
+  in
+  let framed body = Fmt.str "%08x %s" (Wal.crc32 body) body in
+  let nth i = List.nth lines i in
+  let header_count k =
+    replace 0
+      (String.concat " "
+         (List.mapi
+            (fun j tok -> if j = 4 then string_of_int k else tok)
+            (String.split_on_char ' ' (nth 0))))
+  in
+  let cases =
+    [
+      ( "a state line with a bad CRC",
+        replace first_state
+          (String.map (fun c -> if c = '0' then '1' else c) (nth first_state)),
+        "checksum mismatch" );
+      ( "a step that does not parse",
+        replace first_state (framed "acct0 deposit(( ok"),
+        "does not parse" );
+      ( "a result that does not parse",
+        replace first_state (framed "acct0 deposit(10) o-k"),
+        "does not parse" );
+      ( "an operation without its result",
+        replace first_state (framed "acct0 deposit(10)"),
+        "without its result" );
+      ( "objects out of order",
+        with_lines
+          (List.mapi (fun j x ->
+               if j = first_state then nth (first_state + 1)
+               else if j = first_state + 1 then nth first_state
+               else x)),
+        "out of order or repeated" );
+      ( "an object repeated",
+        replace (first_state + 1) (nth first_state),
+        "out of order or repeated" );
+      ("a header counting one line too many", header_count 5, "holds 4");
+      ("a header counting one line too few", header_count 3, "holds more");
+      ( "a bad header",
+        replace 0 "weihl-ckpt 2 @0 0 4",
+        "bad or missing header" );
+      ( "a bad rebuild line",
+        replace 1 "rebuild eager 0 ckpt_1",
+        "bad rebuild line" );
+      ("a file cut short", String.sub file 0 40, "cut short");
+    ]
+  in
+  List.iter
+    (fun (what, text, reason) ->
+      match Checkpoint.decode text with
+      | Ok _ -> Alcotest.fail (what ^ ": decoded")
+      | Error msg ->
+        check_bool
+          (Fmt.str "%s: %S names %S" what msg reason)
+          true
+          (Test_lint.contains msg reason);
+        check_bool (what ^ ": one line") false (String.contains msg '\n'))
+    cases;
+  (* Every prefix and every flipped byte decodes or fails, never raises. *)
+  String.iteri
+    (fun i _ ->
+      ignore (Checkpoint.decode (String.sub file 0 i));
+      let b = Bytes.of_string file in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
+      ignore (Checkpoint.decode (Bytes.to_string b)))
+    file
 
 (* --- retention: a lost marker evicts nothing ------------------------ *)
 
@@ -458,6 +797,11 @@ let suite =
       test_hybrid_checkpoint_recovery;
     Alcotest.test_case "lost marker: marked files stay retained" `Quick
       test_lost_marker_keeps_marked_files;
+    Alcotest.test_case "incremental capture re-derives only moved objects"
+      `Quick test_incremental_capture;
+    Alcotest.test_case "decode: damage is a one-line error" `Quick
+      test_decode_errors;
     to_alcotest prop_ckpt_tail_equals_full;
     to_alcotest prop_state_oracle;
+    to_alcotest prop_incremental_capture;
   ]
