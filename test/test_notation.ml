@@ -301,6 +301,47 @@ let prop_printers_byte_identical =
           (Fmt_printers.record_lines ~base records @ [ "" ])
       | [] -> false)
 
+(* [Wal.crc32] steps four bytes at a time; the byte-wise reference
+   above is the oracle.  Every offset below 8 and length up to 20 puts
+   the four-byte steps at every alignment with every short tail, and
+   the lengths around multiples of 4 run the step loop to its edge. *)
+let test_crc32_reference () =
+  Alcotest.(check int) "check value" 0xcbf43926 (Wal.crc32 "123456789");
+  Alcotest.(check int) "empty" 0 (Wal.crc32 "");
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (pos, len) ->
+      raises (Fmt.str "pos %d len %d of 3 bytes" pos len) (fun () ->
+          Wal.crc32_sub "abc" ~pos ~len))
+    [ (-1, 1); (0, 4); (2, 2); (4, 0); (0, -1); (1, max_int) ]
+
+let prop_crc32_sub_matches_reference =
+  QCheck2.Test.make ~count:200
+    ~name:"crc32_sub: slicing-by-4 equals the byte-wise CRC-32"
+    Gen.(string_size ~gen:char (int_range 0 200))
+    (fun s ->
+      let n = String.length s in
+      let same pos len =
+        let want = Fmt_printers.crc32 (String.sub s pos len) in
+        Wal.crc32_sub s ~pos ~len = want
+        || QCheck2.Test.fail_reportf "pos %d len %d of %S" pos len s
+      in
+      let short = List.init 8 (fun pos -> List.init 21 (fun len -> (pos, len))) in
+      let around4 =
+        List.init 8 (fun pos ->
+            List.concat_map
+              (fun k -> [ (pos, (4 * k) - 1); (pos, 4 * k); (pos, (4 * k) + 1) ])
+              (List.init ((n / 4) + 2) Fun.id))
+      in
+      Wal.crc32 s = Fmt_printers.crc32 s
+      && List.for_all
+           (fun (pos, len) -> len < 0 || pos + len > n || same pos len)
+           (List.concat (short @ around4)))
+
 let suite =
   [
     Alcotest.test_case "event forms" `Quick test_event_forms;
@@ -314,4 +355,7 @@ let suite =
     Alcotest.test_case "comments and line numbers" `Quick
       test_history_comments_and_errors;
     QCheck_alcotest.to_alcotest prop_printers_byte_identical;
+    Alcotest.test_case "crc32: check value and range checks" `Quick
+      test_crc32_reference;
+    QCheck_alcotest.to_alcotest prop_crc32_sub_matches_reference;
   ]
