@@ -193,6 +193,15 @@ val damage_next_segments : t -> int -> unit
 (** Corrupt the text of the next [n] segments cut — the receiver must
     detect each (CRC or framing) and resync rather than apply. *)
 
+val send_segment :
+  ?alter:(string -> string) -> t -> replica:int -> shard:int -> from:int -> unit
+(** Cut shard [shard]'s segment resuming at [from] — wherever the
+    replica stands — pass its text through [alter] (default: as cut),
+    send it to [replica], and run the channel until it and whatever it
+    sets off are delivered.  Fault injection for the apply path: a
+    [from] ahead of the replica is a gap, and [alter] damages the text
+    where the caller chooses. *)
+
 (** {1 Snapshot reads} *)
 
 type serve = Served_replica of int | Served_primary
