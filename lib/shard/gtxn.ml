@@ -51,6 +51,8 @@ let leg t s = List.assoc_opt s t.legs
 let set_leg t s txn =
   t.legs <- (s, txn) :: List.remove_assoc s t.legs
 
+let remove_leg t s = t.legs <- List.remove_assoc s t.legs
+
 let mark t = t.mark
 let set_mark t m = t.mark <- m
 let fanout t = List.length t.legs

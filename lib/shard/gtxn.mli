@@ -52,6 +52,10 @@ val leg : t -> int -> Cc.Txn.t option
 val set_leg : t -> int -> Cc.Txn.t -> unit
 (** Add the leg, or replace it (recovery re-links reinstated legs). *)
 
+val remove_leg : t -> int -> unit
+(** Forget the leg on that shard, if any: recovery drops every leg of
+    the crashed incarnation, whose [Txn.t] ids the new one reuses. *)
+
 val mark : t -> int
 val set_mark : t -> int -> unit
 (** An integer that graph walks over global transactions may stamp (0
