@@ -2,7 +2,7 @@ module Pqueue = Weihl_sim.Pqueue
 module Rng = Weihl_sim.Rng
 
 type 'msg event =
-  | Deliver of { src : int; dst : int; sent : int; msg : 'msg }
+  | Deliver of { dst : int; msg : 'msg }
   | Crash of int
   | Heal_all
 
@@ -23,8 +23,6 @@ type 'msg t = {
   crashed_nodes : (int, unit) Hashtbl.t;
   partitions : (int * int, unit) Hashtbl.t; (* keyed (min, max) *)
   handler : 'msg t -> node:int -> 'msg -> unit;
-  on_deliver :
-    ('msg t -> src:int -> dst:int -> sent:int -> 'msg -> unit) option;
   metrics : Weihl_obs.Metrics.Registry.t option;
   mutable time : int;
   mutable delivered : int;
@@ -35,7 +33,7 @@ type 'msg t = {
 }
 
 let create ?(min_delay = 1) ?(max_delay = 5) ?(faults = no_faults) ?metrics
-    ?on_deliver ~seed ~nodes ~handler () =
+    ~seed ~nodes ~handler () =
   if min_delay < 0 || max_delay < min_delay then
     invalid_arg "Msim.create: bad delay range";
   check_prob "drop" faults.drop;
@@ -50,7 +48,6 @@ let create ?(min_delay = 1) ?(max_delay = 5) ?(faults = no_faults) ?metrics
     crashed_nodes = Hashtbl.create 4;
     partitions = Hashtbl.create 4;
     handler;
-    on_deliver;
     metrics;
     time = 0;
     delivered = 0;
@@ -83,7 +80,7 @@ let drop t why =
    faults existed — seeds stay stable. *)
 let flip t p = p > 0. && Rng.float t.rng 1.0 < p
 
-let enqueue t ~src ~dst msg =
+let enqueue t ~dst msg =
   let delay = Rng.int_range t.rng t.min_delay t.max_delay in
   let delay =
     if flip t t.faults.reorder then begin
@@ -95,8 +92,7 @@ let enqueue t ~src ~dst msg =
     end
     else delay
   in
-  Pqueue.push t.queue ~time:(t.time + delay)
-    (Deliver { src; dst; sent = t.time; msg })
+  Pqueue.push t.queue ~time:(t.time + delay) (Deliver { dst; msg })
 
 let send t ~src ~dst msg =
   if dst < 0 || dst >= t.nodes then invalid_arg "Msim.send: bad destination";
@@ -104,11 +100,11 @@ let send t ~src ~dst msg =
   else if partitioned t src dst then drop t "partition"
   else if flip t t.faults.drop then drop t "fault"
   else begin
-    enqueue t ~src ~dst msg;
+    enqueue t ~dst msg;
     if flip t t.faults.duplicate then begin
       t.duplicated <- t.duplicated + 1;
       count t "msim.duplicated";
-      enqueue t ~src ~dst msg
+      enqueue t ~dst msg
     end
   end
 
@@ -117,8 +113,7 @@ let send t ~src ~dst msg =
    faults. *)
 let set_timer t ~node ~after msg =
   if not (crashed t node) then
-    Pqueue.push t.queue ~time:(t.time + after)
-      (Deliver { src = node; dst = node; sent = t.time; msg })
+    Pqueue.push t.queue ~time:(t.time + after) (Deliver { dst = node; msg })
 
 let crash t node = Hashtbl.replace t.crashed_nodes node ()
 let crash_at t ~time node = Pqueue.push t.queue ~time (Crash node)
@@ -139,13 +134,10 @@ let run ?(until = 100_000) t =
         (match ev with
         | Crash node -> crash t node
         | Heal_all -> heal_all t
-        | Deliver { src; dst; sent; msg } ->
+        | Deliver { dst; msg } ->
           if crashed t dst then drop t "crashed_dst"
           else begin
             t.delivered <- t.delivered + 1;
-            (match t.on_deliver with
-            | Some f -> f t ~src ~dst ~sent msg
-            | None -> ());
             t.handler t ~node:dst msg
           end);
         loop ()

@@ -24,7 +24,6 @@ val no_faults : faults
 val create :
   ?min_delay:int -> ?max_delay:int -> ?faults:faults ->
   ?metrics:Weihl_obs.Metrics.Registry.t ->
-  ?on_deliver:('msg t -> src:int -> dst:int -> sent:int -> 'msg -> unit) ->
   seed:int -> nodes:int ->
   handler:('msg t -> node:int -> 'msg -> unit) ->
   unit ->
@@ -33,10 +32,6 @@ val create :
     uniform in [min_delay, max_delay] (defaults 1 and 5); [faults]
     defaults to {!no_faults}.  With a [metrics] registry installed,
     drops, duplicates and reorders tick [msim.*] counters.
-    [on_deliver] observes every successful delivery — including timer
-    firings, for which [src = dst] — just before the handler runs:
-    [sent] is the send time, {!now} the delivery time, so the pair
-    bounds the message's flight.  Dropped messages are not observed.
     @raise Invalid_argument if a fault probability is outside [0, 1]. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit

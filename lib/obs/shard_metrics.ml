@@ -28,7 +28,6 @@ type t = {
   tpc_commits : M.Counter.t;
   tpc_aborts : M.Counter.t;
   tpc_messages : M.Counter.t;
-  tpc_duration : M.Histogram.t;
   fanout : M.Histogram.t;
   wal_appends : M.Counter.t;
   wal_syncs : M.Counter.t;
@@ -89,7 +88,6 @@ let create ?registry ?(replicas = 0) ~shards () =
     tpc_commits = M.Registry.counter registry "tpc.commit";
     tpc_aborts = M.Registry.counter registry "tpc.abort";
     tpc_messages = M.Registry.counter registry "tpc.messages";
-    tpc_duration = M.Registry.histogram registry "tpc.duration";
     fanout =
       M.Registry.histogram ~buckets:fanout_buckets registry "txn.shard_fanout";
     wal_appends = M.Registry.counter registry "wal.appends";
@@ -153,11 +151,10 @@ let promotion_count t = M.Counter.value t.promotions
 let resync_count t = M.Counter.value t.resyncs
 let stale_bounce_count t = M.Counter.value t.stale_bounces
 
-let tpc_round t ~committed ~messages ~duration ~fanout =
+let tpc_round t ~committed ~messages ~fanout =
   M.Counter.incr t.tpc_rounds;
   M.Counter.incr (if committed then t.tpc_commits else t.tpc_aborts);
   M.Counter.add t.tpc_messages messages;
-  M.Histogram.observe t.tpc_duration (float_of_int duration);
   M.Histogram.observe t.fanout (float_of_int fanout)
 
 (* One WAL device sync covering [records] appended records (group
@@ -218,8 +215,7 @@ let render t =
        (M.Counter.value t.tpc_aborts)
        (M.Counter.value t.tpc_messages));
   Buffer.add_string buf
-    (Fmt.str "tpc.duration: %a\ntxn.shard_fanout: %a\n" M.Histogram.pp
-       t.tpc_duration M.Histogram.pp t.fanout);
+    (Fmt.str "txn.shard_fanout: %a\n" M.Histogram.pp t.fanout);
   if M.Counter.value t.wal_syncs > 0 then
     Buffer.add_string buf
       (Fmt.str
@@ -262,7 +258,6 @@ let render t =
   end;
   Buffer.contents buf
 
-let tpc_duration t = t.tpc_duration
 let fanout t = t.fanout
 let group_commit_batch t = t.group_commit_batch
 let wal_sync_count t = M.Counter.value t.wal_syncs

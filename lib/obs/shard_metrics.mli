@@ -4,7 +4,7 @@
     shard ([shard<i>.committed.local], [.committed.tpc], [.aborted],
     [.prepared], [.conflicts], plus an [in_doubt] gauge), and
     group-wide 2PC instruments ([tpc.rounds], [tpc.commit],
-    [tpc.abort], [tpc.messages], [tpc.duration], [txn.shard_fanout]).
+    [tpc.abort], [tpc.messages], [txn.shard_fanout]).
     All instruments live in one {!Metrics.Registry}, so the usual
     text/JSON renderers see them too. *)
 
@@ -78,16 +78,12 @@ val promotion_count : t -> int
 val resync_count : t -> int
 val stale_bounce_count : t -> int
 
-val tpc_round :
-  t -> committed:bool -> messages:int -> duration:int -> fanout:int -> unit
-(** Record one completed 2PC round: its decision, message count,
-    virtual duration, and the transaction's shard fan-out. *)
-
-val tpc_duration : t -> Metrics.Histogram.t
-(** Virtual duration of completed 2PC rounds. *)
+val tpc_round : t -> committed:bool -> messages:int -> fanout:int -> unit
+(** Record one multi-shard commit decision: whether it committed, the
+    2PC messages it exchanged, and the transaction's shard fan-out. *)
 
 val fanout : t -> Metrics.Histogram.t
-(** Shard fan-out of transactions that ran a 2PC round. *)
+(** Shard fan-out of multi-shard commit decisions. *)
 
 val wal_sync : t -> records:int -> unit
 (** Record one WAL device sync that made [records] previously-appended
@@ -129,8 +125,7 @@ val recovery_duration : t -> Metrics.Histogram.t
 val recovery_records : t -> Metrics.Histogram.t
 
 val render : t -> string
-(** A per-shard table, a 2PC summary line, full one-line histogram
-    summaries (count, mean, percentiles, max) for [tpc.duration] and
-    [txn.shard_fanout], and — once any sync happened — a WAL/group
-    commit summary.  Checkpoint and recovery summaries appear once any
+(** A per-shard table, a 2PC summary line, a full one-line histogram
+    summary (count, mean, percentiles, max) of [txn.shard_fanout], and
+    — once any sync happened — a WAL/group commit summary.  Checkpoint and recovery summaries appear once any
     checkpoint was written or any recovery ran. *)

@@ -236,12 +236,14 @@ let test_stale_read_bounces () =
     | [ (_, _, Value.Int 150) ] -> ()
     | _ -> Alcotest.fail "replica served early state")
 
-(* Under group commit a two-shard [commit] runs the 2PC message round,
-   which applies its decision without a sync: the deposits are in each
-   shard's history but not yet in its durable stream, so no segment
-   carries them.  The serving mark must stay below them, so the read
-   bounces to the primary instead of serving the balances from before
-   the deposits. *)
+(* Under group commit in-doubt resolution applies a decision without a
+   sync.  Here the coordinator decides commit and dies before any
+   decide message leaves, so both legs stay prepared until
+   [resolve_in_doubt] commits them from the decision log: the deposits
+   are in each shard's history but not yet in its durable stream, so no
+   segment carries them.  The serving mark must stay below them, so the
+   read bounces to the primary instead of serving the balances from
+   before the deposits. *)
 let test_unsynced_commit_holds_the_mark () =
   let p = proto "hybrid" in
   let group, w = build ~group_commit:true p ~shards:2 ~seed:7 in
@@ -257,7 +259,10 @@ let test_unsynced_commit_holds_the_mark () =
       | Shard_group.Granted _ -> ()
       | _ -> Alcotest.fail "deposit refused")
     steps;
-  Shard_group.commit group g;
+  Shard_group.commit
+    ~fault:{ Tpc.no_fault with f_coordinator_crash = Tpc.Mid_decision 0 }
+    group g;
+  check_int "both legs resolved" 2 (Shard_group.resolve_in_doubt group);
   Replica_tier.pump tier;
   match Replica_tier.read ~replica:0 tier steps with
   | Error msg -> Alcotest.fail msg
@@ -567,7 +572,7 @@ let test_drill_smoke () =
 (* The bytes the log layer writes, pinned by CRC-32: every shard's
    durable WAL, every retained checkpoint file and archived WAL prefix,
    and every segment the tier ships.  The run is seeded: hybrid
-   atomicity with 2PC message rounds, group commit, a checkpoint every
+   atomicity with commit-wave 2PC, group commit, a checkpoint every
    20 commits per shard (archiving what truncation drops) and a
    2-replica tier pumped after every commit.  The channel is
    fault-free, so every segment is applied whole at its replica's
@@ -662,36 +667,36 @@ let test_pinned_bytes () =
   in
   let ints = Alcotest.(list int) in
   check_int "committed" 402 committed;
-  Alcotest.check ints "WAL bases" [ 850; 880; 1853 ] bases;
-  Alcotest.check ints "durable WALs" [ 0x50121d06; 0x6539525e; 0x3f89d894 ]
+  Alcotest.check ints "WAL bases" [ 850; 885; 1853 ] bases;
+  Alcotest.check ints "durable WALs" [ 0x9042be0e; 0x24b39a84; 0xab7fa4c5 ]
     durable;
   Alcotest.(check (list (list int)))
     "checkpoint files"
     [
-      [ 0x69fb1d1d; 0xc04872a6 ]; [ 0x3e0a4056; 0xc2785ada ];
-      [ 0x9817c10b; 0xe2ab56b5 ];
+      [ 0x4ffca08d; 0x985b8ded ]; [ 0xa0916bb0; 0x15373906 ];
+      [ 0x2e337f66; 0x2d1b2b76 ];
     ]
     ckpts;
   Alcotest.(check (list (list int)))
     "archived prefixes"
     [
       [
-        0x247550f6; 0x60983762; 0x36d66d59; 0x74320660; 0xafcd2844; 0x23753aae;
-        0x2faf47ec; 0x74068c9c;
+        0x24295000; 0x8f0d9c03; 0x4f434e34; 0x23662f1f; 0x2a8a6f3e; 0xcd15e46a;
+        0xd2a9063e; 0xcb7d0f94;
       ];
       [
-        0xfac5f6c0; 0xcb9e25ef; 0x8aeac360; 0x88387beb; 0x8cc6de29; 0xb73a5de9;
-        0x29f0ce9b; 0xbd1a1d92;
+        0x198964d9; 0xad62f47b; 0x76d82c1e; 0x782de122; 0xe7130193; 0xa4ee9b06;
+        0xd7375d46; 0x703e35d8;
       ];
       [
-        0x6f9d5c18; 0xe4913762; 0x6fdeefd1; 0x3f3eb643; 0x8afdb37a; 0x2ec8f489;
-        0x395491af; 0xd1eb15b3; 0xf25177f3; 0x45b36e9b; 0xb97a71b3; 0x39129c2a;
-        0x4c558bef; 0x3273fdcd; 0x3c261712;
+        0x6f9d5c18; 0xfa225096; 0x6fdeefd1; 0x79bd3238; 0x2db55995; 0x9348e1b8;
+        0xc1e114bc; 0x15695997; 0x6204cc62; 0xc04e8e80; 0xfa4ae03a; 0x509251f2;
+        0x7e5eea16; 0xd4f597b2; 0x055f8909;
       ];
     ]
     archived;
   check_int "segments shipped" 2412 segments;
-  check_int "shipped segment texts" 0x815e76ef segments_crc
+  check_int "shipped segment texts" 0x18c3c92a segments_crc
 
 (* --- the log as bytes ------------------------------------------------ *)
 
