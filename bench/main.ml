@@ -1068,10 +1068,10 @@ let o1 () =
 (*                                                                     *)
 (* Writes one JSON document of seeded runs: virtual-time simulations   *)
 (* of the paper's comparisons (sim, synth, open_loop), the multicore   *)
-(* scaling curve, checkpointed recovery, the replica failover sweep    *)
-(* and the growth counters.  Every field is a deterministic function   *)
-(* of (seed, config) but the multicore curve's wall-clock three, so    *)
-(* [--baseline] compares the rest exactly (see [gate]).                *)
+(* curve's counters, checkpointed recovery, the replica failover       *)
+(* sweep and the growth counters.  Every field is a deterministic      *)
+(* function of (seed, config), so [--baseline] compares them exactly   *)
+(* (see [gate]).                                                       *)
 (* ------------------------------------------------------------------ *)
 
 module J = Obs.Json
@@ -1304,87 +1304,49 @@ let open_loop_section ~quick =
       ("curve", J.List (List.map scenario rates));
     ]
 
-(* Wall-clock multicore scaling curve: the batched banking workload at
-   domains 1/2/4/8 over an 8-shard group with group commit on and a
-   1ms simulated device sync.  Unlike every other section this one
-   measures REAL time (the driver's monotonic clock, not CPU time — the
-   sync is a sleep, which CPU time would not see).  The committed history is
-   domain-count independent (the per-shard batch order is), so the
-   curve isolates pure wall-clock effects.
-
-   Honesty note for single-core runners (like CI containers): the
-   speedup does not come from CPU parallelism — it comes from
-   overlapping the *blocking* WAL-sync latency across shard domains,
-   the classic group-commit/IO-overlap effect.  A sleeping domain
-   releases the core, so 4 domains pay for one batch of syncs roughly
-   the price of the deepest per-domain pile instead of the sum.  The
-   audit-free workload keeps the window full of short transactions so
-   every commit wave spans many shards.
-
-   [jobs_per_commit] counts the cross-domain round trips (jobs posted
-   to worker mailboxes) per commit during the run.  It is a
-   deterministic counter, so the exact gate holds it like every other
-   non-wall-clock field.
-
-   The gate: the 4-domain speedup over 1 domain must stay above
-   [mcore_speedup_floor] — the one wall-clock check, a ratio of rungs
-   of the same run, so runner speed cancels.  Wall clock is noisy, so
-   each rung reports the best of [reps] runs; the floor (2.0 against a
-   measured ~3x) leaves the rest as margin.  The section returns its
-   failures with its JSON. *)
-let mcore_speedup_floor = 2.0
-
+(* The multicore curve: the batched banking workload at domains
+   1/2/4/8 over an 8-shard group with group commit on.  The committed
+   history is domain-count independent (the per-shard batch order is),
+   so every rung must report the same outcome and group-commit batching
+   — the exact gate holds them like every other field.  What changes
+   with the domain count is [jobs_per_commit], the cross-domain round
+   trips (jobs posted to worker mailboxes) per commit, and the mailbox
+   high-water mark.  Wall-clock scaling is not measured here: a
+   simulated sync that sleeps only times sleeps overlapping. *)
 let multicore_section ~quick =
   let shards = 8 in
   let accounts = 256 in
   let jobs = if quick then 400 else 1200 in
   let inflight = 64 in
-  let reps = if quick then 1 else 2 in
-  let sync_cost_us = 1000. in
   let workload = Workload.banking ~accounts ~audit_fraction:0.0 () in
   let scenario domains =
-    let run () =
-      let metrics = Obs.Shard_metrics.create ~shards () in
-      let group =
-        Shard_harness.group ~metrics ~seed:11 ~domains ~group_commit:true
-          ~sync_cost:(fun () -> Unix.sleepf (sync_cost_us *. 1e-6))
-          ~shards (catalog_protocol "rw")
-          (Workload.account_ids accounts)
-      in
-      let config =
-        { Sharded_driver.default_config with jobs; inflight; seed = 11 }
-      in
-      let jobs0 = Shard_group.jobs_posted group in
-      let o = Sharded_driver.run_rounds ~config group workload in
-      let jobs_posted = Shard_group.jobs_posted group - jobs0 in
-      let mailbox_max =
-        List.fold_left
-          (fun acc s -> max acc (Shard_group.mailbox_max_depth group s))
-          0
-          (List.init shards Fun.id)
-      in
-      Shard_group.shutdown group;
-      (o, metrics, mailbox_max, jobs_posted)
+    let metrics = Obs.Shard_metrics.create ~shards () in
+    let group =
+      Shard_harness.group ~metrics ~seed:11 ~domains ~group_commit:true
+        ~shards (catalog_protocol "rw")
+        (Workload.account_ids accounts)
     in
-    let best = ref (run ()) in
-    for _ = 2 to reps do
-      let ((o, _, _, _) as r) = run () in
-      let b, _, _, _ = !best in
-      if o.Sharded_driver.elapsed < b.Sharded_driver.elapsed then best := r
-    done;
-    let o, metrics, mailbox_max, jobs_posted = !best in
+    let config =
+      { Sharded_driver.default_config with jobs; inflight; seed = 11 }
+    in
+    let jobs0 = Shard_group.jobs_posted group in
+    let o = Sharded_driver.run_rounds ~config group workload in
+    let jobs_posted = Shard_group.jobs_posted group - jobs0 in
+    let mailbox_max =
+      List.fold_left
+        (fun acc s -> max acc (Shard_group.mailbox_max_depth group s))
+        0
+        (List.init shards Fun.id)
+    in
+    Shard_group.shutdown group;
     let batch = Obs.Shard_metrics.group_commit_batch metrics in
-    let elapsed = o.Sharded_driver.elapsed in
-    ( elapsed,
+    J.Obj
       [
         ("domains", J.Num (float_of_int domains));
         ("committed", J.Num (float_of_int o.Sharded_driver.committed));
         ("committed_multi", J.Num (float_of_int o.Sharded_driver.committed_multi));
         ("rounds", J.Num (float_of_int o.Sharded_driver.ticks));
         ("waits", J.Num (float_of_int o.Sharded_driver.waits));
-        ("elapsed_s", J.Num elapsed);
-        ( "throughput_txn_s",
-          J.Num (float_of_int o.Sharded_driver.committed /. elapsed) );
         ("syncs_per_commit", J.Num (Obs.Shard_metrics.syncs_per_commit metrics));
         ("batch_mean", J.Num (Obs.Metrics.Histogram.mean batch));
         ("batch_p95", J.Num (Obs.Metrics.Histogram.percentile batch 95.));
@@ -1393,35 +1355,16 @@ let multicore_section ~quick =
           J.Num
             (float_of_int jobs_posted
             /. float_of_int (max 1 o.Sharded_driver.committed)) );
-      ] )
+      ]
   in
-  let rungs = List.map scenario [ 1; 2; 4; 8 ] in
-  let base = match rungs with (e, _) :: _ -> e | [] -> assert false in
-  let speedup elapsed = if elapsed > 0. then base /. elapsed else 0. in
-  let curve =
-    List.map
-      (fun (elapsed, fields) ->
-        J.Obj (fields @ [ ("speedup_vs_1", J.Num (speedup elapsed)) ]))
-      rungs
-  in
-  let speedup_4 = speedup (fst (List.nth rungs 2)) in
-  ( J.Obj
+  J.Obj
     [
       ("shards", J.Num (float_of_int shards));
       ("accounts", J.Num (float_of_int accounts));
       ("jobs", J.Num (float_of_int jobs));
       ("inflight", J.Num (float_of_int inflight));
-      ("sync_cost_us", J.Num sync_cost_us);
-      ("reps", J.Num (float_of_int reps));
-      ("speedup_floor_4", J.Num mcore_speedup_floor);
-      ("curve", J.List curve);
-    ],
-    if speedup_4 < mcore_speedup_floor then
-      [
-        Fmt.str "multicore: 4-domain speedup %.2fx fell below the %.1fx floor"
-          speedup_4 mcore_speedup_floor;
-      ]
-    else [] )
+      ("curve", J.List (List.map scenario [ 1; 2; 4; 8 ]));
+    ]
 
 (* Restart replay work with fuzzy checkpoints.  A checkpointing group
    takes seeded traffic; one shard then crashes and recovers
@@ -1794,9 +1737,8 @@ let jfield name = function
   | J.Obj fields -> List.assoc_opt name fields
   | _ -> None
 
-(* The seeded sections: functions of (seed, config) apart from the
-   multicore curve's wall-clock fields, so a run in the baseline's mode
-   must reproduce every other field exactly. *)
+(* The seeded sections: functions of (seed, config), so a run in the
+   baseline's mode must reproduce every field exactly. *)
 let exact_sections =
   [
     "sim";
@@ -1808,23 +1750,18 @@ let exact_sections =
     "growth";
   ]
 
-let wall_clock_field name =
-  List.mem name [ "elapsed_s"; "throughput_txn_s"; "speedup_vs_1" ]
-
-(* Where [current] departs from [base], wall-clock fields aside. *)
+(* Where [current] departs from [base]. *)
 let rec exact_diffs path base current =
   match (base, current) with
   | J.Obj bs, J.Obj cs ->
     List.concat_map
       (fun name ->
         let at = if path = "" then name else path ^ "." ^ name in
-        if wall_clock_field name then []
-        else
-          match (List.assoc_opt name bs, List.assoc_opt name cs) with
-          | Some b, Some c -> exact_diffs at b c
-          | Some _, None -> [ at ^ " is missing from this run" ]
-          | None, Some _ -> [ at ^ " is not in the baseline" ]
-          | None, None -> [])
+        match (List.assoc_opt name bs, List.assoc_opt name cs) with
+        | Some b, Some c -> exact_diffs at b c
+        | Some _, None -> [ at ^ " is missing from this run" ]
+        | None, Some _ -> [ at ^ " is not in the baseline" ]
+        | None, None -> [])
       (List.sort_uniq String.compare (List.map fst bs @ List.map fst cs))
   | J.List bs, J.List cs when List.length bs = List.length cs ->
     List.concat
@@ -1859,8 +1796,7 @@ let load_baseline path =
 
 (* The gate, armed by a baseline in this run's mode: every seeded field
    equals the baseline's, and the bounds the run checked against itself
-   hold — the multicore speedup floor, the spotless failover sweep and
-   the growth ceilings. *)
+   hold — the spotless failover sweep and the growth ceilings. *)
 let gate ~mode ~failures doc = function
   | None -> 0
   | Some (_, base_mode) when base_mode <> mode ->
@@ -1889,7 +1825,7 @@ let json_mode ~file ~quick ~baseline =
     Fmt.epr "bench: baseline %s@." msg;
     1
   | Ok base -> (
-    let multicore, multicore_failures = multicore_section ~quick in
+    let multicore = multicore_section ~quick in
     let replication, replication_failures = replication_section ~quick in
     let growth, growth_failures = growth_section ~quick in
     let doc =
@@ -1917,7 +1853,7 @@ let json_mode ~file ~quick ~baseline =
     | () ->
       Fmt.pr "wrote %s@." file;
       gate ~mode
-        ~failures:(multicore_failures @ replication_failures @ growth_failures)
+        ~failures:(replication_failures @ growth_failures)
         doc base)
 
 (* ------------------------------------------------------------------ *)
