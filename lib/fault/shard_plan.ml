@@ -64,13 +64,14 @@ let generate ~seed =
   let log_fault =
     (* Corruption is rare enough that most schedules exercise the
        recovery path proper; when present it targets the crashed
-       participant's WAL.  Only detectable damage (a CRC-caught bit
-       flip) appears here: a participant syncs every record it
-       acknowledges externally — the Prepared record before its
-       yes-vote leaves the site, commits before they are answered — so
-       a crash cannot tear acknowledged records off the tail, and
-       silently losing synced data is a media failure no atomic
-       commitment protocol survives. *)
+       participant's WAL.  The damage is one bit flip.  A participant
+       syncs every record it acknowledges externally — the Prepared
+       record before its yes-vote leaves the site, commits before they
+       are answered — so a crash cannot tear acknowledged records off
+       the tail.  A flip in the last line still reads as a torn tail,
+       which no CRC tells from a crash mid-write; when that line is the
+       Prepared record of a commit the coordinator decided, recovery
+       catches the loss against the decision log instead. *)
     match Rng.int rng 12 with
     | 0 | 1 -> Plan.Bit_flip (Rng.int rng 10_000)
     | _ -> Plan.Pristine
