@@ -53,6 +53,43 @@ let table_mutations =
         Adt.Semiqueue.commutes );
   ]
 
+(* A static object with neither locks nor undo: an operation runs at
+   once on the one shared state, uncommitted effects included, unless
+   its timestamp is older than one already executed (then it is
+   refused).  Executing in timestamp order makes every both-commit
+   completion replay in timestamp order, and the refusals leave no
+   triple or cross-shard schedule granted; only an abort completion
+   shows that a reader saw a write that never committed. *)
+let dirty_reads spec log id : Cc.Atomic_object.t =
+  let olog = Cc.Obj_log.create log id in
+  let state = ref (Weihl_spec.Seq_spec.start spec) in
+  let newest = ref None in
+  let refuse txn why =
+    Cc.Obj_log.dropped olog txn;
+    Cc.Atomic_object.Refused why
+  in
+  let try_invoke txn op =
+    Cc.Obj_log.invoked olog txn op;
+    let ts = Option.get (Cc.Txn.init_ts txn) in
+    match (!newest, Weihl_spec.Seq_spec.outcomes !state op) with
+    | Some n, _ when Timestamp.compare ts n < 0 -> refuse txn "too late"
+    | _, [] -> refuse txn "no permissible outcome"
+    | _, (res, f) :: _ ->
+      state := f;
+      newest := Some ts;
+      Cc.Obj_log.responded olog txn res;
+      Cc.Atomic_object.Granted res
+  in
+  {
+    id;
+    spec;
+    try_invoke;
+    commit = Cc.Obj_log.committed olog;
+    abort = Cc.Obj_log.aborted olog;
+    initiate = Cc.Obj_log.initiated olog;
+    depth = (fun () -> 0);
+  }
+
 (* Protocol-level corruptions: real objects built with corrupted
    conflict rules, certified through the same probe harness as the
    catalogue. *)
@@ -131,7 +168,7 @@ let protocol_mutations : (string * string * Catalog.entry) list =
       } );
     ( "multiversion-unstable-grant",
       "multiversion grant guard without the committed+own validation (the \
-       PR 3 static-atomicity bug)",
+       static-atomicity bug the fault harness once caught)",
       {
         Catalog.name = "mut-multiversion";
         policy = `Static;
@@ -139,6 +176,15 @@ let protocol_mutations : (string * string * Catalog.entry) list =
         make_object =
           (fun log id ->
             Cc.Multiversion.make ~validate_stable:false log id Adt.Intset.spec);
+      } );
+    ( "static-dirty-reads",
+      "static object updated in place without locks or undo: reads see \
+       uncommitted writes, which only an abort completion can tell",
+      {
+        Catalog.name = "mut-dirty-reads";
+        policy = `Static;
+        domain = account;
+        make_object = dirty_reads Adt.Bank_account.spec;
       } );
     ( "derived-account-withdraws-commute",
       "synthesized account table with the derived \

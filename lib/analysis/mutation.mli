@@ -3,9 +3,11 @@
 
     Five table corruptions (a hand-table entry flipped to "commutes",
     including the semiqueue [deq]/[deq] flip only the non-deterministic
-    engine can catch) and five protocol corruptions (locking objects
-    built over corrupted conflict relations, plus the multiversion
-    grant guard with the PR 3 committed+own validation switched off).
+    engine can catch) and eight protocol corruptions (locking objects
+    built over corrupted conflict relations, the multiversion grant
+    guard with its committed+own validation switched off, and a
+    static object whose reads see uncommitted writes, which only an
+    abort completion of a granted pair can tell).
     [self_test] certifies each mutant exactly the way [weihl lint]
     certifies the real catalogue; a mutation is {e detected} when its
     certificate contains an unsound entry.  A missed mutation means

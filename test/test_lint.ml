@@ -18,7 +18,7 @@ let outcomes = lazy (Lint_mutation.self_test ~depth:2)
 
 let test_mutations_all_detected () =
   let outcomes = Lazy.force outcomes in
-  Alcotest.(check int) "twelve seeded corruptions" 12 (List.length outcomes);
+  Alcotest.(check int) "thirteen seeded corruptions" 13 (List.length outcomes);
   Alcotest.(check bool) "all detected" true
     (Lint_mutation.all_detected outcomes);
   List.iter
@@ -194,7 +194,7 @@ let tables_agree =
 
 let suite =
   [
-    Alcotest.test_case "mutation self-test flags all twelve corruptions" `Quick
+    Alcotest.test_case "mutation self-test flags all thirteen corruptions" `Quick
       test_mutations_all_detected;
     Alcotest.test_case "PR 3 multiversion bug caught by triple probe" `Quick
       test_pr3_bug_detected;
