@@ -187,12 +187,6 @@ let enumerate_setups (d : Domain.t) ~depth =
   done;
   (List.rev_map fst !reps, !enumerated)
 
-let check_atomicity policy env h =
-  match policy with
-  | `None_ -> Atomicity.dynamic_atomic env h
-  | `Static -> Atomicity.static_atomic env h
-  | `Hybrid -> Atomicity.hybrid_atomic env h
-
 (* Would granting [q] some spec-permissible result have kept every
    completion the protocol cannot prevent inside its atomicity class?
    [f] is the committed setup frontier and [rp] the result already
@@ -216,51 +210,19 @@ let grant_would_be_sound (variant : variant) policy f p rp q =
         | `None_ -> pq && qp)
       (Seq_spec.outcomes f q)
 
-type run_outcome =
-  | Setup_blocked
-  | T1_blocked of Value.t list
-  | T2_blocked of Value.t list * Value.t * string
-  | Completed of Value.t list * Value.t * Value.t * History.t
-  | Crashed of string
-      (** the protocol itself raised while completing the granted pair —
-          e.g. recorded intentions that no longer replay at commit *)
+(* A probe is a list of steps over transactions t1-t3, run on a fresh
+   system after the committed setup.  Each transaction begins at its
+   first step, so a timestamp script is drawn in the order the steps
+   first name the transactions. *)
+type step = [ `Invoke of int * Operation.t | `Commit of int | `Abort of int ]
 
-let run_pair entry (variant : variant) setup p q ~completion =
-  let sys = fresh entry variant.ts_script in
-  match run_setup sys setup with
-  | None -> Setup_blocked
-  | Some setup_results -> (
-    let t1 = Cc.System.begin_txn sys (Activity.update "t1") in
-    match Cc.System.invoke sys t1 obj p with
-    | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ ->
-      T1_blocked setup_results
-    | Cc.Atomic_object.Granted rp -> (
-      let a2 =
-        if variant.t2_read_only then Activity.read_only "t2"
-        else Activity.update "t2"
-      in
-      let t2 = Cc.System.begin_txn sys a2 in
-      match Cc.System.invoke sys t2 obj q with
-      | Cc.Atomic_object.Wait _ -> T2_blocked (setup_results, rp, "waits")
-      | Cc.Atomic_object.Refused _ -> T2_blocked (setup_results, rp, "refused")
-      | Cc.Atomic_object.Granted rq -> (
-        match
-          match completion with
-          | `CC ->
-            Cc.System.commit sys t1;
-            Cc.System.commit sys t2
-          | `CC_rev ->
-            Cc.System.commit sys t2;
-            Cc.System.commit sys t1
-          | `C1A2 ->
-            Cc.System.commit sys t1;
-            Cc.System.abort sys t2
-          | `A1C2 ->
-            Cc.System.abort sys t1;
-            Cc.System.commit sys t2
-        with
-        | () -> Completed (setup_results, rp, rq, Cc.System.history sys)
-        | exception exn -> Crashed (Printexc.to_string exn))))
+type completion = [ `CC | `CC_rev | `C1A2 | `A1C2 ]
+
+let completion_steps = function
+  | `CC -> [ `Commit 1; `Commit 2 ]
+  | `CC_rev -> [ `Commit 2; `Commit 1 ]
+  | `C1A2 -> [ `Commit 1; `Abort 2 ]
+  | `A1C2 -> [ `Abort 1; `Commit 2 ]
 
 let completion_name = function
   | `CC -> "both-commit"
@@ -268,11 +230,99 @@ let completion_name = function
   | `C1A2 -> "t2-aborts"
   | `A1C2 -> "t1-aborts"
 
+type stop =
+  | Setup_blocked
+  | Blocked of { how : string; setup : Value.t list; granted : Value.t list }
+      (** an invoke waited or was refused: the setup's results and the
+          probe's grants before it *)
+  | Completed of History.t
+  | Raised of string
+      (** the protocol itself raised — e.g. recorded intentions that no
+          longer replay at commit *)
+
+let run_steps entry ~ts_script ~read_only setup (steps : step list) =
+  let sys = fresh entry ts_script in
+  match run_setup sys setup with
+  | None -> Setup_blocked
+  | Some setup_results -> (
+    let txns = ref [] in
+    let txn k =
+      match List.assoc_opt k !txns with
+      | Some t -> t
+      | None ->
+        let name = "t" ^ string_of_int k in
+        let t =
+          Cc.System.begin_txn sys
+            (if read_only k then Activity.read_only name
+             else Activity.update name)
+        in
+        txns := (k, t) :: !txns;
+        t
+    in
+    let rec go granted = function
+      | [] -> Completed (Cc.System.history sys)
+      | `Invoke (k, op) :: rest -> (
+        let blocked how =
+          Blocked { how; setup = setup_results; granted = List.rev granted }
+        in
+        match Cc.System.invoke sys (txn k) obj op with
+        | Cc.Atomic_object.Granted res -> go (res :: granted) rest
+        | Cc.Atomic_object.Wait _ -> blocked "waits"
+        | Cc.Atomic_object.Refused _ -> blocked "refused")
+      | `Commit k :: rest ->
+        Cc.System.commit sys (txn k);
+        go granted rest
+      | `Abort k :: rest ->
+        Cc.System.abort sys (txn k);
+        go granted rest
+    in
+    try go [] steps with exn -> Raised (Printexc.to_string exn))
+
+(* A pair or multi-op probe under [variant]: [prefix] followed by the
+   completion's steps. *)
+let run_variant entry (variant : variant) setup prefix completion =
+  run_steps entry ~ts_script:variant.ts_script
+    ~read_only:(fun k -> k = 2 && variant.t2_read_only)
+    setup
+    (prefix @ (completion_steps completion :> step list))
+
+(* The completion judge.  Once both transactions are granted the
+   protocol has committed itself: it cannot prevent any completion, so
+   [first] (both commit) and then every other completion — both
+   commits reversed for hybrid protocols, whose commit timestamps
+   follow commit order, and each one-aborts branch — must leave a
+   history inside the policy's atomicity class.  The first that does
+   not, or that raised, is the finding. *)
+let judge policy env first rerun =
+  let verdict completion = function
+    | Completed h ->
+      if Atomicity.of_policy policy env h then None
+      else
+        Some
+          (Fmt.str "completion %s is not %s atomic" (completion_name completion)
+             (Catalog.policy_name policy))
+    | Raised exn ->
+      Some (Fmt.str "completion %s raised: %s" (completion_name completion) exn)
+    | Setup_blocked | Blocked _ ->
+      (* Deterministic replay of an identical prefix. *)
+      assert false
+  in
+  let later =
+    match policy with
+    | `Hybrid -> [ `CC_rev; `C1A2; `A1C2 ]
+    | `None_ | `Static -> [ `C1A2; `A1C2 ]
+  in
+  match verdict `CC first with
+  | Some _ as failure -> failure
+  | None -> List.find_map (fun c -> verdict c (rerun c)) later
+
+(* Pair probes: t1 executes [p], then a concurrent t2 attempts [q]. *)
 let probe_pair entry (variant : variant) env setup p q =
   let spec = entry.Catalog.domain.Domain.spec in
-  match run_pair entry variant setup p q ~completion:`CC with
+  let run = run_variant entry variant setup [ `Invoke (1, p); `Invoke (2, q) ] in
+  match run `CC with
   | Setup_blocked -> None
-  | T1_blocked setup_results -> (
+  | Blocked { setup = setup_results; granted = []; _ } -> (
     (* The first transaction is blocked with no concurrency at all;
        justified only if the specification itself permits no answer. *)
     match observed_frontier spec setup setup_results with
@@ -283,7 +333,7 @@ let probe_pair entry (variant : variant) env setup p q =
         Some
           (Blocked_loose
              "blocked serially though the specification permits an answer"))
-  | T2_blocked (setup_results, rp, how) -> (
+  | Blocked { how; setup = setup_results; granted = rp :: _ } -> (
     match observed_frontier spec setup setup_results with
     | None -> Some Blocked_justified
     | Some f ->
@@ -296,400 +346,164 @@ let probe_pair entry (variant : variant) env setup p q =
                 how
                 (Catalog.policy_name entry.Catalog.policy)))
       else Some Blocked_justified)
-  | Crashed exn ->
+  | (Completed _ | Raised _) as first ->
     Some
-      (Granted_unsound
-         (Fmt.str "granted concurrently but completion %s raised: %s"
-            (completion_name `CC) exn))
-  | Completed (_, _, _, first_history) ->
-    (* The pair was granted concurrently: every completion the protocol
-       cannot prevent must stay inside its atomicity class. *)
-    let completions =
-      match entry.Catalog.policy with
-      | `Hybrid -> [ `CC_rev; `C1A2; `A1C2 ]
-      | `None_ | `Static -> [ `C1A2; `A1C2 ]
-    in
-    let not_atomic branch =
-      Fmt.str "completion %s is not %s atomic" (completion_name branch)
-        (Catalog.policy_name entry.Catalog.policy)
-    in
-    let failure =
-      if not (check_atomicity entry.Catalog.policy env first_history) then
-        Some (not_atomic `CC)
-      else
-        List.find_map
-          (fun completion ->
-            match run_pair entry variant setup p q ~completion with
-            | Completed (_, _, _, h) ->
-              if check_atomicity entry.Catalog.policy env h then None
-              else Some (not_atomic completion)
-            | Crashed exn ->
-              Some
-                (Fmt.str "completion %s raised: %s"
-                   (completion_name completion) exn)
-            | Setup_blocked | T1_blocked _ | T2_blocked _ ->
-              (* Deterministic replay of an identical prefix. *)
-              assert false)
-          completions
-    in
-    Some
-      (match failure with
+      (match judge entry.Catalog.policy env first run with
       | None -> Granted_sound
       | Some why -> Granted_unsound ("granted concurrently but " ^ why))
 
-(* Three-transaction probes for static protocols.  Timestamp-ordered
-   serialization is sensitive to a shape no pair can build: a commit
-   wedged between two grants, followed by the abort of a transaction
-   whose uncommitted execution justified the later grant.  The PR 3
-   multiversion bug is exactly this shape: T1 (ts 10) holds [p]
-   uncommitted, T2 (ts 20) commits [q], and T3's [r] at ts 5 is granted
-   on the strength of T1's pending execution; when T1 aborts, the
-   committed history no longer replays in timestamp order. *)
-let run_triple entry setup p q r ~branch =
-  let sys = fresh entry (Some [ 1; 10; 20; 5 ]) in
-  match run_setup sys setup with
-  | None -> None
-  | Some _ -> (
-    let t1 = Cc.System.begin_txn sys (Activity.update "t1") in
-    match Cc.System.invoke sys t1 obj p with
-    | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> None
-    | Cc.Atomic_object.Granted _ -> (
-      let t2 = Cc.System.begin_txn sys (Activity.update "t2") in
-      match Cc.System.invoke sys t2 obj q with
-      | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> None
-      | Cc.Atomic_object.Granted _ -> (
-        match
-          Cc.System.commit sys t2;
-          let t3 = Cc.System.begin_txn sys (Activity.update "t3") in
-          match Cc.System.invoke sys t3 obj r with
-          | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> None
-          | Cc.Atomic_object.Granted _ ->
-            (match branch with
-            | `T1_aborts -> Cc.System.abort sys t1
-            | `T1_commits -> Cc.System.commit sys t1);
-            Cc.System.commit sys t3;
-            Some (Ok (Cc.System.history sys))
-        with
-        | outcome -> outcome
-        | exception exn -> Some (Error (Printexc.to_string exn)))))
+(* Multi-op probes: t1 executes two operations before t2 tries one, so
+   t1's second grant was validated against its own view (committed
+   plus its first intention), not the committed frontier.  Only grants
+   are judged: [Ok finding], and a blocked multi is conservative, never
+   loose. *)
+let probe_multi entry (variant : variant) env setup p1 p2 q =
+  let run =
+    run_variant entry variant setup
+      [ `Invoke (1, p1); `Invoke (1, p2); `Invoke (2, q) ]
+  in
+  match run `CC with
+  | (Setup_blocked | Blocked _) as stop -> Error stop
+  | first -> Ok (judge entry.Catalog.policy env first run)
 
-(* Three-transaction probes for hybrid protocols.  Hybrid serializes
-   committed updates by commit timestamp and read-only transactions at
-   their initiation timestamp, so its observers are {e later} readers —
-   and the shape no pair can build is a commit wedged between two
-   concurrent grants followed by one: T2 commits an update while T1's
-   intentions are still outstanding, then read-only T3 initiates and
-   must observe exactly the committed versions before its timestamp,
-   whatever T1 then does. *)
-let run_triple_hybrid entry setup p q r ~branch =
-  let sys = fresh entry None in
-  match run_setup sys setup with
-  | None -> None
-  | Some _ -> (
-    let t1 = Cc.System.begin_txn sys (Activity.update "t1") in
-    match Cc.System.invoke sys t1 obj p with
-    | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> None
-    | Cc.Atomic_object.Granted _ -> (
-      let t2 = Cc.System.begin_txn sys (Activity.update "t2") in
-      match Cc.System.invoke sys t2 obj q with
-      | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> None
-      | Cc.Atomic_object.Granted _ -> (
-        match
-          Cc.System.commit sys t2;
-          let t3 = Cc.System.begin_txn sys (Activity.read_only "t3") in
-          match Cc.System.invoke sys t3 obj r with
-          | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> None
-          | Cc.Atomic_object.Granted _ ->
-            (match branch with
-            | `T1_aborts -> Cc.System.abort sys t1
-            | `T1_commits -> Cc.System.commit sys t1);
-            Cc.System.commit sys t3;
-            Some (Ok (Cc.System.history sys))
-        with
-        | outcome -> outcome
-        | exception exn -> Some (Error (Printexc.to_string exn)))))
+(* Three-transaction probes: t2 commits between two concurrent grants,
+   then t3 is granted before t1 aborts or commits.  The shape no pair
+   can build, and what it stresses, follows the atomicity class:
 
-(* Three-transaction probes for dynamic protocols — the shape that
-   matters to data-dependent tables: T2 {e commits between} two grants,
-   moving the committed frontier under T1's outstanding intentions,
-   then T3 is granted against the new frontier while T1's fate is still
-   open.  A synthesized table whose cell verdicts were quantified from
-   single frontiers meets composition of three views here; pair probes
-   never move the committed state under an open grant. *)
-let run_triple_dynamic entry setup p q r ~branch =
-  let sys = fresh entry None in
-  match run_setup sys setup with
-  | None -> None
-  | Some _ -> (
-    let t1 = Cc.System.begin_txn sys (Activity.update "t1") in
-    match Cc.System.invoke sys t1 obj p with
-    | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> None
-    | Cc.Atomic_object.Granted _ -> (
-      let t2 = Cc.System.begin_txn sys (Activity.update "t2") in
-      match Cc.System.invoke sys t2 obj q with
-      | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> None
-      | Cc.Atomic_object.Granted _ -> (
-        match
-          Cc.System.commit sys t2;
-          let t3 = Cc.System.begin_txn sys (Activity.update "t3") in
-          match Cc.System.invoke sys t3 obj r with
-          | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> None
-          | Cc.Atomic_object.Granted _ ->
-            (match branch with
-            | `T1_aborts -> Cc.System.abort sys t1
-            | `T1_commits -> Cc.System.commit sys t1);
-            Cc.System.commit sys t3;
-            Some (Ok (Cc.System.history sys))
-        with
-        | outcome -> outcome
-        | exception exn -> Some (Error (Printexc.to_string exn)))))
+   - static: scripted timestamps (t1@10 uncommitted, t2@20 committed,
+     t3@5 granted last) — the multiversion grant-guard bug, where t3's
+     grant was justified by t1's pending later-timestamp execution and
+     the committed history no longer replays in timestamp order once
+     t1 aborts;
+   - hybrid: t3 is a later reader — it initiates after a contended
+     commit and must observe exactly the committed versions before its
+     timestamp, whatever t1 then does;
+   - dynamic: t3 is granted against a committed frontier that moved
+     under t1's outstanding intentions — three views compose where a
+     synthesized table's cell verdicts were quantified from single
+     frontiers.
 
-(* Multi-op probe transactions: T1 executes {e two} operations before
-   T2 tries one.  T1's second grant is validated against T1's own view
-   (committed plus its first intention), not the committed frontier —
-   the situation every intentions-based protocol reasons about and no
-   single-op pair exercises.  Only grants are judged: a blocked multi
-   is conservative, never loose. *)
-let run_multi entry (variant : variant) setup p1 p2 q ~completion =
-  let sys = fresh entry variant.ts_script in
-  match run_setup sys setup with
-  | None -> `Setup_blocked
-  | Some _ -> (
-    let t1 = Cc.System.begin_txn sys (Activity.update "t1") in
-    let step1 op k =
-      match Cc.System.invoke sys t1 obj op with
-      | Cc.Atomic_object.Granted _ -> k ()
-      | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> `T1_blocked
-      | exception exn -> `Crashed (Printexc.to_string exn)
-    in
-    step1 p1 @@ fun () ->
-    step1 p2 @@ fun () ->
-    let a2 =
-      if variant.t2_read_only then Activity.read_only "t2"
-      else Activity.update "t2"
-    in
-    let t2 = Cc.System.begin_txn sys a2 in
-    match Cc.System.invoke sys t2 obj q with
-    | Cc.Atomic_object.Wait _ | Cc.Atomic_object.Refused _ -> `T2_blocked
-    | exception exn -> `Crashed (Printexc.to_string exn)
-    | Cc.Atomic_object.Granted _ -> (
-      match
-        match completion with
-        | `CC ->
-          Cc.System.commit sys t1;
-          Cc.System.commit sys t2
-        | `CC_rev ->
-          Cc.System.commit sys t2;
-          Cc.System.commit sys t1
-        | `C1A2 ->
-          Cc.System.commit sys t1;
-          Cc.System.abort sys t2
-        | `A1C2 ->
-          Cc.System.abort sys t1;
-          Cc.System.commit sys t2
-      with
-      | () -> `Completed (Cc.System.history sys)
-      | exception exn -> `Crashed (Printexc.to_string exn)))
+   [None] when some grant was withheld, else the (branch, problem)
+   findings of the t1-aborts and t1-commits branches. *)
+let probe_triple entry env setup p q r =
+  let policy = entry.Catalog.policy in
+  let run t1_end =
+    run_steps entry
+      ~ts_script:(if policy = `Static then Some [ 1; 10; 20; 5 ] else None)
+      ~read_only:(fun k -> k = 3 && policy = `Hybrid)
+      setup
+      [ `Invoke (1, p); `Invoke (2, q); `Commit 2; `Invoke (3, r); t1_end;
+        `Commit 3 ]
+  in
+  let finding branch = function
+    | Completed h when not (Atomicity.of_policy policy env h) ->
+      [ (branch, Fmt.str "committed history is not %s atomic"
+                   (Catalog.policy_name policy)) ]
+    | Raised exn -> [ (branch, "completion raised: " ^ exn) ]
+    | Completed _ | Setup_blocked | Blocked _ -> []
+  in
+  match run (`Abort 1) with
+  | Setup_blocked | Blocked _ -> None
+  | first ->
+    let aborts = finding "t1-aborts" first in
+    Some (aborts @ finding "t1-commits" (run (`Commit 1)))
 
-let probe_multis entry env setups =
-  let d = entry.Catalog.domain in
-  let probed = ref 0 in
-  let granted = ref 0 in
-  let unsound = ref [] in
-  List.iter
-    (fun variant ->
-      List.iter
-        (fun setup ->
-          let setup_usable = ref true in
-          List.iter
-            (fun p1 ->
-              List.iter
-                (fun p2 ->
-                  List.iter
-                    (fun q ->
-                      if
-                        !setup_usable
-                        && not
-                             (variant.t2_read_only
-                             && not (d.Domain.read_only q))
-                      then begin
-                        incr probed;
-                        let flag problem =
-                          unsound :=
-                            {
-                              m_setup = setup;
-                              m_variant = variant.label;
-                              m_p1 = p1;
-                              m_p2 = p2;
-                              m_q = q;
-                              m_problem = problem;
-                            }
-                            :: !unsound
-                        in
-                        match run_multi entry variant setup p1 p2 q
-                                ~completion:`CC
-                        with
-                        | `Setup_blocked -> setup_usable := false
-                        | `T1_blocked | `T2_blocked -> ()
-                        | `Crashed exn ->
-                          incr granted;
-                          flag
-                            (Fmt.str "completion %s raised: %s"
-                               (completion_name `CC) exn)
-                        | `Completed first_history ->
-                          incr granted;
-                          let completions =
-                            match entry.Catalog.policy with
-                            | `Hybrid -> [ `CC_rev; `C1A2; `A1C2 ]
-                            | `None_ | `Static -> [ `C1A2; `A1C2 ]
-                          in
-                          let not_atomic branch =
-                            Fmt.str "completion %s is not %s atomic"
-                              (completion_name branch)
-                              (Catalog.policy_name entry.Catalog.policy)
-                          in
-                          let failure =
-                            if
-                              not
-                                (check_atomicity entry.Catalog.policy env
-                                   first_history)
-                            then Some (not_atomic `CC)
-                            else
-                              List.find_map
-                                (fun completion ->
-                                  match
-                                    run_multi entry variant setup p1 p2 q
-                                      ~completion
-                                  with
-                                  | `Completed h ->
-                                    if
-                                      check_atomicity entry.Catalog.policy
-                                        env h
-                                    then None
-                                    else Some (not_atomic completion)
-                                  | `Crashed exn ->
-                                    Some
-                                      (Fmt.str "completion %s raised: %s"
-                                         (completion_name completion) exn)
-                                  | `Setup_blocked | `T1_blocked
-                                  | `T2_blocked ->
-                                    (* Deterministic replay of an
-                                       identical prefix. *)
-                                    assert false)
-                                completions
-                          in
-                          Option.iter flag failure
-                      end)
-                    d.Domain.alphabet)
-                d.Domain.alphabet)
-            d.Domain.alphabet)
-        setups)
-    (variants entry.Catalog.policy);
-  (!probed, !granted, List.rev !unsound)
-
-let probe_triples ~policy ~run ~r_ok entry env setups =
-  let alphabet = entry.Catalog.domain.Domain.alphabet in
-  let probed = ref 0 in
-  let granted = ref 0 in
-  let unsound = ref [] in
+(* Every (setup, item) in order; [f] answers whether the setup is still
+   usable, and the rest of an unusable setup's items are skipped. *)
+let visit setups items f =
   List.iter
     (fun setup ->
-      List.iter
-        (fun p ->
-          List.iter
-            (fun q ->
-              List.iter
-                (fun r ->
-                  if r_ok r then begin
-                    incr probed;
-                    match run setup p q r ~branch:`T1_aborts with
-                    | None -> ()
-                    | Some first ->
-                      incr granted;
-                      let flag branch problem =
-                        unsound :=
-                          { t_setup = setup; t_p = p; t_q = q; t_r = r;
-                            branch; problem }
-                          :: !unsound
-                      in
-                      let record branch = function
-                        | Ok h ->
-                          if not (check_atomicity policy env h) then
-                            flag branch
-                              (Fmt.str "committed history is not %s atomic"
-                                 (Catalog.policy_name policy))
-                        | Error exn -> flag branch ("completion raised: " ^ exn)
-                      in
-                      record "t1-aborts" first;
-                      (match run setup p q r ~branch:`T1_commits with
-                      | Some second -> record "t1-commits" second
-                      | None -> ())
-                  end)
-                alphabet)
-            alphabet)
-        alphabet)
-    setups;
-  (!probed, !granted, List.rev !unsound)
+      let rec go = function
+        | [] -> ()
+        | item :: rest -> if f setup item then go rest
+      in
+      go items)
+    setups
+
+let pairs_of xs = List.concat_map (fun a -> List.map (fun b -> (a, b)) xs) xs
+
+let triples_of xs =
+  List.concat_map (fun (a, b) -> List.map (fun c -> (a, b, c)) xs) (pairs_of xs)
 
 let run ~depth (entry : Catalog.entry) =
   let d = entry.Catalog.domain in
   let setups, enumerated = enumerate_setups d ~depth in
   let env = Spec_env.of_list [ (obj, d.Domain.spec) ] in
-  let skipped = ref 0 in
-  let pairs = ref [] in
+  let pairs2 = pairs_of d.Domain.alphabet in
+  let triples3 = triples_of d.Domain.alphabet in
+  let t2_ok (variant : variant) q =
+    (not variant.t2_read_only) || d.Domain.read_only q
+  in
+  (* Pairs count only probes whose setup proved usable. *)
+  let skipped = ref 0 and pairs = ref [] in
   List.iter
     (fun variant ->
-      List.iter
-        (fun setup ->
-          let setup_usable = ref true in
-          List.iter
-            (fun p ->
-              List.iter
-                (fun q ->
-                  if !setup_usable then
-                    if variant.t2_read_only && not (d.Domain.read_only q) then
-                      ()
-                    else
-                      match probe_pair entry variant env setup p q with
-                      | None ->
-                        setup_usable := false;
-                        incr skipped
-                      | Some status ->
-                        pairs :=
-                          { setup; variant = variant.label; p; q; status }
-                          :: !pairs)
-                d.Domain.alphabet)
-            d.Domain.alphabet)
-        setups)
+      visit setups
+        (List.filter (fun (_, q) -> t2_ok variant q) pairs2)
+        (fun setup (p, q) ->
+          match probe_pair entry variant env setup p q with
+          | None ->
+            incr skipped;
+            false
+          | Some status ->
+            pairs := { setup; variant = variant.label; p; q; status } :: !pairs;
+            true))
     (variants entry.Catalog.policy);
-  let triples_probed, triples_granted, triple_unsound =
-    match entry.Catalog.policy with
-    | `Static ->
-      probe_triples ~policy:`Static ~run:(run_triple entry)
-        ~r_ok:(fun _ -> true)
-        entry env setups
-    | `Hybrid ->
-      probe_triples ~policy:`Hybrid ~run:(run_triple_hybrid entry)
-        ~r_ok:d.Domain.read_only entry env setups
-    | `None_ ->
-      probe_triples ~policy:`None_ ~run:(run_triple_dynamic entry)
-        ~r_ok:(fun _ -> true)
-        entry env setups
-  in
-  let multis_probed, multis_granted, multi_unsound =
-    probe_multis entry env setups
-  in
+  (* Triples never skip a setup. *)
+  let triples_probed = ref 0 and triples_granted = ref 0 in
+  let triple_unsound = ref [] in
+  visit setups
+    (List.filter
+       (fun (_, _, r) ->
+         entry.Catalog.policy <> `Hybrid || d.Domain.read_only r)
+       triples3)
+    (fun setup (p, q, r) ->
+      incr triples_probed;
+      Option.iter
+        (fun findings ->
+          incr triples_granted;
+          List.iter
+            (fun (branch, problem) ->
+              triple_unsound :=
+                { t_setup = setup; t_p = p; t_q = q; t_r = r; branch; problem }
+                :: !triple_unsound)
+            findings)
+        (probe_triple entry env setup p q r);
+      true);
+  (* Multi-op probes count before their setup proves unusable. *)
+  let multis_probed = ref 0 and multis_granted = ref 0 in
+  let multi_unsound = ref [] in
+  List.iter
+    (fun variant ->
+      visit setups
+        (List.filter (fun (_, _, q) -> t2_ok variant q) triples3)
+        (fun setup (p1, p2, q) ->
+          incr multis_probed;
+          match probe_multi entry variant env setup p1 p2 q with
+          | Error Setup_blocked -> false
+          | Error _ -> true
+          | Ok finding ->
+            incr multis_granted;
+            Option.iter
+              (fun problem ->
+                multi_unsound :=
+                  { m_setup = setup; m_variant = variant.label; m_p1 = p1;
+                    m_p2 = p2; m_q = q; m_problem = problem }
+                  :: !multi_unsound)
+              finding;
+            true))
+    (variants entry.Catalog.policy);
   {
     setups_enumerated = enumerated;
     setups_distinct = List.length setups;
     setups_skipped = !skipped;
     pairs = List.rev !pairs;
-    triples_probed;
-    triples_granted;
-    triple_unsound;
-    multis_probed;
-    multis_granted;
-    multi_unsound;
+    triples_probed = !triples_probed;
+    triples_granted = !triples_granted;
+    triple_unsound = List.rev !triple_unsound;
+    multis_probed = !multis_probed;
+    multis_granted = !multis_granted;
+    multi_unsound = List.rev !multi_unsound;
   }
 
 let pp_ops ppf ops =

@@ -2,66 +2,38 @@
     effective conflict predicate by driving its real object — behind a
     real {!Weihl_cc.System} under the protocol's timestamp policy —
     through bounded schedules, and judge every decision against the
-    protocol's atomicity class.
+    protocol's atomicity class ({!Weihl_spec.Atomicity.of_policy}).
 
-    {2 Pair probes}
+    Every probe is one list of steps over transactions t1–t3 (invoke,
+    commit, abort), run by one runner on a fresh system after a
+    committed setup: every representative serial alphabet sequence up
+    to the probe depth, deduplicated by observational equality of the
+    frontier it reaches.
 
-    For every representative committed setup (serial alphabet
-    sequences up to the probe depth, deduplicated by observational
-    equality of the frontier they reach) and every ordered alphabet
-    pair [(p, q)]: transaction [t1] executes [p], then a concurrent
-    [t2] attempts [q].
+    {2 Pair and multi-op probes}
 
-    - If both are {e granted}, the protocol has committed itself: it
-      cannot prevent any completion, so each completion branch (both
-      commit — in both orders for hybrid protocols, whose commit
-      timestamps follow commit order — and each one-aborts branch) is
-      run to the end and the resulting real history is checked with
-      the class decision procedure ({!Weihl_spec.Atomicity}).  Any
-      failing branch makes the pair {e unsound}.
-    - If [t2] is {e blocked} (waits or is refused), the spec decides
-      whether blocking was necessary: the pair is {e loose} when some
-      spec-permissible result for [q] would have kept every completion
-      inside the class — concurrency the protocol gives away.
-
-    Static protocols are probed under both timestamp orders of the
-    pair; hybrid protocols with an update and with a read-only
-    partner.
+    t1 executes [p] (a multi-op probe: two operations), then a
+    concurrent t2 attempts [q].  Once both are {e granted} the protocol
+    cannot prevent any completion, so one judge runs each — both
+    commit (in both orders for hybrid protocols, whose commit
+    timestamps follow commit order) and each one-aborts branch — and a
+    completion outside the class, or one that raised, makes the probe
+    {e unsound}.  A pair whose t2 is {e blocked} is {e loose} when some
+    spec-permissible result for [q] would have kept every completion
+    inside the class; a blocked multi is conservative, never loose.
+    Static protocols are probed under both timestamp orders of t1 and
+    t2, hybrid protocols with an update and with a read-only t2.
 
     {2 Triple probes}
 
-    Static protocols additionally get three-transaction probes with
-    scripted timestamps (t1@10 uncommitted, t2@20 committed between
-    the grants, t3@5 granted last, then t1 aborts or commits): the
-    minimal shape of the PR 3 multiversion bug, where a grant was
-    justified by an uncommitted later-timestamp execution that
-    vanished on abort.  Pair probes provably cannot reach it.
-
-    Hybrid protocols get the later-reader variant: t2 commits an
-    update while t1's intentions are still outstanding (a {e
-    contended} commit), then a read-only t3 initiates and must observe
-    exactly the committed versions before its timestamp, whatever t1
-    then does.  No pair schedule places a reader after a contended
-    commit, so a hybrid object that mishandles its version archive
-    under contention passes every pair probe.
-
-    Dynamic protocols get the dynamic-class triple: t2 commits between
-    two concurrent grants — moving the committed frontier under t1's
-    outstanding intentions — then an update t3 is granted against the
-    new frontier before t1 aborts or commits.  This is the shape that
-    stresses {e data-dependent} grants (a synthesized table's cell
-    verdicts were quantified from single frontiers; here three views
-    compose), and no pair probe moves the committed state under an
-    open grant.
-
-    {2 Multi-op probes}
-
-    Every protocol additionally gets multi-op transactions: t1
-    executes two operations before t2 tries one, so t1's second grant
-    was validated against its own view (committed plus its first
-    intention) rather than the committed frontier.  Granted multis run
-    every completion branch exactly like pairs; blocked multis are
-    conservative and never counted loose. *)
+    t2 commits between two concurrent grants, then t3 is granted
+    before t1 aborts or commits — a shape no pair can build.  Static
+    protocols run it with scripted timestamps (t1@10, t2@20, t3@5): the
+    multiversion grant-guard bug, where t3's grant leaned on t1's
+    uncommitted later-timestamp execution.  Hybrid protocols run it
+    with a read-only t3, a later reader after a contended commit.
+    Dynamic protocols run it as is: t3 is granted against a committed
+    frontier that moved under t1's outstanding intentions. *)
 
 open Weihl_event
 
@@ -117,6 +89,15 @@ val enumerate_setups : Domain.t -> depth:int -> Operation.t list list * int
 (** Representative committed setups (deduplicated by observational
     frontier equality) with the raw enumeration count — shared with
     the cross-shard probes ({!Xprobe}). *)
+
+type completion = [ `CC | `CC_rev | `C1A2 | `A1C2 ]
+(** How a granted t1/t2 pair completes: both commit (t1 first, or t2
+    first), t2 aborts, or t1 aborts. *)
+
+val completion_steps : completion -> [ `Commit of int | `Abort of int ] list
+(** The completion as steps over t1 and t2, in order. *)
+
+val completion_name : completion -> string
 
 val pp_pair : Format.formatter -> pair -> unit
 val pp_triple : Format.formatter -> triple -> unit

@@ -39,7 +39,7 @@ type t = {
 
 (* The router hashes object ids to shards; walk candidate names until
    one lands on each shard of the group. *)
-let pick_ids_n group n =
+let pick_ids group n =
   let slots = Array.make n None in
   let rec go i =
     if Array.for_all Option.is_some slots then
@@ -53,55 +53,49 @@ let pick_ids_n group n =
   in
   go 0
 
-let pick_ids group =
-  match pick_ids_n group 2 with
-  | [ a; b ] -> (a, b)
-  | _ -> assert false
+(* An [n]-shard group holding one instance of the catalogue object per
+   shard. *)
+let fresh (entry : Catalog.entry) n =
+  let group = Group.create ~policy:entry.Catalog.policy ~seed:0 ~shards:n () in
+  let ids = pick_ids group n in
+  List.iter (fun id -> Group.add_object group id entry.Catalog.make_object) ids;
+  (group, ids)
 
-let fresh (entry : Catalog.entry) =
-  let group = Group.create ~policy:entry.Catalog.policy ~seed:0 ~shards:2 () in
-  let a, b = pick_ids group in
-  Group.add_object group a entry.Catalog.make_object;
-  Group.add_object group b entry.Catalog.make_object;
-  (group, a, b)
-
-(* Drive the committed setup against both objects (so both shards start
+(* Drive the committed setup against every object (so all shards start
    at the same frontier); [None] when the protocol does not grant some
-   setup operation serially. *)
-(* Activity names must survive the WAL's notation round-trip, which
-   reconstructs the update/read-only kind from the paper's first-letter
-   convention (r/s/t are read-only) — the wide crash probes replay
-   these very transactions through recovery.  Hence [init]/[u1]/[u2],
-   not [setup]/[t1]/[t2]. *)
-let run_setup group a b ops =
+   setup operation serially.  Activity names must survive the WAL's
+   notation round-trip, which reconstructs the update/read-only kind
+   from the paper's first-letter convention (r/s/t are read-only) —
+   the crash probes replay these very transactions through recovery.
+   Hence [init]/[u1]/[u2], not [setup]/[t1]/[t2]. *)
+let run_setup group ids ops =
   let g = Group.begin_txn group (Activity.update "init") in
   let rec go = function
     | [] -> (
       match Group.commit group g with
       | () -> Some ()
       | exception _ -> None)
-    | op :: rest -> (
-      match (Group.invoke group g a op, Group.invoke group g b op) with
-      | Group.Granted _, Group.Granted _ -> go rest
-      | _ -> None)
+    | op :: rest ->
+      if
+        List.for_all
+          (fun id ->
+            match Group.invoke group g id op with
+            | Group.Granted _ -> true
+            | Group.Wait _ | Group.Refused _ -> false)
+          ids
+      then go rest
+      else None
   in
   go ops
 
-type completion = [ `CC | `CC_rev | `C1A2 | `A1C2 ]
-
-let completion_name = function
-  | `CC -> "both-commit"
-  | `CC_rev -> "both-commit-reversed"
-  | `C1A2 -> "t2-aborts"
-  | `A1C2 -> "t1-aborts"
-
-(* The cross-shard pattern no single shard sees whole: T1 touches
-   object [a] (shard 0) then [b] (shard 1); T2 touches them in the
-   opposite order.  Each shard observes only one interleaved half; the
-   global checks below are the paper's global-atomicity conditions. *)
-let run_pattern entry ~t2_read_only setup p q ~(completion : completion) =
-  let group, a, b = fresh entry in
-  match run_setup group a b setup with
+(* The cross-shard pattern no single shard sees whole: T1 invokes [p]
+   at each object in shard order while T2 invokes [q] at them in
+   reverse, interleaved, so each shard observes a different half of
+   the race; then [finish] completes both.  Over two shards this is
+   t1@a, t2@b, t1@b, t2@a. *)
+let run_walk entry ~n ~t2_read_only setup p q ~finish =
+  let group, ids = fresh entry n in
+  match run_setup group ids setup with
   | None -> `Setup_blocked
   | Some () -> (
     let t1 = Group.begin_txn group (Activity.update "u1") in
@@ -115,38 +109,59 @@ let run_pattern entry ~t2_read_only setup p q ~(completion : completion) =
       | Group.Wait _ | Group.Refused _ -> `Blocked
       | exception exn -> `Crashed (Printexc.to_string exn)
     in
-    step t1 a p @@ fun () ->
-    step t2 b q @@ fun () ->
-    step t1 b p @@ fun () ->
-    step t2 a q @@ fun () ->
-    match
-      (match completion with
-      | `CC ->
-        Group.commit group t1;
-        Group.commit group t2
-      | `CC_rev ->
-        Group.commit group t2;
-        Group.commit group t1
-      | `C1A2 ->
-        Group.commit group t1;
-        Group.abort group t2
-      | `A1C2 ->
-        Group.abort group t1;
-        Group.commit group t2)
-    with
-    | () -> `Completed (group, a, b, t1, t2)
+    let rec walk xs ys k =
+      match (xs, ys) with
+      | [], [] -> k ()
+      | x :: xs, y :: ys ->
+        step t1 x p @@ fun () ->
+        step t2 y q @@ fun () -> walk xs ys k
+      | _ -> assert false
+    in
+    walk ids (List.rev ids) @@ fun () ->
+    match finish group t1 t2 with
+    | () -> `Completed (group, ids, [ t1; t2 ])
     | exception exn -> `Crashed (Printexc.to_string exn))
+
+let complete completion group t1 t2 =
+  List.iter
+    (function
+      | `Commit k -> Group.commit group (if k = 1 then t1 else t2)
+      | `Abort k -> Group.abort group (if k = 1 then t1 else t2))
+    (Probe.completion_steps completion)
+
+(* Participant 1 (in first-touch order: the middle shard) dies after
+   voting yes on T1's commit; the decision is reached without it, the
+   dead shard recovers from its WAL and resolves its in-doubt leg. *)
+let participant_crash group t1 t2 =
+  let fault =
+    { Weihl_dist.Tpc.no_fault with f_participant_crash = Some (1, `After_vote) }
+  in
+  Group.commit ~fault group t1;
+  List.iter
+    (fun s ->
+      if Group.shard_crashed group s then begin
+        let text = Group.durable_shard group s in
+        match Group.recover_shard group s text with
+        | Ok _ -> ()
+        | Error f ->
+          failwith (Fmt.str "recovery: %a" Cc.Recovery.pp_failure f)
+      end)
+    (List.init (Group.shard_count group) Fun.id);
+  ignore (Group.resolve_in_doubt group);
+  (* The crash killed T2's surviving legs; commit it only if it is
+     somehow still active. *)
+  if Gtxn.is_active t2 then Group.commit group t2
 
 (* Global atomicity over the completed pattern:
 
-   - atomic commitment — each global transaction is committed on both
-     shards or neither (and its final status matches);
+   - atomic commitment — each global transaction is committed on every
+     shard it reached or on none (and its final status matches);
    - timestamp agreement — a committed transaction's shards answer the
      same (2PC-agreed) timestamp;
    - merged replay — the committed projection, in the group's
      serialization order, replays against one combined system holding
-     both objects. *)
-let check_global_n (entry : Catalog.entry) group ids gtxns =
+     every object. *)
+let check_global (entry : Catalog.entry) group ids gtxns =
   let shards = List.init (Group.shard_count group) Fun.id in
   let histories =
     List.map (fun s -> (s, Cc.System.history (Group.system group s))) shards
@@ -236,235 +251,118 @@ let check_global_n (entry : Catalog.entry) group ids gtxns =
           Some (Fmt.str "merged replay: %a" Cc.Recovery.pp_failure f)
       end)
 
-let check_global entry group a b gtxns = check_global_n entry group [ a; b ] gtxns
-
-(* Wider-than-two probe groups: the same opposite-order pattern walked
-   across three shards, completed either cleanly or with a participant
-   crash injected mid-2PC (after its yes-vote), followed by WAL
-   recovery and in-doubt resolution.  A two-shard pattern cannot build
-   the shape where a decided commit must reach a shard that was down
-   when the decision was made while a third shard already applied it —
-   the window where atomic commitment, timestamp agreement, and the
-   merged replay can each diverge independently. *)
-let fresh_wide (entry : Catalog.entry) =
-  let group = Group.create ~policy:entry.Catalog.policy ~seed:0 ~shards:3 () in
-  let ids = pick_ids_n group 3 in
-  List.iter (fun id -> Group.add_object group id entry.Catalog.make_object) ids;
-  (group, ids)
-
-let run_setup_n group ids ops =
-  let g = Group.begin_txn group (Activity.update "init") in
-  let rec go = function
-    | [] -> (
-      match Group.commit group g with
-      | () -> Some ()
-      | exception _ -> None)
-    | op :: rest ->
-      if
-        List.for_all
-          (fun id ->
-            match Group.invoke group g id op with
-            | Group.Granted _ -> true
-            | Group.Wait _ | Group.Refused _ -> false)
-          ids
-      then go rest
-      else None
-  in
-  go ops
-
-let participant_crash =
-  { Weihl_dist.Tpc.no_fault with f_participant_crash = Some (1, `After_vote) }
-
-let run_wide entry setup p q ~crash =
-  let group, ids = fresh_wide entry in
-  match run_setup_n group ids setup with
-  | None -> `Setup_blocked
-  | Some () -> (
-    let t1 = Group.begin_txn group (Activity.update "u1") in
-    let t2 = Group.begin_txn group (Activity.update "u2") in
-    let step g obj op k =
-      match Group.invoke group g obj op with
-      | Group.Granted _ -> k ()
-      | Group.Wait _ | Group.Refused _ -> `Blocked
-      | exception exn -> `Crashed (Printexc.to_string exn)
-    in
-    (* T1 walks the shards forward, T2 backward, interleaved — each
-       shard sees a different half of the race. *)
-    let forward = ids and backward = List.rev ids in
-    let rec walk xs ys k =
-      match (xs, ys) with
-      | [], [] -> k ()
-      | x :: xs, y :: ys ->
-        step t1 x p @@ fun () ->
-        step t2 y q @@ fun () -> walk xs ys k
-      | _ -> assert false
-    in
-    walk forward backward @@ fun () ->
-    match
-      if crash then begin
-        (* Participant 1 (in first-touch order: the middle shard) dies
-           after voting yes; the decision is reached without it. *)
-        Group.commit ~fault:participant_crash group t1;
-        List.iter
-          (fun s ->
-            if Group.shard_crashed group s then begin
-              let text = Group.durable_shard group s in
-              match Group.recover_shard group s text with
-              | Ok _ -> ()
-              | Error f ->
-                failwith (Fmt.str "recovery: %a" Cc.Recovery.pp_failure f)
-            end)
-          (List.init (Group.shard_count group) Fun.id);
-        ignore (Group.resolve_in_doubt group);
-        (* The crash killed T2's surviving legs; commit it only if it
-           is somehow still active. *)
-        if Gtxn.is_active t2 then Group.commit group t2
-      end
-      else begin
-        Group.commit group t1;
-        Group.commit group t2
-      end
-    with
-    | () -> `Completed (group, ids, [ t1; t2 ])
-    | exception exn -> `Crashed (Printexc.to_string exn))
-
-let probe_wide entry setup p q ~crash =
-  match run_wide entry setup p q ~crash with
-  | `Setup_blocked -> None
-  | `Blocked -> Some Blocked
-  | `Crashed exn ->
-    Some
-      (Granted_unsound
-         (Fmt.str "wide %s completion raised: %s"
-            (if crash then "crash" else "clean")
-            exn))
-  | `Completed (group, ids, gtxns) -> (
-    match check_global_n entry group ids gtxns with
-    | Some why ->
-      Some
-        (Granted_unsound
-           (Fmt.str "wide %s completion: %s"
-              (if crash then "crash" else "clean")
-              why))
-    | None -> Some Granted_sound)
-
-let probe_pair entry ~t2_read_only setup p q =
-  let completions : completion list =
-    if t2_read_only then [ `CC; `CC_rev; `A1C2 ]
-    else [ `CC; `CC_rev; `C1A2; `A1C2 ]
-  in
+(* Walk once per ending, in order, until one leaves the group outside
+   global atomicity; [label] names the ending in a finding. *)
+let probe entry ~n ~t2_read_only setup p q endings =
   let rec go = function
     | [] -> Some Granted_sound
-    | completion :: rest -> (
-      match run_pattern entry ~t2_read_only setup p q ~completion with
+    | (label, finish) :: rest -> (
+      match run_walk entry ~n ~t2_read_only setup p q ~finish with
       | `Setup_blocked -> None
       | `Blocked -> Some Blocked
       | `Crashed exn ->
-        Some
-          (Granted_unsound
-             (Fmt.str "completion %s raised: %s" (completion_name completion)
-                exn))
-      | `Completed (group, a, b, t1, t2) -> (
-        match check_global entry group a b [ t1; t2 ] with
-        | Some why ->
-          Some
-            (Granted_unsound
-               (Fmt.str "completion %s: %s" (completion_name completion) why))
+        Some (Granted_unsound (Fmt.str "%s raised: %s" label exn))
+      | `Completed (group, ids, gtxns) -> (
+        match check_global entry group ids gtxns with
+        | Some why -> Some (Granted_unsound (Fmt.str "%s: %s" label why))
         | None -> go rest))
   in
-  go completions
+  go endings
+
+(* Probe each setup's items in order, skipping the rest of a setup once
+   it proves unusable: (probed, granted, blocked, unsound findings). *)
+let tally groups probe =
+  let probed = ref 0 and granted = ref 0 and blocked = ref 0 in
+  let unsound = ref [] in
+  List.iter
+    (fun (setup, items) ->
+      let rec go = function
+        | [] -> ()
+        | item :: rest -> (
+          match probe setup item with
+          | None -> ()
+          | Some status ->
+            incr probed;
+            (match status with
+            | Granted_sound -> incr granted
+            | Blocked -> incr blocked
+            | Granted_unsound why -> unsound := (setup, item, why) :: !unsound);
+            go rest)
+      in
+      go items)
+    groups;
+  (!probed, !granted, !blocked, List.rev !unsound)
 
 let run (entry : Catalog.entry) ~setups =
   let d = entry.Catalog.domain in
-  let probed = ref 0 in
-  let granted = ref 0 in
-  let blocked = ref 0 in
-  let unsound = ref [] in
+  let pq =
+    List.concat_map
+      (fun p -> List.map (fun q -> (p, q)) d.Domain.alphabet)
+      d.Domain.alphabet
+  in
+  (* Pair probes: two shards and every completion — under hybrid also
+     with a read-only T2 issuing the read-only operations. *)
   let variants =
     match entry.Catalog.policy with
-    | `Hybrid ->
-      [ ("update-update", false, fun _ -> true);
-        ("update-readonly", true, d.Domain.read_only) ]
-    | `None_ | `Static -> [ ("update-update", false, fun _ -> true) ]
+    | `Hybrid -> [ ("update-update", false); ("update-readonly", true) ]
+    | `None_ | `Static -> [ ("update-update", false) ]
   in
-  List.iter
-    (fun (label, t2_read_only, q_ok) ->
-      List.iter
-        (fun setup ->
-          let setup_usable = ref true in
-          List.iter
-            (fun p ->
-              List.iter
-                (fun q ->
-                  if !setup_usable && q_ok q then begin
-                    match probe_pair entry ~t2_read_only setup p q with
-                    | None -> setup_usable := false
-                    | Some status ->
-                      incr probed;
-                      (match status with
-                      | Granted_sound -> incr granted
-                      | Blocked -> incr blocked
-                      | Granted_unsound _ ->
-                        unsound :=
-                          {
-                            x_setup = setup;
-                            x_variant = label;
-                            x_p = p;
-                            x_q = q;
-                            x_status = status;
-                          }
-                          :: !unsound)
-                  end)
-                d.Domain.alphabet)
-            d.Domain.alphabet)
-        setups)
-    variants;
-  let wide_probed = ref 0 in
-  let wide_granted = ref 0 in
-  let wide_blocked = ref 0 in
-  let wide_unsound = ref [] in
-  List.iter
-    (fun setup ->
-      let setup_usable = ref true in
-      List.iter
-        (fun p ->
-          List.iter
-            (fun q ->
-              List.iter
-                (fun crash ->
-                  if !setup_usable then begin
-                    match probe_wide entry setup p q ~crash with
-                    | None -> setup_usable := false
-                    | Some status ->
-                      incr wide_probed;
-                      (match status with
-                      | Granted_sound -> incr wide_granted
-                      | Blocked -> incr wide_blocked
-                      | Granted_unsound why ->
-                        wide_unsound :=
-                          {
-                            w_setup = setup;
-                            w_p = p;
-                            w_q = q;
-                            w_mode =
-                              (if crash then "participant-crash" else "clean");
-                            w_problem = why;
-                          }
-                          :: !wide_unsound)
-                  end)
-                [ false; true ])
-            d.Domain.alphabet)
-        d.Domain.alphabet)
-    setups;
+  let probed, granted, blocked, unsound =
+    tally
+      (List.concat_map
+         (fun (label, t2_read_only) ->
+           let items =
+             List.filter_map
+               (fun (p, q) ->
+                 if t2_read_only && not (d.Domain.read_only q) then None
+                 else Some (label, t2_read_only, p, q))
+               pq
+           in
+           List.map (fun setup -> (setup, items)) setups)
+         variants)
+      (fun setup (_, t2_read_only, p, q) ->
+        let completions =
+          if t2_read_only then [ `CC; `CC_rev; `A1C2 ]
+          else [ `CC; `CC_rev; `C1A2; `A1C2 ]
+        in
+        probe entry ~n:2 ~t2_read_only setup p q
+          (List.map
+             (fun c -> ("completion " ^ Probe.completion_name c, complete c))
+             completions))
+  in
+  (* Wide probes: three shards, completed cleanly or with the
+     participant crash. *)
+  let modes = List.concat_map (fun pq -> [ (pq, false); (pq, true) ]) pq in
+  let wide_probed, wide_granted, wide_blocked, wide_unsound =
+    tally
+      (List.map (fun setup -> (setup, modes)) setups)
+      (fun setup ((p, q), crash) ->
+        probe entry ~n:3 ~t2_read_only:false setup p q
+          [
+            (if crash then ("wide crash completion", participant_crash)
+             else ("wide clean completion", complete `CC));
+          ])
+  in
   {
-    probed = !probed;
-    granted = !granted;
-    blocked = !blocked;
-    unsound = List.rev !unsound;
-    wide_probed = !wide_probed;
-    wide_granted = !wide_granted;
-    wide_blocked = !wide_blocked;
-    wide_unsound = List.rev !wide_unsound;
+    probed;
+    granted;
+    blocked;
+    unsound =
+      List.map
+        (fun (setup, (label, _, p, q), why) ->
+          { x_setup = setup; x_variant = label; x_p = p; x_q = q;
+            x_status = Granted_unsound why })
+        unsound;
+    wide_probed;
+    wide_granted;
+    wide_blocked;
+    wide_unsound =
+      List.map
+        (fun (setup, ((p, q), crash), why) ->
+          { w_setup = setup; w_p = p; w_q = q;
+            w_mode = (if crash then "participant-crash" else "clean");
+            w_problem = why })
+        wide_unsound;
   }
 
 let pp_ops ppf ops =

@@ -4,35 +4,31 @@
     the theorem they lean on — local atomicity composes — also needs
     the {e global} half: commit decisions and timestamps must be agreed
     atomically across objects.  These probes exercise exactly that
-    seam.  Each probe builds a two-shard {!Weihl_shard.Group} holding
-    two instances of the catalogue object, one per shard, and drives
-    the cross-shard pattern no single shard sees whole:
+    seam.  Each builds an n-shard {!Weihl_shard.Group} holding one
+    instance of the catalogue object per shard and walks the pattern
+    no single shard sees whole: T1 invokes [p] at each object in shard
+    order while T2 invokes [q] at them in reverse, interleaved, so each
+    shard observes a different half of the race.
 
-    - T1 invokes [p] at object [a] (shard 0), then at [b] (shard 1);
-    - T2 invokes [q] at [b], then at [a] — the opposite order;
-    - both complete (commit/commit in either order, or one aborts),
-      multi-shard commits running real 2PC.
+    - {e Pair probes} walk two shards (t1\@a, t2\@b, t1\@b, t2\@a) and
+      run every completion of {!Probe.completion} (commit/commit in
+      either order, or one aborts), multi-shard commits running 2PC.
+    - {e Wide probes} walk three shards and complete either cleanly or
+      with a participant crash injected mid-2PC: the middle shard dies
+      after its yes-vote, T1's decision is reached without it, and the
+      dead shard recovers from its WAL and resolves its in-doubt leg
+      from the decision log — the shape two shards cannot build, where
+      a decided commit must reach a shard that was down at decision
+      time while a third already applied it.
 
-    A completed pattern is {e unsound} if any global-atomicity
-    condition fails: a transaction committed on one shard but not
-    another, a committed transaction's shards disagree on its
-    timestamp, legs are left stuck in-doubt after resolution, or the
-    merged committed projection (in the group's serialization order)
-    fails to replay against one combined system holding every object.
-    Blocked patterns are conservative and never flagged — the
-    per-shard {!Probe} pass already measures looseness.
-
-    {2 Wide probes}
-
-    The same opposite-order pattern is additionally walked across a
-    {e three}-shard group (T1 forward over objects [a, b, c], T2
-    backward), completed both cleanly and with a participant crash
-    injected mid-2PC: the middle shard dies after its yes-vote, T1's
-    decision is reached without it, the dead shard recovers from its
-    WAL and resolves its in-doubt leg from the decision log.  Two
-    shards cannot build the shape where a decided commit must reach a
-    shard that was down at decision time while a third already applied
-    it. *)
+    A completed walk is {e unsound} if any global-atomicity condition
+    fails: a transaction committed on one shard but not another, a
+    committed transaction's shards disagree on its timestamp, legs are
+    left stuck in-doubt after resolution, or the merged committed
+    projection (in the group's serialization order) fails to replay
+    against one combined system holding every object.  Blocked walks
+    are conservative and never flagged — the per-shard {!Probe} pass
+    already measures looseness. *)
 
 open Weihl_event
 

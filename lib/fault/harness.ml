@@ -223,12 +223,8 @@ let check_atomicity proto h =
     Weihl_spec.Spec_env.of_list
       (List.map (fun id -> (id, proto.spec)) ((proto.workload ()).Workload.objects))
   in
-  if Activity.Set.cardinal (History.committed h) > atomicity_cap then true
-  else
-    match proto.policy with
-    | `None_ -> Weihl_spec.Atomicity.dynamic_atomic env h
-    | `Static -> Weihl_spec.Atomicity.static_atomic env h
-    | `Hybrid -> Weihl_spec.Atomicity.hybrid_atomic env h
+  Activity.Set.cardinal (History.committed h) > atomicity_cap
+  || Weihl_spec.Atomicity.of_policy proto.policy env h
 
 (* A distributed-commit round under the plan's message faults and clock
    skews; crashes and votes are drawn from the plan's seed. *)

@@ -18,3 +18,8 @@ let in_timestamp_order env h =
 let static_atomic = in_timestamp_order
 
 let hybrid_atomic = in_timestamp_order
+
+let of_policy = function
+  | `None_ -> dynamic_atomic
+  | `Static -> static_atomic
+  | `Hybrid -> hybrid_atomic

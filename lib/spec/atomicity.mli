@@ -32,5 +32,12 @@ val hybrid_atomic : Spec_env.t -> History.t -> bool
     activities receive timestamps at commit and read-only activities at
     initiation (Section 4.3.1). *)
 
+val of_policy :
+  [ `None_ | `Static | `Hybrid ] -> Spec_env.t -> History.t -> bool
+(** The local property a protocol's timestamp policy claims: no
+    timestamps is {!dynamic_atomic}, [`Static] {!static_atomic} and
+    [`Hybrid] {!hybrid_atomic}.  The certifier and the fault harness
+    judge every history they drive by it. *)
+
 val serialization_witness : Spec_env.t -> History.t -> Activity.t list option
 (** A serialization order witnessing atomicity of [h], if any. *)
