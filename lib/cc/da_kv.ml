@@ -37,43 +37,6 @@ let one_way (p, rp) (q, _rq) =
 
 let compatible a b = one_way a b && one_way b a
 
-let make log id : Atomic_object.t =
-  let olog = Obj_log.create log id in
-  let store = Intentions.create Map_adt.spec in
-  let try_invoke txn op =
-    Obj_log.invoked olog txn op;
-    match Intentions.peek store txn op with
-    | None ->
-      Obj_log.dropped olog txn;
-      Atomic_object.Refused
-        (Fmt.str "kv map: operation %a has no permissible outcome"
-           Operation.pp op)
-    | Some res -> (
-      let blockers =
-        List.filter_map
-          (fun (holder, held) ->
-            if Txn.equal holder txn then None
-            else if
-              List.exists (fun hr -> not (compatible (op, res) hr)) held
-            then Some holder
-            else None)
-          (Intentions.active store)
-      in
-      match blockers with
-      | _ :: _ -> Atomic_object.Wait blockers
-      | [] ->
-        let res' = Option.get (Intentions.execute store txn op) in
-        Obj_log.responded olog txn res';
-        Atomic_object.Granted res')
-  in
-  let commit txn =
-    Intentions.commit store txn;
-    Obj_log.committed olog txn
-  in
-  let abort txn =
-    Intentions.abort store txn;
-    Obj_log.aborted olog txn
-  in
-  { id; spec = Map_adt.spec; try_invoke; commit; abort;
-    initiate = (fun _ -> ());
-    depth = (fun () -> List.length (Intentions.active store)) }
+let make log id =
+  Derived_locking.make log id Map_adt.spec ~conflict:(fun a b ->
+      not (compatible a b))

@@ -9,8 +9,9 @@
       [v]) and with a concurrent [remove(k)] when it answered [none];
     - [size] conflicts with every update (conservatively).
 
-    Recovery is by intentions lists; every history the object generates
-    is dynamic atomic. *)
+    The object is {!Derived_locking} over this relation, so recovery is
+    by intentions lists; every history the object generates is dynamic
+    atomic. *)
 
 open Weihl_event
 

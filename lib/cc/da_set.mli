@@ -14,8 +14,9 @@
       it, and dually for [delete(i)];
     - [size] conflicts with every update (conservatively).
 
-    Recovery is by intentions lists.  Every history this object
-    generates is dynamic atomic. *)
+    The object is {!Derived_locking} over this relation, so recovery is
+    by intentions lists.  Every history this object generates is
+    dynamic atomic. *)
 
 open Weihl_event
 
