@@ -1792,9 +1792,8 @@ let cmds =
           (Cmd.info "analyze"
              ~doc:
                "Per-committed-transaction critical-path breakdown of an \
-                exported trace: lock wait vs WAL sync vs message flight vs \
-                2PC coordination vs execution, with per-phase percentiles \
-                and the slowest transactions.")
+                exported trace: lock wait vs execution, with per-phase \
+                percentiles and the slowest transactions.")
           (let file =
              Arg.(
                required & pos 0 (some file) None & info [] ~docv:"TRACE_FILE")

@@ -1,12 +1,6 @@
-type breakdown = {
-  wait : float;
-  wal : float;
-  flight : float;
-  tpc : float;
-  exec : float;
-}
+type breakdown = { wait : float; exec : float }
 
-let breakdown_total b = b.wait +. b.wal +. b.flight +. b.tpc +. b.exec
+let breakdown_total b = b.wait +. b.exec
 
 type txn = {
   name : string;
@@ -36,8 +30,8 @@ type report = {
 }
 
 (* Interval arithmetic over [(start, stop)] float pairs.  [norm] sorts,
-   drops empties and coalesces overlaps, so the priority subtraction
-   below never double-counts a tick. *)
+   drops empties and coalesces overlaps, so overlapping waits never
+   double-count a tick. *)
 
 let norm ivs =
   let ivs = List.filter (fun (a, b) -> b > a) ivs in
@@ -51,24 +45,6 @@ let norm ivs =
         else go (c, d) ((a, b) :: acc) rest
     in
     go hd [] tl
-
-(* [subtract a b]: the parts of [a] not covered by [b].  Both inputs
-   sorted and disjoint; so is the result. *)
-let subtract a b =
-  List.concat_map
-    (fun (s, e) ->
-      let rec go s acc = function
-        | [] -> List.rev ((s, e) :: acc)
-        | (bs, be) :: rest ->
-          if be <= s then go s acc rest
-          else if bs >= e then List.rev ((s, e) :: acc)
-          else
-            let acc = if bs > s then (s, bs) :: acc else acc in
-            let s' = Float.max s be in
-            if s' >= e then List.rev acc else go s' acc rest
-      in
-      go s [] b)
-    a
 
 let clip ~lo ~hi ivs =
   List.filter_map
@@ -125,9 +101,6 @@ let analyze evs =
   let opens : (int * int, Trace.ev) Hashtbl.t = Hashtbl.create 64 in
   let pairs = ref [] in
   let waits : (int * int, (float * float) list) Hashtbl.t = Hashtbl.create 64 in
-  let wal = Hashtbl.create 16 in
-  let flight = Hashtbl.create 16 in
-  let tpc = Hashtbl.create 16 in
   let push tbl k iv =
     Hashtbl.replace tbl k
       (iv :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
@@ -155,15 +128,6 @@ let analyze evs =
       | Trace.X, "wait" ->
         let d = Option.value ~default:0. e.dur in
         push waits (e.pid, e.tid) (e.ts, e.ts +. d)
-      | Trace.X, ("wal" | "flight" | "tpc" | "tpc.phase") -> (
-        match arg_int e.args "gid" with
-        | None -> ()
-        | Some g ->
-          let d = Option.value ~default:0. e.dur in
-          let tbl =
-            match e.cat with "wal" -> wal | "flight" -> flight | _ -> tpc
-          in
-          push tbl g (e.ts, e.ts +. d))
       | _ -> ())
     evs;
   let pairs = List.rev !pairs in
@@ -195,21 +159,8 @@ let analyze evs =
                (List.concat_map (fun l -> get waits l)
                   ((p.p_pid, p.p_tid) :: legs)))
         in
-        let wal_ivs = norm (clip ~lo ~hi (get wal p.p_gid)) in
-        let flight_ivs = norm (clip ~lo ~hi (get flight p.p_gid)) in
-        let tpc_ivs = norm (clip ~lo ~hi (get tpc p.p_gid)) in
-        (* Priority: wait > wal > flight > 2pc > execution. *)
-        let wal_net = subtract wal_ivs wait_ivs in
-        let flight_net = subtract (subtract flight_ivs wait_ivs) wal_ivs in
-        let tpc_net =
-          subtract (subtract (subtract tpc_ivs wait_ivs) wal_ivs) flight_ivs
-        in
         let total = hi -. lo in
-        let w = len wait_ivs
-        and wl = len wal_net
-        and f = len flight_net
-        and tp = len tpc_net in
-        let exec = Float.max 0. (total -. w -. wl -. f -. tp) in
+        let w = len wait_ivs in
         {
           name = p.p_name;
           gid = p.p_gid;
@@ -217,16 +168,13 @@ let analyze evs =
           t_end = hi;
           total;
           fanout = max 1 (List.length legs);
-          phases = { wait = w; wal = wl; flight = f; tpc = tp; exec };
+          phases = { wait = w; exec = Float.max 0. (total -. w) };
         })
       roots
   in
   let phase_stats =
     [
       ("wait", stats_of (List.map (fun t -> t.phases.wait) txns));
-      ("wal", stats_of (List.map (fun t -> t.phases.wal) txns));
-      ("flight", stats_of (List.map (fun t -> t.phases.flight) txns));
-      ("2pc", stats_of (List.map (fun t -> t.phases.tpc) txns));
       ("exec", stats_of (List.map (fun t -> t.phases.exec) txns));
       ("total", stats_of (List.map (fun t -> t.total) txns));
     ]
@@ -265,14 +213,10 @@ let render ?(top = 5) r =
     List.iter
       (fun t ->
         pf
-          "  %-12s gid %-4d fanout %d  total %6.1f | wait %.1f (%.0f%%)  wal \
-           %.1f  flight %.1f (%.0f%%)  2pc %.1f (%.0f%%)  exec %.1f (%.0f%%)\n"
+          "  %-12s gid %-4d fanout %d  total %6.1f | wait %.1f (%.0f%%)  exec \
+           %.1f (%.0f%%)\n"
           t.name t.gid t.fanout t.total t.phases.wait
           (pct_of t.phases.wait t.total)
-          t.phases.wal t.phases.flight
-          (pct_of t.phases.flight t.total)
-          t.phases.tpc
-          (pct_of t.phases.tpc t.total)
           t.phases.exec
           (pct_of t.phases.exec t.total))
       slow
@@ -300,9 +244,6 @@ let txn_to_json t =
       ("total", Json.Num t.total);
       ("fanout", Json.Num (float_of_int t.fanout));
       ("wait", Json.Num t.phases.wait);
-      ("wal", Json.Num t.phases.wal);
-      ("flight", Json.Num t.phases.flight);
-      ("tpc", Json.Num t.phases.tpc);
       ("exec", Json.Num t.phases.exec);
     ]
 

@@ -3,28 +3,19 @@
     Feed it the events of a Chrome trace produced by this repo — a
     single-system {!Trace} or a merged cross-shard {!Shard_trace} — and
     it attributes every committed transaction's wall-clock interval
-    [begin, end] to named phases:
+    [begin, end] to two phases:
 
-    - {e lock wait} — ["wait"] spans of the transaction's legs;
-    - {e wal sync} — ["wal"] markers of its 2PC round (zero-width in
-      virtual time: durable appends are instantaneous in the
-      simulator, so this phase reports 0 until the model charges them);
-    - {e message flight} — ["flight"] spans of its 2PC round;
-    - {e 2pc coordination} — the round's ["tpc"] span net of the
-      above (vote counting, decision latching, timeout bookkeeping);
+    - {e lock wait} — the union of the ["wait"] spans of the
+      transaction's legs, clipped to the interval;
     - {e execution} — the remainder.
 
-    Overlaps are resolved by that priority order (wait > wal > flight >
-    2pc > execution), so the five phases partition the interval exactly
-    and always sum to the transaction's total. *)
+    The two phases partition the interval exactly and always sum to
+    the transaction's total.  A commit adds no phase of its own: commit
+    waves stamp their 2PC messages at the coordinator's virtual time
+    and a WAL sync takes none, so a cross-shard commit's cost shows in
+    the waits it causes and the execution it delays. *)
 
-type breakdown = {
-  wait : float;
-  wal : float;
-  flight : float;
-  tpc : float;
-  exec : float;
-}
+type breakdown = { wait : float; exec : float }
 
 val breakdown_total : breakdown -> float
 
@@ -54,8 +45,8 @@ type report = {
   cross_shard : bool;
       (** true when the trace has a coordinator timeline (pid 0) *)
   phase_stats : (string * stats) list;
-      (** per-phase distribution over committed transactions, in
-          priority order, ending with ["total"] *)
+      (** per-phase distribution over committed transactions: ["wait"],
+          ["exec"] and ["total"] *)
 }
 
 val analyze : Trace.ev list -> report

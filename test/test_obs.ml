@@ -505,10 +505,10 @@ let prop_merged_trace_roundtrip =
 
 (* A hand-scripted merged trace: one cross-shard transaction, gid 7,
    spanning ticks 0-20 on the coordinator with a leg on shard 1.  The
-   leg waits over [2,6), a message is in flight over [4,10), and the
-   2PC round covers the whole interval.  Under the wait > wal > flight
-   > 2pc > exec priority, that attributes wait 4, flight 4 (the part
-   not already counted as wait), 2pc 12, exec 0. *)
+   leg waits over [2,6) and [4,9), which overlap and count once, and
+   over [18,24), of which only [18,20) lies inside the interval; a
+   zero-width WAL sync adds nothing.  That attributes wait 9 and exec
+   11. *)
 let test_trace_analysis_breakdown () =
   let ev ?dur ?id ?(args = []) ~pid ~tid name cat ph ts =
     { Trace.name; cat; ph; ts; dur; pid; tid; id; args }
@@ -519,8 +519,9 @@ let test_trace_analysis_breakdown () =
       ev ~pid:0 ~tid:7 ~args:gid "u1" "txn" Trace.B 0.;
       ev ~pid:1 ~tid:3 ~args:gid "u1" "txn" Trace.B 0.;
       ev ~pid:1 ~tid:3 ~dur:4. "blocked" "wait" Trace.X 2.;
-      ev ~pid:0 ~tid:7 ~dur:6. ~args:gid "prepare->1" "flight" Trace.X 4.;
-      ev ~pid:0 ~tid:7 ~dur:20. ~args:gid "2pc" "tpc" Trace.X 0.;
+      ev ~pid:1 ~tid:3 ~dur:5. "blocked" "wait" Trace.X 4.;
+      ev ~pid:1 ~tid:3 ~dur:0. "wal.sync" "wal" Trace.X 12.;
+      ev ~pid:1 ~tid:3 ~dur:6. "blocked" "wait" Trace.X 18.;
       ev ~pid:1 ~tid:3 ~args:[ ("outcome", Json.Str "commit") ] "u1" "txn"
         Trace.E 18.;
       ev ~pid:0 ~tid:7 ~args:[ ("outcome", Json.Str "commit") ] "u1" "txn"
@@ -535,11 +536,8 @@ let test_trace_analysis_breakdown () =
     check_f "total" 20. t.Obs.Trace_analysis.total;
     check_i "fanout" 1 t.Obs.Trace_analysis.fanout;
     let p = t.Obs.Trace_analysis.phases in
-    check_f "wait" 4. p.Obs.Trace_analysis.wait;
-    check_f "wal" 0. p.Obs.Trace_analysis.wal;
-    check_f "flight" 4. p.Obs.Trace_analysis.flight;
-    check_f "2pc" 12. p.Obs.Trace_analysis.tpc;
-    check_f "exec" 0. p.Obs.Trace_analysis.exec;
+    check_f "wait" 9. p.Obs.Trace_analysis.wait;
+    check_f "exec" 11. p.Obs.Trace_analysis.exec;
     (* The phases partition the transaction's interval exactly. *)
     check_f "phases sum to the total" t.Obs.Trace_analysis.total
       (Obs.Trace_analysis.breakdown_total p);
