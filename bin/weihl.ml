@@ -23,6 +23,14 @@ exception Bad_input of string
 
 let bad_input fmt = Fmt.kstr (fun msg -> raise (Bad_input msg)) fmt
 
+(* Counts and rates are checked here, before the library sees them: a
+   value it would reject with [Invalid_argument] is rejected input. *)
+let at_least lo option n =
+  if n < lo then bad_input "--%s must be at least %d, not %d" option lo n
+
+let positive option x =
+  if not (x > 0.) then bad_input "--%s must be positive, not %g" option x
+
 (* A [Sys_error] reason without the path it usually starts with:
    "PATH: No such file ..." *)
 let sys_reason path reason =
@@ -141,6 +149,7 @@ let sim_workloads =
   ]
 
 let sim_cmd protocol workload clients duration seed dump trace metrics =
+  at_least 0 "clients" clients;
   let adt, data_dependent, workload =
     match List.find_opt (fun (w, _, _, _) -> w = workload) sim_workloads with
     | Some (_, adt, dd, w) -> (adt, dd, w)
@@ -347,6 +356,7 @@ let explore_cmd () =
 (* ------------------------------------------------------------------ *)
 
 let tpc_cmd participants crash no_voter seed metrics =
+  at_least 0 "participants" participants;
   let coordinator_crash =
     match crash with
     | "none" -> Tpc.No_crash
@@ -469,6 +479,7 @@ let find_in ~what protocols name =
       (String.concat ", " (List.map name_of protocols))
 
 let faults_cmd schedules quick base_seed protocol verbose soak report =
+  at_least 0 "schedules" schedules;
   match soak with
   | Some cycles -> soak_cmd cycles base_seed report verbose
   | None ->
@@ -697,6 +708,25 @@ let outcome_to_json ?(extra = []) shards (o : Sharded_driver.outcome) =
 let shard_cmd shards domains replicas clients duration seed protocol faults
     schedules quick verbose metrics json trace open_loop rate sweep zipf hot
     hot_keys window mcore jobs inflight sync_us checkpoint_every archive =
+  at_least 1 "shards" shards;
+  at_least 0 "replicas" replicas;
+  at_least 0 "schedules" schedules;
+  at_least 1 "window" window;
+  at_least 0 "jobs" jobs;
+  at_least 1 "inflight" inflight;
+  Option.iter (at_least 1 "checkpoint-every") checkpoint_every;
+  positive "rate" rate;
+  List.iter (positive "sweep") sweep;
+  Option.iter
+    (fun theta ->
+      if not (theta >= 0.) then
+        bad_input "--zipf must be at least 0, not %g" theta)
+    zipf;
+  Option.iter
+    (fun h ->
+      if not (h >= 0. && h <= 1.) then
+        bad_input "--hot must be a fraction in [0, 1], not %g" h)
+    hot;
   if faults then begin
     let seeds = List.init schedules (fun i -> seed + i) in
     let protocols =
@@ -1074,6 +1104,9 @@ let replica_lag_demo ~shards ~replicas ~seed =
   (payload, rendered)
 
 let replica_cmd shards replicas schedules seed quick verbose json =
+  at_least 1 "shards" shards;
+  at_least 1 "replicas" replicas;
+  at_least 0 "schedules" schedules;
   let seeds = List.init schedules (fun i -> seed + i) in
   let r = Replica_drill.run_many ~quick ~shards ~replicas ~seeds () in
   if verbose then
