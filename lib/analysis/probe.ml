@@ -210,11 +210,13 @@ let grant_would_be_sound (variant : variant) policy f p rp q =
         | `None_ -> pq && qp)
       (Seq_spec.outcomes f q)
 
-(* A probe is a list of steps over transactions t1-t3, run on a fresh
-   system after the committed setup.  Each transaction begins at its
-   first step, so a timestamp script is drawn in the order the steps
-   first name the transactions. *)
+(* A probe is a list of steps over transactions 1-3, named t1-t3, run
+   on a fresh system after the committed setup.  Each transaction
+   begins at its first step, so a timestamp script is drawn in the
+   order the steps first name the transactions. *)
 type step = [ `Invoke of int * Operation.t | `Commit of int | `Abort of int ]
+
+let txn_names = [| "t1"; "t2"; "t3" |]
 
 type completion = [ `CC | `CC_rev | `C1A2 | `A1C2 ]
 
@@ -245,18 +247,18 @@ let run_steps entry ~ts_script ~read_only setup (steps : step list) =
   match run_setup sys setup with
   | None -> Setup_blocked
   | Some setup_results -> (
-    let txns = ref [] in
+    let txns = Array.make (Array.length txn_names) None in
     let txn k =
-      match List.assoc_opt k !txns with
+      match txns.(k - 1) with
       | Some t -> t
       | None ->
-        let name = "t" ^ string_of_int k in
+        let name = txn_names.(k - 1) in
         let t =
           Cc.System.begin_txn sys
             (if read_only k then Activity.read_only name
              else Activity.update name)
         in
-        txns := (k, t) :: !txns;
+        txns.(k - 1) <- Some t;
         t
     in
     let rec go granted = function

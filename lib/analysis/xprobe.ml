@@ -300,8 +300,9 @@ let run (entry : Catalog.entry) ~setups =
       (fun p -> List.map (fun q -> (p, q)) d.Domain.alphabet)
       d.Domain.alphabet
   in
-  (* Pair probes: two shards and every completion — under hybrid also
-     with a read-only T2 issuing the read-only operations. *)
+  (* Pair probes: two shards and every completion (but t2-aborts for a
+     read-only T2) — under hybrid also with a read-only T2 issuing the
+     read-only operations. *)
   let variants =
     match entry.Catalog.policy with
     | `Hybrid -> [ ("update-update", false); ("update-readonly", true) ]
@@ -331,7 +332,9 @@ let run (entry : Catalog.entry) ~setups =
              completions))
   in
   (* Wide probes: three shards, completed cleanly or with the
-     participant crash. *)
+     participant crash — the shape two shards cannot build, where a
+     decided commit must reach a shard that was down at decision time
+     while a third already applied it. *)
   let modes = List.concat_map (fun pq -> [ (pq, false); (pq, true) ]) pq in
   let wide_probed, wide_granted, wide_blocked, wide_unsound =
     tally
