@@ -321,7 +321,9 @@ let judge policy env first rerun =
 (* Pair probes: t1 executes [p], then a concurrent t2 attempts [q]. *)
 let probe_pair entry (variant : variant) env setup p q =
   let spec = entry.Catalog.domain.Domain.spec in
-  let run = run_variant entry variant setup [ `Invoke (1, p); `Invoke (2, q) ] in
+  let run =
+    run_variant entry variant setup [ `Invoke (1, p); `Invoke (2, q) ]
+  in
   match run `CC with
   | Setup_blocked -> None
   | Blocked { setup = setup_results; granted = []; _ } -> (
@@ -356,9 +358,9 @@ let probe_pair entry (variant : variant) env setup p q =
 
 (* Multi-op probes: t1 executes two operations before t2 tries one, so
    t1's second grant was validated against its own view (committed
-   plus its first intention), not the committed frontier.  Only grants
-   are judged: [Ok finding], and a blocked multi is conservative, never
-   loose. *)
+   plus its first intention), not the committed frontier.  [Ok] carries
+   the judge's finding once every invoke was granted, [Error] where the
+   probe stopped: a blocked multi is conservative, never loose. *)
 let probe_multi entry (variant : variant) env setup p1 p2 q =
   let run =
     run_variant entry variant setup
