@@ -341,83 +341,16 @@ let e5 () =
   section
     "E5  Permissiveness census (Sections 4.1-4.3)\n\
      bounded two-activity set histories, classified by every checker";
-  let xs = Object_id.v "s" in
-  let env = Spec_env.of_list [ (xs, Intset.spec) ] in
-  let a = Activity.update "a" and b = Activity.update "b" in
-  let op_choices =
-    [
-      (Intset.insert 1, [ Value.ok ]);
-      (Intset.member 1, [ Value.Bool true; Value.Bool false ]);
-      (Intset.delete 1, [ Value.ok ]);
-    ]
-  in
-  let sessions act ts (op, res) =
-    [
-      Event.initiate act xs (Timestamp.v ts);
-      Event.invoke act xs op;
-      Event.respond act xs res;
-      Event.commit act xs;
-    ]
-  in
-  let rec interleave u v =
-    match (u, v) with
-    | [], v -> [ v ]
-    | u, [] -> [ u ]
-    | x :: u', y :: v' ->
-      List.map (fun rest -> x :: rest) (interleave u' v)
-      @ List.map (fun rest -> y :: rest) (interleave u v')
-  in
-  let counts = Hashtbl.create 16 in
-  let bump k =
-    Hashtbl.replace counts k
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
-  in
-  let total = ref 0 in
-  List.iter
-    (fun (opa, resa_choices) ->
-      List.iter
-        (fun (opb, resb_choices) ->
-          List.iter
-            (fun resa ->
-              List.iter
-                (fun resb ->
-                  List.iter
-                    (fun (tsa, tsb) ->
-                      let sa = sessions a tsa (opa, resa) in
-                      let sb = sessions b tsb (opb, resb) in
-                      List.iter
-                        (fun events ->
-                          let h = History.of_list events in
-                          if Wellformed.is_well_formed Wellformed.Static h
-                          then begin
-                            incr total;
-                            let at = Atomicity.atomic env h in
-                            let dy = Atomicity.dynamic_atomic env h in
-                            let st = Atomicity.static_atomic env h in
-                            if at then bump `Atomic;
-                            if dy then bump `Dynamic;
-                            if st then bump `Static;
-                            if dy && st then bump `Both;
-                            if dy && not st then bump `Dyn_only;
-                            if st && not dy then bump `Sta_only;
-                            if (dy || st) && not at then bump `Unsound
-                          end)
-                        (interleave sa sb))
-                    [ (1, 2); (2, 1) ])
-                resb_choices)
-            resa_choices)
-        op_choices)
-    op_choices;
-  let get k = Option.value ~default:0 (Hashtbl.find_opt counts k) in
-  Fmt.pr "well-formed histories:        %5d@." !total;
-  Fmt.pr "  atomic:                     %5d@." (get `Atomic);
-  Fmt.pr "  dynamic atomic:             %5d@." (get `Dynamic);
-  Fmt.pr "  static atomic:              %5d@." (get `Static);
-  Fmt.pr "  both:                       %5d@." (get `Both);
-  Fmt.pr "  dynamic only:               %5d@." (get `Dyn_only);
-  Fmt.pr "  static only:                %5d@." (get `Sta_only);
+  let c = Optimality.census () in
+  Fmt.pr "well-formed histories:        %5d@." c.Optimality.well_formed;
+  Fmt.pr "  atomic:                     %5d@." c.Optimality.atomic;
+  Fmt.pr "  dynamic atomic:             %5d@." c.Optimality.dynamic;
+  Fmt.pr "  static atomic:              %5d@." c.Optimality.static;
+  Fmt.pr "  both:                       %5d@." c.Optimality.both;
+  Fmt.pr "  dynamic only:               %5d@." c.Optimality.dynamic_only;
+  Fmt.pr "  static only:                %5d@." c.Optimality.static_only;
   Fmt.pr "  local-but-not-atomic:       %5d   (must be 0: Theorems 1 and 4)@."
-    (get `Unsound);
+    c.Optimality.unsound;
   Fmt.pr
     "@.Shape: both properties are strict subsets of atomic and neither@.\
      contains the other (optimality is weak, Section 4.2.3).@."
@@ -1434,8 +1367,16 @@ let recovery_section ~quick =
 let replication_section ~quick =
   let shards = 3 and replicas = 3 in
   let schedules = if quick then 20 else 100 in
-  let seeds = List.init schedules (fun i -> i + 1) in
-  let r = Replica_drill.run_many ~quick ~shards ~replicas ~seeds () in
+  let s =
+    Fault_sweep.run
+      ~verdict:(fun d -> d.Replica_drill.d_verdict)
+      ~plan:Shard_plan.generate
+      (Replica_drill.run_schedule ~quick ~shards ~replicas)
+      Replica_drill.protocols
+      (List.init schedules (fun i -> i + 1))
+  in
+  let r = Replica_drill.totals s in
+  let diverged = List.length s.Fault_sweep.divergences in
   let num n = J.Num (float_of_int n) in
   ( J.Obj
       [
@@ -1444,14 +1385,14 @@ let replication_section ~quick =
         ( "failover",
           J.Obj
             [
-              ("schedules", num r.Replica_drill.schedules);
+              ("schedules", num s.Fault_sweep.schedules);
               ("committed", num r.Replica_drill.r_committed);
               ("reads", num r.Replica_drill.r_reads);
               ("replica_served", num r.Replica_drill.r_replica_served);
               ("bounced", num r.Replica_drill.r_bounced);
               ("lost_commits", num r.Replica_drill.r_lost);
               ("stale_served", num r.Replica_drill.r_stale);
-              ("diverged", num r.Replica_drill.r_diverged);
+              ("diverged", num diverged);
               ("promotions", num r.Replica_drill.r_promotions);
               ("resyncs", num r.Replica_drill.r_resyncs);
               ("damaged_segments", num r.Replica_drill.r_damaged);
@@ -1464,7 +1405,7 @@ let replication_section ~quick =
       [
         ("lost commits", r.Replica_drill.r_lost);
         ("stale reads served", r.Replica_drill.r_stale);
-        ("divergences", r.Replica_drill.r_diverged);
+        ("divergences", diverged);
       ] )
 
 (* Growth: deterministic work counters at N and 4N commits.  A counter

@@ -2,7 +2,7 @@
 
      weihl check HISTORY.txt --spec x=intset
      weihl sim --protocol escrow --workload hot --clients 16
-     weihl census --ops 2
+     weihl census
      weihl tpc --participants 4 --crash mid:1
      weihl faults --schedules 50 --quick
 
@@ -150,6 +150,7 @@ let sim_workloads =
 
 let sim_cmd protocol workload clients duration seed dump trace metrics =
   at_least 0 "clients" clients;
+  at_least 0 "duration" duration;
   let adt, data_dependent, workload =
     match List.find_opt (fun (w, _, _, _) -> w = workload) sim_workloads with
     | Some (_, adt, dd, w) -> (adt, dd, w)
@@ -197,68 +198,10 @@ let sim_cmd protocol workload clients duration seed dump trace metrics =
 (* ------------------------------------------------------------------ *)
 
 let census_cmd () =
-  (* The E5 census, callable directly. *)
-  let xs = Object_id.v "s" in
-  let env = Spec_env.of_list [ (xs, Intset.spec) ] in
-  let a = Activity.update "a" and b = Activity.update "b" in
-  let op_choices =
-    [
-      (Intset.insert 1, [ Value.ok ]);
-      (Intset.member 1, [ Value.Bool true; Value.Bool false ]);
-      (Intset.delete 1, [ Value.ok ]);
-    ]
-  in
-  let sessions act ts (op, res) =
-    [
-      Event.initiate act xs (Timestamp.v ts);
-      Event.invoke act xs op;
-      Event.respond act xs res;
-      Event.commit act xs;
-    ]
-  in
-  let rec interleave u v =
-    match (u, v) with
-    | [], v -> [ v ]
-    | u, [] -> [ u ]
-    | x :: u', y :: v' ->
-      List.map (fun rest -> x :: rest) (interleave u' v)
-      @ List.map (fun rest -> y :: rest) (interleave u v')
-  in
-  let total = ref 0
-  and atomic = ref 0
-  and dynamic = ref 0
-  and static = ref 0 in
-  List.iter
-    (fun (opa, ras) ->
-      List.iter
-        (fun (opb, rbs) ->
-          List.iter
-            (fun ra ->
-              List.iter
-                (fun rb ->
-                  List.iter
-                    (fun (ta, tb) ->
-                      List.iter
-                        (fun events ->
-                          let h = History.of_list events in
-                          if Wellformed.is_well_formed Wellformed.Static h
-                          then begin
-                            incr total;
-                            if Atomicity.atomic env h then incr atomic;
-                            if Atomicity.dynamic_atomic env h then
-                              incr dynamic;
-                            if Atomicity.static_atomic env h then incr static
-                          end)
-                        (interleave
-                           (sessions a ta (opa, ra))
-                           (sessions b tb (opb, rb))))
-                    [ (1, 2); (2, 1) ])
-                rbs)
-            ras)
-        op_choices)
-    op_choices;
-  Fmt.pr "well-formed: %d  atomic: %d  dynamic: %d  static: %d@." !total
-    !atomic !dynamic !static;
+  let c = Optimality.census () in
+  Fmt.pr "well-formed: %d  atomic: %d  dynamic: %d  static: %d@."
+    c.Optimality.well_formed c.Optimality.atomic c.Optimality.dynamic
+    c.Optimality.static;
   0
 
 (* ------------------------------------------------------------------ *)
@@ -273,17 +216,18 @@ let recover_cmd file protocol order_name =
     | "timestamp" -> Recovery.Timestamp_order
     | o -> bad_input "unknown order %s (commit|timestamp)" o
   in
+  let policy, make =
+    match protocol with
+    | "generic" -> (`None_, fun log x spec -> Da_generic.make log x spec)
+    | "multiversion" ->
+      (`Static, fun log x spec -> Multiversion.make log x spec)
+    | p -> bad_input "unknown recovery protocol %s (generic|multiversion)" p
+  in
   match Notation.history_of_string contents with
   | Error e ->
     Fmt.epr "parse error: %a@." Notation.pp_error e;
     1
   | Ok h ->
-    let policy =
-      match protocol with
-      | "multiversion" -> `Static
-      | "hybrid" -> `Hybrid
-      | _ -> `None_
-    in
     let sys = System.create ~policy () in
     let log = System.log sys in
     (* Build one object per object in the log; infer ADTs as in
@@ -300,14 +244,7 @@ let recover_cmd file protocol order_name =
         match infer_spec ops with
         | None ->
           bad_input "cannot infer a specification for %a" Object_id.pp obj
-        | Some spec ->
-          let o =
-            match protocol with
-            | "generic" -> Da_generic.make log obj spec
-            | "multiversion" -> Multiversion.make log obj spec
-            | p -> bad_input "unknown recovery protocol %s (generic|multiversion)" p
-          in
-          System.add_object sys o)
+        | Some spec -> System.add_object sys (make log obj spec))
       (History.objects h);
     (match Recovery.replay order sys h with
     | Ok r ->
@@ -431,7 +368,7 @@ let soak_to_json (r : Shard_harness.soak_report) =
         ("replay_bound", num c.Shard_harness.replay_bound);
         ( "verdict",
           Obs.Json.Str
-            (Fmt.str "%a" Shard_harness.pp_verdict c.Shard_harness.cycle_verdict)
+            (Fmt.str "%a" Fault_sweep.pp_verdict c.Shard_harness.cycle_verdict)
         );
       ]
   in
@@ -478,29 +415,41 @@ let find_in ~what protocols name =
     bad_input "unknown %s %s (one of: %s)" what name
       (String.concat ", " (List.map name_of protocols))
 
-let faults_cmd schedules quick base_seed protocol verbose soak report =
-  at_least 0 "schedules" schedules;
-  match soak with
-  | Some cycles -> soak_cmd cycles base_seed report verbose
-  | None ->
-  let seeds = List.init schedules (fun i -> base_seed + i) in
-  let protocols =
-    Option.map
-      (fun name -> [ find_in ~what:"protocol" Fault_harness.catalog name ])
-      protocol
-  in
-  let summary = Fault_harness.run_many ~quick ?protocols ~seeds () in
+(* The end of every schedule sweep: each schedule under --verbose, the
+   summary and [epilogue], the JSON report if one is asked for, then
+   the divergent schedules on stderr and exit code 1 if there are
+   any. *)
+let report_sweep ~verbose ~pp_result ?(pp_summary = Fault_sweep.pp_summary)
+    ?(epilogue = "") ?json (s : _ Fault_sweep.summary) =
   if verbose then
-    List.iter
-      (fun r -> Fmt.pr "%a@." Fault_harness.pp_result r)
-      summary.Fault_harness.results;
-  Fmt.pr "%a@." Fault_harness.pp_summary summary;
-  match Fault_harness.divergences summary with
+    List.iter (fun r -> Fmt.pr "%a@." pp_result r) s.Fault_sweep.results;
+  Fmt.pr "%a@.%s" pp_summary s epilogue;
+  Option.iter (fun (path, json) -> write_json path json) json;
+  match s.Fault_sweep.divergences with
   | [] -> 0
   | ds ->
     Fmt.epr "@.divergent schedules:@.";
-    List.iter (fun r -> Fmt.epr "  %a@." Fault_harness.pp_result r) ds;
+    List.iter (fun r -> Fmt.epr "  %a@." pp_result r) ds;
     1
+
+let faults_cmd schedules quick base_seed protocol verbose soak report =
+  at_least 0 "schedules" schedules;
+  Option.iter (at_least 0 "soak") soak;
+  match soak with
+  | Some cycles -> soak_cmd cycles base_seed report verbose
+  | None ->
+  let protocols =
+    match protocol with
+    | Some name -> [ find_in ~what:"protocol" Fault_harness.catalog name ]
+    | None -> Fault_harness.catalog
+  in
+  Fault_sweep.run
+    ~verdict:(fun r -> r.Fault_harness.verdict)
+    ~plan:Fault_plan.generate
+    (Fault_harness.run_schedule ~quick)
+    protocols
+    (List.init schedules (fun i -> base_seed + i))
+  |> report_sweep ~verbose ~pp_result:Fault_harness.pp_result
 
 (* ------------------------------------------------------------------ *)
 (* weihl shard                                                         *)
@@ -509,19 +458,20 @@ let faults_cmd schedules quick base_seed protocol verbose soak report =
 let find_sharded_protocol =
   find_in ~what:"sharded protocol" Shard_harness.protocols
 
-let shard_sweep_to_json (s : Shard_harness.summary) =
+let shard_sweep_to_json (s : Shard_harness.schedule_result Fault_sweep.summary)
+    =
   let num n = Obs.Json.Num (float_of_int n) in
   Obs.Json.Obj
     [
-      ("schedules", num s.Shard_harness.schedules);
-      ("converged", num s.Shard_harness.converged);
-      ("corruption_detected", num s.Shard_harness.corruption_detected);
-      ("diverged", num s.Shard_harness.diverged);
+      ("schedules", num s.Fault_sweep.schedules);
+      ("converged", num s.Fault_sweep.converged);
+      ("corruption_detected", num s.Fault_sweep.corruption_detected);
+      ("diverged", num (List.length s.Fault_sweep.divergences));
       ( "divergent",
         Obs.Json.List
           (List.map
              (fun r -> Obs.Json.Str (Fmt.str "%a" Shard_harness.pp_result r))
-             (Shard_harness.divergences s)) );
+             s.Fault_sweep.divergences) );
     ]
 
 (* The replication face of the shard payload: per-replica apply lag
@@ -570,11 +520,13 @@ let replication_fields sm tier =
     ]
   | _ -> []
 
-let drill_report_to_json (r : Replica_drill.report) =
+let drill_report_to_json (s : Replica_drill.schedule_report Fault_sweep.summary)
+    =
   let num n = Obs.Json.Num (float_of_int n) in
+  let r = Replica_drill.totals s in
   Obs.Json.Obj
     [
-      ("schedules", num r.Replica_drill.schedules);
+      ("schedules", num s.Fault_sweep.schedules);
       ("committed", num r.Replica_drill.r_committed);
       ("reads", num r.Replica_drill.r_reads);
       ("replica_served", num r.Replica_drill.r_replica_served);
@@ -585,12 +537,12 @@ let drill_report_to_json (r : Replica_drill.report) =
       ("promotions", num r.Replica_drill.r_promotions);
       ("resyncs", num r.Replica_drill.r_resyncs);
       ("damaged_segments", num r.Replica_drill.r_damaged);
-      ("diverged", num r.Replica_drill.r_diverged);
+      ("diverged", num (List.length s.Fault_sweep.divergences));
       ( "divergent",
         Obs.Json.List
           (List.map
              (fun d -> Obs.Json.Str (Fmt.str "%a" Replica_drill.pp_schedule d))
-             (Replica_drill.divergences r)) );
+             s.Fault_sweep.divergences) );
     ]
 
 (* Histogram summaries for the machine-readable shard payloads. *)
@@ -709,11 +661,16 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
     schedules quick verbose metrics json trace open_loop rate sweep zipf hot
     hot_keys window mcore jobs inflight sync_us checkpoint_every archive =
   at_least 1 "shards" shards;
+  at_least 1 "domains" domains;
   at_least 0 "replicas" replicas;
+  at_least 0 "clients" clients;
+  at_least 0 "duration" duration;
   at_least 0 "schedules" schedules;
+  at_least 1 "hot-keys" hot_keys;
   at_least 1 "window" window;
   at_least 0 "jobs" jobs;
   at_least 1 "inflight" inflight;
+  at_least 0 "sync-us" sync_us;
   Option.iter (at_least 1 "checkpoint-every") checkpoint_every;
   positive "rate" rate;
   List.iter (positive "sweep") sweep;
@@ -728,25 +685,22 @@ let shard_cmd shards domains replicas clients duration seed protocol faults
         bad_input "--hot must be a fraction in [0, 1], not %g" h)
     hot;
   if faults then begin
-    let seeds = List.init schedules (fun i -> seed + i) in
     let protocols =
-      Option.map (fun name -> [ find_sharded_protocol name ]) protocol
+      match protocol with
+      | Some name -> [ find_sharded_protocol name ]
+      | None -> Shard_harness.protocols
     in
-    let summary = Shard_harness.run_many ~quick ~shards ?protocols ~seeds () in
-    if verbose then
-      List.iter
-        (fun r -> Fmt.pr "%a@." Shard_harness.pp_result r)
-        summary.Shard_harness.results;
-    Fmt.pr "%a@." Shard_harness.pp_summary summary;
-    (match json with
-    | Some path -> write_json path (shard_sweep_to_json summary)
-    | None -> ());
-    match Shard_harness.divergences summary with
-    | [] -> 0
-    | ds ->
-      Fmt.epr "@.divergent schedules:@.";
-      List.iter (fun r -> Fmt.epr "  %a@." Shard_harness.pp_result r) ds;
-      1
+    let summary =
+      Fault_sweep.run
+        ~verdict:(fun r -> r.Shard_harness.verdict)
+        ~plan:Shard_plan.generate
+        (Shard_harness.run_schedule ~quick ~shards)
+        protocols
+        (List.init schedules (fun i -> seed + i))
+    in
+    report_sweep ~verbose ~pp_result:Shard_harness.pp_result
+      ?json:(Option.map (fun p -> (p, shard_sweep_to_json summary)) json)
+      summary
   end
   else begin
     let proto =
@@ -1107,27 +1061,29 @@ let replica_cmd shards replicas schedules seed quick verbose json =
   at_least 1 "shards" shards;
   at_least 1 "replicas" replicas;
   at_least 0 "schedules" schedules;
-  let seeds = List.init schedules (fun i -> seed + i) in
-  let r = Replica_drill.run_many ~quick ~shards ~replicas ~seeds () in
-  if verbose then
-    List.iter
-      (fun d -> Fmt.pr "%a@." Replica_drill.pp_schedule d)
-      r.Replica_drill.results;
-  Fmt.pr "%a@." Replica_drill.pp_report r;
+  let summary =
+    Fault_sweep.run
+      ~verdict:(fun d -> d.Replica_drill.d_verdict)
+      ~plan:Shard_plan.generate
+      (Replica_drill.run_schedule ~quick ~shards ~replicas)
+      Replica_drill.protocols
+      (List.init schedules (fun i -> seed + i))
+  in
   let demo, rendered = replica_lag_demo ~shards ~replicas ~seed in
-  Fmt.pr "@.lag report (hybrid demo tier, staggered apply lag):@.%s@." rendered;
-  (match json with
-  | Some path ->
-    write_json path
-      (Obs.Json.Obj
-         [ ("drill", drill_report_to_json r); ("lag_demo", demo) ])
-  | None -> ());
-  match Replica_drill.divergences r with
-  | [] -> if Replica_drill.clean r then 0 else 1
-  | ds ->
-    Fmt.epr "@.divergent schedules:@.";
-    List.iter (fun d -> Fmt.epr "  %a@." Replica_drill.pp_schedule d) ds;
-    1
+  report_sweep ~verbose ~pp_result:Replica_drill.pp_schedule
+    ~pp_summary:Replica_drill.pp_report
+    ~epilogue:
+      (Fmt.str "@.lag report (hybrid demo tier, staggered apply lag):@.%s@."
+         rendered)
+    ?json:
+      (Option.map
+         (fun p ->
+           ( p,
+             Obs.Json.Obj
+               [ ("drill", drill_report_to_json summary); ("lag_demo", demo) ]
+           ))
+         json)
+    summary
 
 (* ------------------------------------------------------------------ *)
 (* weihl trace                                                         *)

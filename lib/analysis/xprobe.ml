@@ -119,7 +119,7 @@ let run_walk entry ~n ~t2_read_only setup p q ~finish =
     in
     walk ids (List.rev ids) @@ fun () ->
     match finish group t1 t2 with
-    | () -> `Completed (group, ids, [ t1; t2 ])
+    | () -> `Completed (group, [ t1; t2 ])
     | exception exn -> `Crashed (Printexc.to_string exn))
 
 let complete completion group t1 t2 =
@@ -152,104 +152,47 @@ let participant_crash group t1 t2 =
      somehow still active. *)
   if Gtxn.is_active t2 then Group.commit group t2
 
-(* Global atomicity over the completed pattern:
-
-   - atomic commitment — each global transaction is committed on every
-     shard it reached or on none (and its final status matches);
-   - timestamp agreement — a committed transaction's shards answer the
-     same (2PC-agreed) timestamp;
-   - merged replay — the committed projection, in the group's
-     serialization order, replays against one combined system holding
-     every object. *)
-let check_global (entry : Catalog.entry) group ids gtxns =
-  let shards = List.init (Group.shard_count group) Fun.id in
+(* Global atomicity over the completed pattern: each walked
+   transaction's final status must be every shard's verdict on it —
+   committed on every shard it reached, or on none — and then the
+   group passes the judge every sharded run passes
+   ({!Weihl_shard.Shard_harness.judge}). *)
+let check_global (entry : Catalog.entry) group gtxns =
   let histories =
-    List.map (fun s -> (s, Cc.System.history (Group.system group s))) shards
+    List.init (Group.shard_count group) (fun s ->
+        (s, Cc.System.history (Group.system group s)))
   in
-  let commitment =
-    List.find_map
-      (fun g ->
-        let act = Gtxn.activity g in
-        let where =
-          List.map
-            (fun (s, h) -> (s, Activity.Set.mem act (History.committed h)))
-            histories
-        in
-        let wants = Gtxn.status g = Gtxn.Committed in
-        match
-          ( List.find_opt (fun (_, c) -> c) where,
-            List.find_opt (fun (_, c) -> not c) where )
-        with
-        | Some (sc, _), Some (sn, _) ->
-          Some
-            (Fmt.str "%a committed on shard %d but not shard %d" Activity.pp
-               act sc sn)
-        | Some _, None when not wants ->
-          Some
-            (Fmt.str "%a is not committed but its shards say committed"
-               Activity.pp act)
-        | None, Some _ when wants ->
-          Some
-            (Fmt.str "%a is committed but its shards say not committed"
-               Activity.pp act)
-        | _ -> None)
-      gtxns
-  in
-  match commitment with
-  | Some msg -> Some msg
-  | None -> (
-    let ts_disagreement =
-      List.find_map
-        (fun g ->
-          let act = Gtxn.activity g in
-          let stamps =
-            List.filter_map
-              (fun (s, h) ->
-                if Activity.Set.mem act (History.committed h) then
-                  Some (s, History.timestamp_of h act)
-                else None)
-              histories
-          in
-          match stamps with
-          | [] | [ _ ] -> None
-          | (s0, ts0) :: rest ->
-            List.find_map
-              (fun (s, ts) ->
-                match (ts0, ts) with
-                | Some x, Some y when Timestamp.compare x y <> 0 ->
-                  Some
-                    (Fmt.str
-                       "%a committed with ts %a at shard %d but %a at shard \
-                        %d"
-                       Activity.pp act Timestamp.pp x s0 Timestamp.pp y s)
-                | Some _, None | None, Some _ ->
-                  Some
-                    (Fmt.str "%a has a timestamp on only some shards"
-                       Activity.pp act)
-                | _ -> None)
-              rest)
-        gtxns
+  let status g =
+    let act = Gtxn.activity g in
+    let where =
+      List.map
+        (fun (s, h) -> (s, Activity.Set.mem act (History.committed h)))
+        histories
     in
-    match ts_disagreement with
-    | Some msg -> Some msg
-    | None ->
-      let stuck = Group.in_doubt_count group in
-      if stuck > 0 then
-        Some (Fmt.str "%d legs stuck in-doubt after resolution" stuck)
-      else begin
-        let sys = Cc.System.create ~policy:entry.Catalog.policy () in
-        List.iter
-          (fun id ->
-            Cc.System.add_object sys
-              (entry.Catalog.make_object (Cc.System.log sys) id))
-          ids;
-        match
-          Cc.Recovery.replay_txns sys (Group.committed_projection group)
-        with
-        | Ok _ -> None
-        | Error f ->
-          Some (Fmt.str "merged replay: %a" Cc.Recovery.pp_failure f)
-      end)
+    let wants = Gtxn.status g = Gtxn.Committed in
+    match
+      ( List.find_opt (fun (_, c) -> c) where,
+        List.find_opt (fun (_, c) -> not c) where )
+    with
+    | Some (sc, _), Some (sn, _) ->
+      Some
+        (Fmt.str "%a committed on shard %d but not shard %d" Activity.pp act
+           sc sn)
+    | Some _, None when not wants ->
+      Some
+        (Fmt.str "%a is not committed but its shards say committed"
+           Activity.pp act)
+    | None, Some _ when wants ->
+      Some
+        (Fmt.str "%a is committed but its shards say not committed"
+           Activity.pp act)
+    | _ -> None
+  in
+  match List.find_map status gtxns with
+  | Some msg -> Some msg
+  | None ->
+    Weihl_shard.Shard_harness.judge ~spec:entry.Catalog.domain.Domain.spec
+      ~make_object:entry.Catalog.make_object group
 
 (* Walk once per ending, in order, until one leaves the group outside
    global atomicity; [label] names the ending in a finding. *)
@@ -262,8 +205,8 @@ let probe entry ~n ~t2_read_only setup p q endings =
       | `Blocked -> Some Blocked
       | `Crashed exn ->
         Some (Granted_unsound (Fmt.str "%s raised: %s" label exn))
-      | `Completed (group, ids, gtxns) -> (
-        match check_global entry group ids gtxns with
+      | `Completed (group, gtxns) -> (
+        match check_global entry group gtxns with
         | Some why -> Some (Granted_unsound (Fmt.str "%s: %s" label why))
         | None -> go rest))
   in

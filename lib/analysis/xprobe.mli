@@ -21,14 +21,9 @@
       a decided commit must reach a shard that was down at decision
       time while a third already applied it.
 
-    A completed walk is {e unsound} if any global-atomicity condition
-    fails: a transaction committed on one shard but not another, a
-    committed transaction's shards disagree on its timestamp, legs are
-    left stuck in-doubt after resolution, or the merged committed
-    projection (in the group's serialization order) fails to replay
-    against one combined system holding every object.  Blocked walks
-    are conservative and never flagged — the per-shard {!Probe} pass
-    already measures looseness. *)
+    A completed walk is {e unsound} if {!check_global} fails on it.
+    Blocked walks are conservative and never flagged — the per-shard
+    {!Probe} pass already measures looseness. *)
 
 open Weihl_event
 
@@ -60,6 +55,20 @@ type t = {
   wide_blocked : int;
   wide_unsound : wide list;
 }
+
+val check_global :
+  Catalog.entry ->
+  Weihl_shard.Group.t ->
+  Weihl_shard.Gtxn.t list ->
+  string option
+(** Global atomicity over a completed walk: each walked transaction's
+    {!Weihl_shard.Gtxn.status} is every shard's verdict on it (a
+    transaction committed on one shard but not another, or whose
+    shards contradict its status, is a finding), then the judge of
+    every sharded run, {!Weihl_shard.Shard_harness.judge}: atomic
+    commitment, agreed timestamps, nothing stuck in-doubt, each
+    shard's state against the committed projection, and the merged
+    replay against one combined system holding every object. *)
 
 val run : Catalog.entry -> setups:Operation.t list list -> t
 (** Probe every (setup, p, q) combination over the entry's alphabet —

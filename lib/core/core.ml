@@ -119,6 +119,7 @@ module Tpc = Weihl_dist.Tpc
 
 module Fault_plan = Weihl_fault.Plan
 module Fault_harness = Weihl_fault.Harness
+module Fault_sweep = Weihl_fault.Sweep
 module Shard_plan = Weihl_fault.Shard_plan
 
 module Shard_router = Weihl_shard.Router

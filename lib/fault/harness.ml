@@ -182,24 +182,14 @@ let catalog =
 
 let find_protocol name = List.find_opt (fun p -> p.name = name) catalog
 
-type verdict = Converged | Corruption_detected | Diverged of string
-
 type schedule_result = {
   plan : Plan.t;
   protocol : string;
-  verdict : verdict;
+  verdict : Sweep.verdict;
   replayed : int;
   substituted : int;
   dropped_records : int;
   resumed_committed : int;
-}
-
-type summary = {
-  schedules : int;
-  converged : int;
-  corruption_detected : int;
-  diverged : int;
-  results : schedule_result list;
 }
 
 let system proto ids =
@@ -306,15 +296,9 @@ let run_schedule ?(quick = false) (plan : Plan.t) proto =
   let order = Cc.Recovery.order_of_policy proto.policy in
   let sys2, w2 = build proto in
   match Cc.Recovery.restore_checkpointed order sys2 damaged with
-  | Error (Cc.Recovery.Corrupt e) ->
-    if plan.Plan.log_fault = Plan.Pristine then
-      result
-        (Diverged (Fmt.str "pristine log rejected: %a" Cc.Wal.pp_error e))
-        ()
-    else result Corruption_detected ()
-  | Error (Cc.Recovery.Divergent msg) -> result (Diverged msg) ()
-  | Error (Cc.Recovery.Checkpoint_invalid msg) ->
-    result (Diverged (Fmt.str "checkpoint invalid: %s" msg)) ()
+  | Error f ->
+    let pristine = plan.Plan.log_fault = Plan.Pristine in
+    result (Sweep.of_recovery ~pristine f) ()
   | Ok { Cc.Recovery.shard = { base = report; _ }; _ } -> (
     let replayed = report.Cc.Recovery.replayed
     and substituted = report.Cc.Recovery.substituted
@@ -324,7 +308,7 @@ let run_schedule ?(quick = false) (plan : Plan.t) proto =
     match Cc.Wal.decode damaged with
     | Error e ->
       result
-        (Diverged (Fmt.str "decode disagreement: %a" Cc.Wal.pp_error e))
+        (Sweep.Diverged (Fmt.str "decode disagreement: %a" Cc.Wal.pp_error e))
         ~replayed ~substituted ~dropped ()
     | Ok (surviving, _) ->
       let expected =
@@ -332,7 +316,7 @@ let run_schedule ?(quick = false) (plan : Plan.t) proto =
       in
       if replayed <> expected then
         result
-          (Diverged
+          (Sweep.Diverged
              (Fmt.str "replayed %d of %d committed transactions" replayed
                 expected))
           ~replayed ~substituted ~dropped ()
@@ -352,52 +336,20 @@ let run_schedule ?(quick = false) (plan : Plan.t) proto =
         let h = Cc.System.history sys2 in
         if not (check_atomicity proto h) then
           result
-            (Diverged "post-recovery history lost the atomicity property")
+            (Sweep.Diverged "post-recovery history lost the atomicity property")
             ~replayed ~substituted ~dropped ~resumed ()
         else if not (Tpc.atomic_commitment (tpc_round plan)) then
           result
-            (Diverged "2PC lost atomic commitment under message faults")
+            (Sweep.Diverged "2PC lost atomic commitment under message faults")
             ~replayed ~substituted ~dropped ~resumed ()
         else
-          result Converged ~replayed ~substituted ~dropped ~resumed ()
+          result Sweep.Converged ~replayed ~substituted ~dropped ~resumed ()
       end)
-
-let run_many ?quick ?(protocols = catalog) ~seeds () =
-  let n_protocols = List.length protocols in
-  let results =
-    List.mapi
-      (fun i seed ->
-        let proto = List.nth protocols (i mod n_protocols) in
-        run_schedule ?quick (Plan.generate ~seed) proto)
-      seeds
-  in
-  let count p = List.length (List.filter p results) in
-  {
-    schedules = List.length results;
-    converged = count (fun r -> r.verdict = Converged);
-    corruption_detected = count (fun r -> r.verdict = Corruption_detected);
-    diverged = count (fun r -> match r.verdict with Diverged _ -> true | _ -> false);
-    results;
-  }
-
-let divergences s =
-  List.filter
-    (fun r -> match r.verdict with Diverged _ -> true | _ -> false)
-    s.results
-
-let pp_verdict ppf = function
-  | Converged -> Fmt.string ppf "converged"
-  | Corruption_detected -> Fmt.string ppf "corruption detected"
-  | Diverged msg -> Fmt.pf ppf "DIVERGED: %s" msg
 
 let pp_result ppf r =
   Fmt.pf ppf
     "@[<h>%-16s %a → %a (replayed %d, substituted %d, dropped %d, resumed \
      %d)@]"
-    r.protocol Plan.pp r.plan pp_verdict r.verdict r.replayed r.substituted
-    r.dropped_records r.resumed_committed
+    r.protocol Plan.pp r.plan Sweep.pp_verdict r.verdict r.replayed
+    r.substituted r.dropped_records r.resumed_committed
 
-let pp_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>schedules: %d@,converged: %d@,corruption detected: %d@,diverged: %d@]"
-    s.schedules s.converged s.corruption_detected s.diverged

@@ -17,11 +17,12 @@
       plan's message faults and clock skews and check atomic
       commitment.
 
-    The verdict is {!Converged} when recovery landed on exactly the
-    committed projection of the surviving log and every check passed,
-    {!Corruption_detected} when the damaged log was loudly rejected
-    (legitimate for mid-log damage), and {!Diverged} — the one verdict
-    that must never happen — otherwise. *)
+    The verdict ({!Sweep.verdict}) is [Converged] when recovery landed
+    on exactly the committed projection of the surviving log and every
+    check passed, [Corruption_detected] when the damaged log was loudly
+    rejected (legitimate for mid-log damage), and [Diverged] — the one
+    verdict that must never happen — otherwise.  {!Sweep.run} runs one
+    schedule per seed. *)
 
 type protocol = {
   name : string;
@@ -62,12 +63,10 @@ val system : protocol -> Weihl_event.Object_id.t list -> Weihl_cc.System.t
 (** A fresh system under the protocol's policy holding one of its
     objects per id, in order. *)
 
-type verdict = Converged | Corruption_detected | Diverged of string
-
 type schedule_result = {
   plan : Plan.t;
   protocol : string;
-  verdict : verdict;
+  verdict : Sweep.verdict;
   replayed : int;  (** committed transactions recovery re-executed *)
   substituted : int;
       (** legally different replay choices (non-deterministic specs) *)
@@ -75,24 +74,7 @@ type schedule_result = {
   resumed_committed : int;  (** transactions committed after recovery *)
 }
 
-type summary = {
-  schedules : int;
-  converged : int;
-  corruption_detected : int;
-  diverged : int;
-  results : schedule_result list;  (** in run order *)
-}
-
 val run_schedule : ?quick:bool -> Plan.t -> protocol -> schedule_result
 (** [quick] shortens both traffic phases (for smoke runs). *)
 
-val run_many :
-  ?quick:bool -> ?protocols:protocol list -> seeds:int list -> unit -> summary
-(** One schedule per seed, [protocols] (default the {!catalog}) assigned
-    round-robin. *)
-
-val divergences : summary -> schedule_result list
-
-val pp_verdict : Format.formatter -> verdict -> unit
 val pp_result : Format.formatter -> schedule_result -> unit
-val pp_summary : Format.formatter -> summary -> unit

@@ -4,8 +4,8 @@ module Rng = Weihl_sim.Rng
 module Workload = Weihl_sim.Workload
 module Shard_plan = Weihl_fault.Shard_plan
 module Fh = Weihl_fault.Harness
+module Sweep = Weihl_fault.Sweep
 module Group = Weihl_shard.Group
-module Gtxn = Weihl_shard.Gtxn
 module Sharded_driver = Weihl_shard.Sharded_driver
 module Shard_harness = Weihl_shard.Shard_harness
 
@@ -27,11 +27,10 @@ type schedule_report = {
   d_promotions : int;
   d_resyncs : int;
   d_damaged : int;
-  d_diverged : string option;
+  d_verdict : Sweep.verdict;
 }
 
-type report = {
-  schedules : int;
+type totals = {
   r_committed : int;
   r_reads : int;
   r_replica_served : int;
@@ -42,8 +41,6 @@ type report = {
   r_promotions : int;
   r_resyncs : int;
   r_damaged : int;
-  r_diverged : int;
-  results : schedule_report list;
 }
 
 (* A replica-served read retained for the end-of-run audit. *)
@@ -185,17 +182,7 @@ let run_schedule ?(quick = false) ?(shards = 3) ?(replicas = 3)
       (List.init shards Fun.id)
   in
   (* Slice 1: traffic with the plan's 2PC fault at its chosen round. *)
-  let injected = ref false in
-  let on_commit group g ~nth_multi =
-    if (not !injected) && nth_multi = plan.Shard_plan.fault_at_commit then begin
-      injected := true;
-      let fault, votes_no =
-        Shard_harness.tpc_fault_of plan ~fanout:(Gtxn.fanout g)
-      in
-      Group.commit ~fault ~votes_no group g
-    end
-    else Group.commit group g
-  in
+  let on_commit = Shard_harness.commit_with_fault plan ~injected:(ref false) in
   let slice ?on_commit ~duration ~base seed =
     let config =
       {
@@ -319,21 +306,15 @@ let run_schedule ?(quick = false) ?(shards = 3) ?(replicas = 3)
     d_promotions = Tier.promotions tier;
     d_resyncs = Tier.resyncs tier;
     d_damaged = Tier.damaged_segments tier;
-    d_diverged = !diverged;
+    d_verdict =
+      (match !diverged with
+      | None -> Sweep.Converged
+      | Some msg -> Sweep.Diverged msg);
   }
 
-let run_many ?quick ?shards ?replicas ~seeds () =
-  let n = List.length protocols in
-  let results =
-    List.mapi
-      (fun i seed ->
-        let proto = List.nth protocols (i mod n) in
-        run_schedule ?quick ?shards ?replicas (Shard_plan.generate ~seed) proto)
-      seeds
-  in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 results in
+let totals (s : schedule_report Sweep.summary) =
+  let sum f = List.fold_left (fun a r -> a + f r) 0 s.Sweep.results in
   {
-    schedules = List.length results;
     r_committed = sum (fun r -> r.d_committed);
     r_reads = sum (fun r -> r.d_reads);
     r_replica_served = sum (fun r -> r.d_replica_served);
@@ -344,34 +325,26 @@ let run_many ?quick ?shards ?replicas ~seeds () =
     r_promotions = sum (fun r -> r.d_promotions);
     r_resyncs = sum (fun r -> r.d_resyncs);
     r_damaged = sum (fun r -> r.d_damaged);
-    r_diverged =
-      List.length (List.filter (fun r -> r.d_diverged <> None) results);
-    results;
   }
-
-let divergences r =
-  List.filter
-    (fun d -> d.d_diverged <> None || d.d_lost > 0 || d.d_stale > 0)
-    r.results
-
-let clean r = r.r_lost = 0 && r.r_stale = 0 && r.r_diverged = 0
 
 let pp_schedule ppf d =
   Fmt.pf ppf
     "@[<h>%-12s %a → %s (committed %d, reads %d: %d replica / %d bounced / \
      %d unavailable; promotions %d, resyncs %d, damaged %d)@]"
     d.d_protocol Shard_plan.pp d.d_plan
-    (match d.d_diverged with
-    | None -> "ok"
-    | Some msg -> Fmt.str "DIVERGED: %s" msg)
+    (match d.d_verdict with
+    | Sweep.Converged -> "ok"
+    | v -> Fmt.str "%a" Sweep.pp_verdict v)
     d.d_committed d.d_reads d.d_replica_served d.d_bounced d.d_unavailable
     d.d_promotions d.d_resyncs d.d_damaged
 
-let pp_report ppf r =
+let pp_report ppf (s : schedule_report Sweep.summary) =
+  let r = totals s in
   Fmt.pf ppf
     "@[<v>schedules: %d@,committed: %d@,reads: %d (%d replica-served, %d \
      bounced, %d unavailable)@,lost commits: %d@,stale served: %d@,\
      diverged: %d@,promotions: %d@,resyncs: %d@,damaged segments: %d@]"
-    r.schedules r.r_committed r.r_reads r.r_replica_served r.r_bounced
-    r.r_unavailable r.r_lost r.r_stale r.r_diverged r.r_promotions r.r_resyncs
-    r.r_damaged
+    s.Sweep.schedules r.r_committed r.r_reads r.r_replica_served r.r_bounced
+    r.r_unavailable r.r_lost r.r_stale
+    (List.length s.Sweep.divergences)
+    r.r_promotions r.r_resyncs r.r_damaged

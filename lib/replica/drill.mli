@@ -28,10 +28,13 @@
     every replica's final projection against its shard's primary, and
     every replica-served read re-executed against the final as-of state
     — a replica that ever served a stale value is caught here even if
-    nothing else noticed. *)
+    nothing else noticed.  Every lost commit and stale read is also the
+    schedule's divergence.  {!Weihl_fault.Sweep.run} runs one schedule
+    per seed. *)
 
 module Shard_plan = Weihl_fault.Shard_plan
 module Fh = Weihl_fault.Harness
+module Sweep = Weihl_fault.Sweep
 
 val protocols : Fh.protocol list
 (** The timestamp-policy banking protocols (hybrid, multiversion). *)
@@ -50,11 +53,12 @@ type schedule_report = {
   d_promotions : int;
   d_resyncs : int;
   d_damaged : int;  (** damaged segments detected on the channel *)
-  d_diverged : string option;  (** first failed check, if any *)
+  d_verdict : Sweep.verdict;
+      (** [Diverged] with the first failed check, if any, else
+          [Converged] *)
 }
 
-type report = {
-  schedules : int;
+type totals = {
   r_committed : int;
   r_reads : int;
   r_replica_served : int;
@@ -65,8 +69,6 @@ type report = {
   r_promotions : int;
   r_resyncs : int;
   r_damaged : int;
-  r_diverged : int;
-  results : schedule_report list;  (** in run order *)
 }
 
 val run_schedule :
@@ -79,15 +81,9 @@ val run_schedule :
 (** One schedule; defaults 3 shards, 3 replicas.  [quick] shortens the
     traffic slices and the read batches. *)
 
-val run_many :
-  ?quick:bool -> ?shards:int -> ?replicas:int -> seeds:int list -> unit -> report
-(** One schedule per seed, protocols assigned round-robin. *)
-
-val divergences : report -> schedule_report list
-(** Schedules that lost a commit, served stale, or failed a check. *)
-
-val clean : report -> bool
-(** Zero lost, zero stale served, zero divergences. *)
+val totals : schedule_report Sweep.summary -> totals
+(** Each count summed over a sweep's schedules. *)
 
 val pp_schedule : Format.formatter -> schedule_report -> unit
-val pp_report : Format.formatter -> report -> unit
+val pp_report : Format.formatter -> schedule_report Sweep.summary -> unit
+(** The schedule count, the {!totals} and the divergences. *)

@@ -5,6 +5,7 @@ module Tpc = Weihl_dist.Tpc
 module Plan = Weihl_fault.Plan
 module Shard_plan = Weihl_fault.Shard_plan
 module Fh = Weihl_fault.Harness
+module Sweep = Weihl_fault.Sweep
 
 (* The sharded sweep exercises the banking protocols — their transfers
    touch two random accounts, so the router scatters plenty of
@@ -16,13 +17,11 @@ let protocol_names =
 let protocols =
   List.filter_map Fh.find_protocol protocol_names
 
-type verdict = Converged | Corruption_detected | Diverged of string
-
 type schedule_result = {
   plan : Shard_plan.t;
   protocol : string;
   shards : int;
-  verdict : verdict;
+  verdict : Sweep.verdict;
   committed : int;  (** across both traffic phases *)
   tpc_commits : int;
   fault_injected : bool;
@@ -30,14 +29,6 @@ type schedule_result = {
   reinstated : int;  (** prepared legs rebuilt from WALs *)
   resolved_in_doubt : int;
   resumed_committed : int;
-}
-
-type summary = {
-  schedules : int;
-  converged : int;
-  corruption_detected : int;
-  diverged : int;
-  results : schedule_result list;
 }
 
 let group ?metrics ?seed ?domains ?group_commit ?sync_cost ?checkpoint
@@ -81,8 +72,20 @@ let tpc_fault_of (plan : Shard_plan.t) ~fanout =
       },
       [] )
 
+(* The [on_commit] hook of every schedule that injects a plan's fault:
+   the sweep, the replica drill and the checkpoint oracle. *)
+let commit_with_fault (plan : Shard_plan.t) ~injected group g ~nth_multi =
+  if (not !injected) && nth_multi = plan.Shard_plan.fault_at_commit then begin
+    injected := true;
+    let fault, votes_no = tpc_fault_of plan ~fanout:(Gtxn.fanout g) in
+    Group.commit ~fault ~votes_no group g
+  end
+  else Group.commit group g
+
 (* ------------------------------------------------------------------ *)
-(* Global-atomicity checks *)
+(* Global-atomicity checks.  They read the policy and the objects from
+   the group, so a group built by hand, not from a catalog workload,
+   is judged the same way. *)
 
 (* All-or-nothing across shards: no activity may be committed at one
    shard and aborted at another. *)
@@ -151,8 +154,12 @@ let check_ts_agreement group =
    committed global transaction's operations, in the group's
    serialization order — must replay cleanly against one combined
    fresh system holding all the objects. *)
-let check_merged_replay (proto : Fh.protocol) group =
-  let sys = Fh.system proto (proto.Fh.workload ()).Workload.objects in
+let check_merged_replay ~make_object group =
+  let sys = Cc.System.create ~policy:(Group.policy group) () in
+  List.iter
+    (fun (id, _) ->
+      Cc.System.add_object sys (make_object (Cc.System.log sys) id))
+    (Group.objects group);
   match Cc.Recovery.replay_txns sys (Group.committed_projection group) with
   | Ok _ -> None
   | Error f -> Some (Fmt.str "merged replay: %a" Cc.Recovery.pp_failure f)
@@ -163,8 +170,8 @@ let check_merged_replay (proto : Fh.protocol) group =
    recovered from a checkpoint lists one rebuild transaction in place
    of the transactions it folded, which no check by activity name can
    see through; a check by state can. *)
-let check_state (proto : Fh.protocol) group =
-  let spec _ = Some proto.Fh.spec in
+let check_state ~spec group =
+  let spec _ = Some spec in
   let shards = Group.shard_count group in
   let projected =
     Array.init shards (fun _ -> Cc.Fold.create ~ts_ordered:false ~spec)
@@ -184,7 +191,7 @@ let check_state (proto : Fh.protocol) group =
     else
       let local =
         Cc.Fold.of_events
-          ~ts_ordered:(proto.Fh.policy <> `None_)
+          ~ts_ordered:(Group.policy group <> `None_)
           ~spec
           (History.to_list (Cc.System.history (Group.system group s)))
       in
@@ -197,7 +204,7 @@ let check_state (proto : Fh.protocol) group =
   in
   scan 0
 
-let run_checks ?(merged = true) proto group =
+let judge ?(merged = true) ~spec ~make_object group =
   match check_atomic_commitment group with
   | Some msg -> Some msg
   | None -> (
@@ -208,9 +215,13 @@ let run_checks ?(merged = true) proto group =
       if stuck > 0 then
         Some (Fmt.str "%d transactions stuck in-doubt after resolution" stuck)
       else
-        match check_state proto group with
+        match check_state ~spec group with
         | Some msg -> Some msg
-        | None -> if merged then check_merged_replay proto group else None))
+        | None ->
+          if merged then check_merged_replay ~make_object group else None))
+
+let run_checks ?merged (proto : Fh.protocol) group =
+  judge ?merged ~spec:proto.Fh.spec ~make_object:proto.Fh.make_object group
 
 (* ------------------------------------------------------------------ *)
 
@@ -218,14 +229,7 @@ let run_schedule ?(quick = false) ?(shards = 3) (plan : Shard_plan.t)
     (proto : Fh.protocol) =
   let group, w = build proto ~shards ~seed:plan.Shard_plan.seed in
   let injected = ref false in
-  let on_commit group g ~nth_multi =
-    if (not !injected) && nth_multi = plan.Shard_plan.fault_at_commit then begin
-      injected := true;
-      let fault, votes_no = tpc_fault_of plan ~fanout:(Gtxn.fanout g) in
-      Group.commit ~fault ~votes_no group g
-    end
-    else Group.commit group g
-  in
+  let on_commit = commit_with_fault plan ~injected in
   (* Phase 1: seeded traffic; the plan's fault fires inside the k-th
      multi-shard 2PC round. *)
   let config =
@@ -277,25 +281,16 @@ let run_schedule ?(quick = false) ?(shards = 3) (plan : Shard_plan.t)
     }
   in
   match recover () with
-  | Error (Cc.Recovery.Corrupt e) ->
-    if plan.Shard_plan.log_fault = Plan.Pristine then
-      result
-        (Diverged (Fmt.str "pristine WAL rejected: %a" Cc.Wal.pp_error e))
-        ~reinstated:0 ~resolved:0 ~resumed:0
-    else result Corruption_detected ~reinstated:0 ~resolved:0 ~resumed:0
-  | Error (Cc.Recovery.Divergent msg) ->
-    result (Diverged msg) ~reinstated:0 ~resolved:0 ~resumed:0
-  | Error (Cc.Recovery.Checkpoint_invalid msg) ->
-    result
-      (Diverged (Fmt.str "checkpoint invalid: %s" msg))
-      ~reinstated:0 ~resolved:0 ~resumed:0
+  | Error f ->
+    let pristine = plan.Shard_plan.log_fault = Plan.Pristine in
+    result (Sweep.of_recovery ~pristine f) ~reinstated:0 ~resolved:0 ~resumed:0
   | Ok (_, reinstated) -> (
     (* Phase 3: end the blocking window — replay the coordinator's
        decisions (presumed abort where it has none) into every
        surviving prepared leg. *)
     let resolved = Group.resolve_in_doubt group in
     match run_checks proto group with
-    | Some msg -> result (Diverged msg) ~reinstated ~resolved ~resumed:0
+    | Some msg -> result (Sweep.Diverged msg) ~reinstated ~resolved ~resumed:0
     | None -> (
       (* Phase 4: resume clean traffic and re-validate the whole run. *)
       let config2 =
@@ -312,34 +307,11 @@ let run_schedule ?(quick = false) ?(shards = 3) (plan : Shard_plan.t)
       let leftover = Group.resolve_in_doubt group in
       match run_checks proto group with
       | Some msg ->
-        result (Diverged msg) ~reinstated ~resolved:(resolved + leftover)
+        result (Sweep.Diverged msg) ~reinstated ~resolved:(resolved + leftover)
           ~resumed
       | None ->
-        result Converged ~reinstated ~resolved:(resolved + leftover) ~resumed))
-
-let run_many ?quick ?shards ?(protocols = protocols) ~seeds () =
-  let n = List.length protocols in
-  let results =
-    List.mapi
-      (fun i seed ->
-        let proto = List.nth protocols (i mod n) in
-        run_schedule ?quick ?shards (Shard_plan.generate ~seed) proto)
-      seeds
-  in
-  let count p = List.length (List.filter p results) in
-  {
-    schedules = List.length results;
-    converged = count (fun r -> r.verdict = Converged);
-    corruption_detected = count (fun r -> r.verdict = Corruption_detected);
-    diverged =
-      count (fun r -> match r.verdict with Diverged _ -> true | _ -> false);
-    results;
-  }
-
-let divergences s =
-  List.filter
-    (fun r -> match r.verdict with Diverged _ -> true | _ -> false)
-    s.results
+        result Sweep.Converged ~reinstated ~resolved:(resolved + leftover)
+          ~resumed))
 
 (* ------------------------------------------------------------------ *)
 (* Long-soak crash→recover cycles *)
@@ -376,7 +348,7 @@ type cycle_report = {
   wal_records : int;  (** records in the victim's (truncated) WAL *)
   replayed : int;  (** records recovery actually replayed *)
   replay_bound : int;  (** the tail length it was allowed *)
-  cycle_verdict : verdict;
+  cycle_verdict : Sweep.verdict;
 }
 
 type soak_report = {
@@ -462,7 +434,7 @@ let run_soak ?(config = default_soak) () =
     | Error f ->
       halted := true;
       cycle_result Cc.Recovery.Full_replay [] 0 0 0
-        (Diverged (Fmt.str "recovery failed: %a" Cc.Recovery.pp_failure f))
+        (Sweep.of_recovery ~pristine:true f)
     | Ok r ->
       let source = r.Cc.Recovery.source in
       let fallbacks = r.Cc.Recovery.fallbacks in
@@ -479,15 +451,15 @@ let run_soak ?(config = default_soak) () =
       let merged = c mod config.check_merged_every = 0 || c = config.cycles in
       let verdict =
         match run_checks ~merged proto group with
-        | Some msg -> Diverged msg
+        | Some msg -> Sweep.Diverged msg
         | None ->
           if replayed > bound then
-            Diverged
+            Sweep.Diverged
               (Fmt.str "recovery replayed %d records, tail bound is %d"
                  replayed bound)
           else if damaged && fallbacks = [] then
-            Diverged "damaged checkpoint consumed without a fallback note"
-          else Converged
+            Sweep.Diverged "damaged checkpoint consumed without a fallback note"
+          else Sweep.Converged
       in
       cycle_result source fallbacks wal_records replayed bound verdict
     end
@@ -500,7 +472,7 @@ let run_soak ?(config = default_soak) () =
     soak_committed = !committed;
     soak_diverged =
       count (fun r ->
-          match r.cycle_verdict with Diverged _ -> true | _ -> false);
+          match r.cycle_verdict with Sweep.Diverged _ -> true | _ -> false);
     bound_violations = count (fun r -> r.replayed > r.replay_bound);
     checkpoint_recoveries =
       count (fun r ->
@@ -515,32 +487,23 @@ let run_soak ?(config = default_soak) () =
 
 let soak_divergences s =
   List.filter
-    (fun r -> match r.cycle_verdict with Diverged _ -> true | _ -> false)
+    (fun r -> match r.cycle_verdict with Sweep.Diverged _ -> true | _ -> false)
     s.cycle_reports
-
-let pp_verdict ppf = function
-  | Converged -> Fmt.string ppf "converged"
-  | Corruption_detected -> Fmt.string ppf "corruption detected"
-  | Diverged msg -> Fmt.pf ppf "DIVERGED: %s" msg
 
 let pp_result ppf r =
   Fmt.pf ppf
     "@[<h>%-14s %a → %a (committed %d, 2pc %d, crashed %d, reinstated %d, \
      resolved %d, resumed %d)@]"
-    r.protocol Shard_plan.pp r.plan pp_verdict r.verdict r.committed
+    r.protocol Shard_plan.pp r.plan Sweep.pp_verdict r.verdict r.committed
     r.tpc_commits r.crashed_shards r.reinstated r.resolved_in_doubt
     r.resumed_committed
-
-let pp_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>schedules: %d@,converged: %d@,corruption detected: %d@,diverged: %d@]"
-    s.schedules s.converged s.corruption_detected s.diverged
 
 let pp_cycle ppf r =
   Fmt.pf ppf
     "@[<h>cycle %d: shard %d down (%a) → %a, wal %d, replayed %d/%d, %a%a@]"
     r.cycle r.victim Shard_plan.pp_ckpt r.ckpt_fault Cc.Recovery.pp_source
-    r.source r.wal_records r.replayed r.replay_bound pp_verdict r.cycle_verdict
+    r.source r.wal_records r.replayed r.replay_bound Sweep.pp_verdict
+    r.cycle_verdict
     Fmt.(
       if r.fallbacks = [] then nop
       else any " [" ++ list ~sep:(any "; ") string ++ any "]")

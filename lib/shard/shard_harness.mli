@@ -19,8 +19,10 @@
       replays cleanly against one combined system;
     + resume clean traffic and re-validate everything.
 
-    {!Diverged} is the verdict that must never happen; a damaged WAL
-    being loudly rejected is {!Corruption_detected}.
+    The verdict is a {!Weihl_fault.Sweep.verdict}: [Diverged] must
+    never happen; a damaged WAL being loudly rejected is
+    [Corruption_detected].  {!Weihl_fault.Sweep.run} runs one schedule
+    per seed.
 
     {!run_soak} is the long-soak variant: compressed hours of one
     group's life under fuzzy checkpointing, with a crash→recover cycle
@@ -28,14 +30,13 @@
 
 module Shard_plan = Weihl_fault.Shard_plan
 module Cc = Weihl_cc
-
-type verdict = Converged | Corruption_detected | Diverged of string
+module Sweep = Weihl_fault.Sweep
 
 type schedule_result = {
   plan : Shard_plan.t;
   protocol : string;
   shards : int;
-  verdict : verdict;
+  verdict : Sweep.verdict;
   committed : int;  (** across both traffic phases *)
   tpc_commits : int;
   fault_injected : bool;
@@ -44,14 +45,6 @@ type schedule_result = {
   reinstated : int;  (** prepared legs rebuilt from WALs *)
   resolved_in_doubt : int;
   resumed_committed : int;
-}
-
-type summary = {
-  schedules : int;
-  converged : int;
-  corruption_detected : int;
-  diverged : int;
-  results : schedule_result list;  (** in run order *)
 }
 
 val protocols : Weihl_fault.Harness.protocol list
@@ -73,40 +66,49 @@ val group :
     optional arguments pass through — holding one of its objects per
     id ({!Group.add_object}), in order. *)
 
-(** {1 Global-atomicity checks}
+(** {1 Global atomicity}
 
-    Shared with the replica tier's failover drill, which adds its own
-    replication checks on top. *)
+    The judge of every sharded run: the sweep, the soak, the replica
+    drill, the certifier's cross-shard probes and the benchmark. *)
 
-val check_atomic_commitment : Group.t -> string option
-(** No activity committed at one shard and aborted at another. *)
-
-val check_ts_agreement : Group.t -> string option
-(** Every shard answers the same timestamp for a committed activity. *)
-
-val check_merged_replay :
-  Weihl_fault.Harness.protocol -> Group.t -> string option
-(** The merged committed projection replays cleanly against one
-    combined fresh system. *)
-
-val check_state : Weihl_fault.Harness.protocol -> Group.t -> string option
-(** Each live shard's objects, folded from its own history
-    ({!Cc.Fold}), have the state the fold of the group's committed
-    projection gives them.  Unlike the checks by activity name above,
-    it sees through a shard recovered from a checkpoint, whose history
-    lists one rebuild transaction in place of the transactions it
-    folded. *)
+val judge :
+  ?merged:bool ->
+  spec:Weihl_spec.Seq_spec.t ->
+  make_object:
+    (Cc.Event_log.t -> Weihl_event.Object_id.t -> Cc.Atomic_object.t) ->
+  Group.t ->
+  string option
+(** The first failed global-atomicity condition, reading the policy
+    and the objects (each of specification [spec]) from the group:
+    + no activity committed at one shard and aborted at another;
+    + every shard answers the same timestamp for a committed activity;
+    + no transaction stuck in-doubt;
+    + each live shard's objects, folded from its own history
+      ({!Cc.Fold}), have the state the fold of the group's committed
+      projection gives them — unlike the conditions by activity name,
+      this one sees through a shard recovered from a checkpoint, whose
+      history lists one rebuild transaction in place of the
+      transactions it folded;
+    + with [merged] (default true), the merged committed projection
+      replays cleanly against one combined fresh system built with
+      [make_object]; the soak skips it between its cadence points. *)
 
 val run_checks :
   ?merged:bool -> Weihl_fault.Harness.protocol -> Group.t -> string option
-(** All of the above plus zero-stuck-in-doubt, first failure wins.
-    [merged] (default true) runs {!check_merged_replay}; the soak skips
-    it between its cadence points. *)
+(** {!judge} with the protocol's specification and constructor. *)
 
-val tpc_fault_of :
-  Shard_plan.t -> fanout:int -> Weihl_dist.Tpc.fault * int list
-(** Translate a plan's abstract 2PC fault into a concrete {!Weihl_dist.Tpc.fault}
-    and forced no-votes for a transaction of the given fan-out. *)
+val commit_with_fault :
+  Shard_plan.t ->
+  injected:bool ref ->
+  Group.t ->
+  Gtxn.t ->
+  nth_multi:int ->
+  unit
+(** An [on_commit] hook for {!Sharded_driver.run}: the plan's
+    [fault_at_commit]-th multi-shard commit runs under the plan's 2PC
+    fault (a coordinator or participant crash, a no-vote or a
+    partition) and message faults, once, setting [injected]; every
+    other commit runs clean, so a schedule isolates one failure. *)
 
 val run_schedule :
   ?quick:bool ->
@@ -116,21 +118,7 @@ val run_schedule :
   schedule_result
 (** [quick] shortens both traffic phases; default 3 shards. *)
 
-val run_many :
-  ?quick:bool ->
-  ?shards:int ->
-  ?protocols:Weihl_fault.Harness.protocol list ->
-  seeds:int list ->
-  unit ->
-  summary
-(** One schedule per seed, [protocols] (default {!protocols}) assigned
-    round-robin. *)
-
-val divergences : summary -> schedule_result list
-
-val pp_verdict : Format.formatter -> verdict -> unit
 val pp_result : Format.formatter -> schedule_result -> unit
-val pp_summary : Format.formatter -> summary -> unit
 
 (** {1 Long-soak crash→recover cycles} *)
 
@@ -161,7 +149,7 @@ type cycle_report = {
   wal_records : int;  (** records in the victim's (truncated) WAL *)
   replayed : int;  (** records recovery actually replayed *)
   replay_bound : int;  (** the tail length it was allowed *)
-  cycle_verdict : verdict;
+  cycle_verdict : Sweep.verdict;
 }
 
 type soak_report = {

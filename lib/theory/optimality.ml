@@ -1,8 +1,11 @@
 open Weihl_event
 module Spec_env = Weihl_spec.Spec_env
+module Atomicity = Weihl_spec.Atomicity
+module Enumerate = Weihl_spec.Enumerate
 module Serializability = Weihl_spec.Serializability
 module Orders = Weihl_spec.Orders
 module Counter = Weihl_adt.Counter
+module Intset = Weihl_adt.Intset
 
 type refutation = {
   counter_object : Object_id.t;
@@ -80,3 +83,61 @@ let static_refutation env h =
   | Some order ->
     if Serializability.in_order env (History.perm h) order then None
     else Some (build env h order)
+
+(* ------------------------------------------------------------------ *)
+(* The permissiveness census *)
+
+type census = {
+  well_formed : int;
+  atomic : int;
+  dynamic : int;
+  static : int;
+  both : int;
+  dynamic_only : int;
+  static_only : int;
+  unsound : int;
+}
+
+let census () =
+  let xs = Object_id.v "s" in
+  let env = Spec_env.of_list [ (xs, Intset.spec) ] in
+  let ops =
+    [
+      (Intset.insert 1, [ Value.ok ]);
+      (Intset.member 1, [ Value.Bool true; Value.Bool false ]);
+      (Intset.delete 1, [ Value.ok ]);
+    ]
+  in
+  let session name ts (op, candidates) =
+    Enumerate.session ~initiate_ts:(Timestamp.v ts) (Activity.update name)
+      [ Enumerate.step ~candidates xs op ]
+  in
+  (* (atomic, dynamic atomic, static atomic) of each well-formed history *)
+  let classes =
+    List.concat_map
+      (fun (a, b, ta, tb) ->
+        Enumerate.histories [ session "a" ta a; session "b" tb b ]
+        |> Seq.filter (Wellformed.is_well_formed Wellformed.Static)
+        |> Seq.map (fun h ->
+               ( Atomicity.atomic env h,
+                 Atomicity.dynamic_atomic env h,
+                 Atomicity.static_atomic env h ))
+        |> List.of_seq)
+      (List.concat_map
+         (fun a ->
+           List.concat_map
+             (fun b -> [ (a, b, 1, 2); (a, b, 2, 1) ])
+             ops)
+         ops)
+  in
+  let n p = List.length (List.filter (fun (a, d, s) -> p a d s) classes) in
+  {
+    well_formed = List.length classes;
+    atomic = n (fun at _ _ -> at);
+    dynamic = n (fun _ dy _ -> dy);
+    static = n (fun _ _ st -> st);
+    both = n (fun _ dy st -> dy && st);
+    dynamic_only = n (fun _ dy st -> dy && not st);
+    static_only = n (fun _ dy st -> st && not dy);
+    unsound = n (fun at dy st -> (dy || st) && not at);
+  }

@@ -43,3 +43,28 @@ val static_refutation :
   Weihl_spec.Spec_env.t -> History.t -> refutation option
 (** Same construction against the timestamp order: [None] when [h] is
     static atomic or carries no timestamps. *)
+
+(** {1 The permissiveness census}
+
+    The quantifiers behind the optimality results, counted on a bounded
+    universe: every well-formed history of two committed activities
+    [a] and [b] that each run one operation — [insert(1)], [member(1)]
+    or [delete(1)] — on one integer set, with every candidate result,
+    both timestamp orders and every interleaving
+    ({!Weihl_spec.Enumerate.histories}), classified by each
+    checker. *)
+
+type census = {
+  well_formed : int;
+  atomic : int;
+  dynamic : int;
+  static : int;
+  both : int;  (** dynamic and static atomic *)
+  dynamic_only : int;
+  static_only : int;
+  unsound : int;
+      (** dynamic or static atomic but not atomic: 0 by Theorems 1
+          and 4 *)
+}
+
+val census : unit -> census

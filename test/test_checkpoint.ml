@@ -274,17 +274,7 @@ let prop_ckpt_tail_equals_full =
    counts add up, and the replay stays within the tail bound. *)
 let oracle_traffic proto ~seed =
   let plan = Shard_plan.generate ~seed in
-  let injected = ref false in
-  let on_commit group g ~nth_multi =
-    if (not !injected) && nth_multi = plan.Shard_plan.fault_at_commit then begin
-      injected := true;
-      let fault, votes_no =
-        Shard_harness.tpc_fault_of plan ~fanout:(Gtxn.fanout g)
-      in
-      Shard_group.commit ~fault ~votes_no group g
-    end
-    else Shard_group.commit group g
-  in
+  let on_commit = Shard_harness.commit_with_fault plan ~injected:(ref false) in
   let group, w = run_traffic ~seed ~duration:150 ~every:8 ~on_commit proto in
   (plan, group, w)
 

@@ -196,17 +196,20 @@ let test_corrupt_shapes () =
    commitment.  No schedule may diverge. *)
 let test_fault_schedules_converge () =
   let summary =
-    Fault_harness.run_many ~seeds:(List.init 204 (fun i -> i + 1)) ()
+    Fault_sweep.run
+      ~verdict:(fun r -> r.Fault_harness.verdict)
+      ~plan:Fault_plan.generate Fault_harness.run_schedule
+      Fault_harness.catalog
+      (List.init 204 (fun i -> i + 1))
   in
-  check_int "204 schedules" 204 summary.Fault_harness.schedules;
-  check_bool "some schedules converge" true (summary.Fault_harness.converged > 0);
+  check_int "204 schedules" 204 summary.Fault_sweep.schedules;
+  check_bool "some schedules converge" true (summary.Fault_sweep.converged > 0);
   check_bool "some corruption is detected" true
-    (summary.Fault_harness.corruption_detected > 0);
-  (match Fault_harness.divergences summary with
+    (summary.Fault_sweep.corruption_detected > 0);
+  match summary.Fault_sweep.divergences with
   | [] -> ()
   | r :: _ ->
-    Alcotest.fail (Fmt.str "divergence: %a" Fault_harness.pp_result r));
-  check_int "no divergences" 0 summary.Fault_harness.diverged
+    Alcotest.fail (Fmt.str "divergence: %a" Fault_harness.pp_result r)
 
 let test_single_schedule_fields () =
   let proto =
@@ -219,7 +222,7 @@ let test_single_schedule_fields () =
   in
   check_bool "did not diverge" true
     (match r.Fault_harness.verdict with
-    | Fault_harness.Diverged _ -> false
+    | Fault_sweep.Diverged _ -> false
     | _ -> true);
   check_bool "protocol recorded" true (r.Fault_harness.protocol = "escrow")
 

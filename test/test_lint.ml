@@ -157,6 +157,37 @@ let test_single_protocol_and_errors () =
     (Invalid_argument "lint: unknown protocol or ADT nonesuch") (fun () ->
       ignore (Lint.run ~protocol:"nonesuch" ~depth:2 ()))
 
+(* The one clause of the cross-shard check the shard judge cannot run:
+   a walked transaction whose shards all committed it, by hand behind
+   the group's back, while its own status says it never committed. *)
+let test_xprobe_status_clause () =
+  let entry = Option.get (Lint_catalog.find "rw") in
+  let g =
+    Shard_group.create ~policy:entry.Lint_catalog.policy ~seed:0 ~shards:2 ()
+  in
+  let on s =
+    List.find
+      (fun x -> Shard_group.shard_of g x = s)
+      (Workload.account_ids 8)
+  in
+  let a = on 0 and b = on 1 in
+  List.iter (fun x -> Shard_group.add_object g x entry.Lint_catalog.make_object)
+    [ a; b ];
+  let t = Shard_group.begin_txn g (Activity.update "u1") in
+  List.iter
+    (fun x ->
+      match Shard_group.invoke g t x (Bank_account.deposit 5) with
+      | Shard_group.Granted _ -> ()
+      | _ -> Alcotest.fail "the deposit was not granted")
+    [ a; b ];
+  List.iter
+    (fun (s, leg) -> System.commit (Shard_group.system g s) leg)
+    (Gtxn.legs t);
+  Alcotest.(check (option string))
+    "the status clause names it"
+    (Some "u1 is not committed but its shards say committed")
+    (Lint_xprobe.check_global entry g [ t ])
+
 let test_json_rendering () =
   let report = Lint.run ~protocol:"escrow" ~depth:2 () in
   let s = Obs.Json.to_string (Lint.to_json report) in
@@ -210,5 +241,7 @@ let suite =
       test_single_protocol_and_errors;
     Alcotest.test_case "json report carries the certificate" `Quick
       test_json_rendering;
+    Alcotest.test_case "cross-shard status clause fires" `Quick
+      test_xprobe_status_clause;
     to_alcotest tables_agree;
   ]

@@ -553,13 +553,18 @@ let test_fencing_refuses_old_epoch () =
 (* --- the failover drill -------------------------------------------- *)
 
 let test_drill_smoke () =
-  let r =
-    Replica_drill.run_many ~quick:true ~seeds:[ 1; 2; 3; 4; 5; 6 ] ()
+  let s =
+    Fault_sweep.run
+      ~verdict:(fun d -> d.Replica_drill.d_verdict)
+      ~plan:Shard_plan.generate
+      (Replica_drill.run_schedule ~quick:true)
+      Replica_drill.protocols [ 1; 2; 3; 4; 5; 6 ]
   in
-  check_int "all schedules ran" 6 r.Replica_drill.schedules;
+  let r = Replica_drill.totals s in
+  check_int "all schedules ran" 6 s.Fault_sweep.schedules;
   check_int "zero lost commits" 0 r.Replica_drill.r_lost;
   check_int "zero stale reads served" 0 r.Replica_drill.r_stale;
-  (match Replica_drill.divergences r with
+  (match s.Fault_sweep.divergences with
   | [] -> ()
   | d :: _ ->
     Alcotest.fail
