@@ -1434,7 +1434,12 @@ let replication_section ~quick =
    events spread over its 10 reads.  A read that replayed every
    committed update of the touched shards into a fresh snapshot would
    feed it 2,134 events at N and 8,235 at 4N (ratio 3.86).  The gate:
-   the ratio must stay under [growth_read_ceiling].
+   the ratio must stay under [growth_read_ceiling].  The same object
+   records the pump rounds reads waited and the segments shipped in
+   all: a caught-up replica's mark is certified at the read's own
+   timestamp, so no read waits (0 at N and at 4N) and the only segments
+   are the pumps' (504 at N, 2,000 at 4N), where a read that pumped
+   first would wait once each and ship 5,544 and 22,000.
 
    The third and fourth counters are checkpointing's.  A transfer-shaped
    run — escrow, [growth_ckpt_shards] shards of funded accounts, group
@@ -1536,6 +1541,9 @@ let growth_pump_run ?(reads = false) ~commits () =
           ("reads", J.Num (float_of_int !n_reads));
           ("entries_per_read", J.Num per_read);
           ("bounced", J.Num (float_of_int (Replica_tier.stale_bounced tier)));
+          ("waited", J.Num (float_of_int (Replica_tier.reads_waited tier)));
+          ( "segments_shipped",
+            J.Num (float_of_int (Replica_tier.segments_shipped tier)) );
         ],
       per_read )
   else

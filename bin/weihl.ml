@@ -1174,6 +1174,8 @@ let baseline_regressions ?protocol baseline (report : Lint.report) =
   @ dropped
 
 let lint_cmd protocol depth budget json baseline self_test verbose =
+  at_least 0 "depth" depth;
+  Option.iter (at_least 0 "budget") budget;
   if self_test then begin
     let outcomes = Lint_mutation.self_test ~depth in
     List.iter (fun o -> Fmt.pr "%a@." Lint_mutation.pp_outcome o) outcomes;
@@ -1215,6 +1217,7 @@ let lint_cmd protocol depth budget json baseline self_test verbose =
 (* ------------------------------------------------------------------ *)
 
 let synth_cmd adt depth json verbose =
+  at_least 0 "depth" depth;
   let syntheses =
     match adt with
     | None -> Synthesize.all ~depth ()

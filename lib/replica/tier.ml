@@ -38,8 +38,9 @@ type lines = { text : string; off : int }
    crash), and [fold] the committed state folded from its first
    [folded_pos] records; the newest [unfolded] runs of the log hold the
    records applied since, for the next read to catch the fold up on.
-   [hwm] is segment metadata and does not survive (a restarted replica
-   serves nothing until a fresh segment re-establishes the mark). *)
+   [hwm] is the last mark a segment carried or a read certified; it
+   does not survive a crash, and a restarted replica serves again once
+   the primary certifies its mark anew. *)
 type rstate = {
   mutable pos : int;  (** next expected absolute record position *)
   mutable log_rev : lines list;  (** applied record lines, newest first *)
@@ -587,11 +588,10 @@ let catch_up t st =
   st.unfolded <- 0;
   Cc.Fold.upto st.fold st.hwm
 
-(* Served from the replica's folds, caught up first.  The mark is at
-   least [ts] (it never falls below the high-water mark the read waited
-   for); a fold above [ts] would hold commits the read must not see —
-   impossible for a fresh [ts], which no mark cut before it can
-   exceed. *)
+(* Served from the replica's folds, caught up first, to the certified
+   mark: [ts] itself, since no serving mark runs past the clock [ts] was
+   drawn from.  A fold above [ts] would hold commits the read must not
+   see. *)
 let serve_replica t i ~ts ~shards steps =
   List.iter (fun s -> catch_up t t.states.(i).(s)) shards;
   let fold s = t.states.(i).(s).fold in
@@ -605,16 +605,30 @@ let serve_replica t i ~ts ~shards steps =
 (* Served from the primary: the same fold, from scratch, over each
    touched shard's history up to [ts] — O(log), but only bounced reads
    come here.  A live update initiated below [ts] may still commit
-   there, so no state as of [ts] is final yet. *)
+   there, and a prepared leg on a touched shard whose decision log says
+   commit below [ts] will, once resolution reaches it; until then no
+   state as of [ts] is final. *)
 let serve_primary t ~ts ~shards steps =
+  let decided_below (gid, s) =
+    match Group.decision_of t.group gid with
+    | Some (`Commit c) when c < ts && List.mem s shards -> Some c
+    | _ -> None
+  in
   if List.exists (fun s -> Group.shard_crashed t.group s) shards then
     Error "unavailable: primary shard down and no replica can serve"
   else
-    match Group.oldest_live_update t.group with
-    | Some t0 when t0 < ts ->
+    match
+      ( Group.oldest_live_update t.group,
+        List.find_map decided_below (Group.in_doubt t.group) )
+    with
+    | Some t0, _ when t0 < ts ->
       Error
         (Fmt.str "unavailable: an update initiated at ts %d is still live below \
                   the read's ts %d" t0 ts)
+    | _, Some c ->
+      Error
+        (Fmt.str "unavailable: a commit decided at ts %d is still in doubt \
+                  below the read's ts %d" c ts)
     | _ -> (
       let folds =
         List.map
@@ -633,10 +647,24 @@ let serve_primary t ~ts ~shards steps =
       | Some msg -> Error ("replica state broken: " ^ msg)
       | None -> answer t (fun s -> List.assoc s folds) steps)
 
-let can_serve t i ~ts ~shards =
-  (not t.down.(i)) && List.for_all (fun s -> t.states.(i).(s).hwm >= ts) shards
+(* The primary certifies replica [i]'s mark on shard [s] for a read at
+   [ts] when the replica is up and holds the live shard's whole durable
+   feed on its current epoch, and the shard's serving mark is at least
+   [ts].  An empty segment cut now would carry that mark, and nothing
+   moves between the read's draw and this check, so the mark rises to
+   it with no segment shipped.  This is the one serving predicate. *)
+let certify t i ~ts s =
+  let st = t.states.(i).(s) in
+  (not t.down.(i))
+  && (not (Group.shard_crashed t.group s))
+  && st.repoch = t.epochs.(s)
+  && st.pos = Group.record_count t.group s
+  &&
+  let mark = Group.serving_mark t.group s in
+  if mark >= ts then st.hwm <- max st.hwm mark;
+  mark >= ts
 
-(* Draw the read's timestamp, wait for the mark or bounce, serve. *)
+(* Draw the read's timestamp, certify or wait or bounce, serve. *)
 let route ?replica t steps =
   let ts = Timestamp.to_int (Cc.Lamport_clock.next (Group.clock t.group)) in
   let shards = touched_shards t steps in
@@ -651,7 +679,7 @@ let route ?replica t steps =
   in
   let budget = match t.stale with `Bounce -> 0 | `Wait n -> max 0 n in
   let rec wait waited =
-    if can_serve t i ~ts ~shards then (true, waited)
+    if List.for_all (certify t i ~ts) shards then (true, waited)
     else if waited >= budget then (false, waited)
     else begin
       pump t;
@@ -668,8 +696,9 @@ let route ?replica t steps =
       Ok { read_ts = ts; values; serve = Served_replica i; bounced = false; waited }
     | Error _ as e -> e
   else begin
-    (* Below the mark (or the replica is down): detected staleness —
-       bounce to the primary, never serve the early state. *)
+    (* Not certified (behind the feed, below the mark, or down):
+       detected staleness — bounce to the primary, never serve the
+       early state. *)
     t.n_stale_bounced <- t.n_stale_bounced + 1;
     (match t.metrics with None -> () | Some m -> Sm.stale_bounce m);
     match serve_primary t ~ts ~shards steps with

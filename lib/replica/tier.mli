@@ -37,9 +37,17 @@
 
     A read at initiation timestamp [T] may be served by a replica only
     if [T <= hwm] on every shard the read touches: below the mark the
-    shipped prefix provably contains every commit the read must
-    observe; above it the read blocks (pumping, under [`Wait]) or
-    bounces to the primary.  Staleness is detected, never silent.
+    applied prefix provably contains every commit the read must
+    observe.  The clock hands [T] out after every cut, so no segment's
+    watermark reaches it; the primary certifies the mark at the read
+    itself instead.  On each touched shard it checks that the replica
+    is up, that it holds the live shard's whole durable feed on the
+    current epoch, and that the shard's serving mark is at least [T].
+    The mark then rises to that serving mark — the watermark an empty
+    segment cut at that moment would carry — and the read is served
+    with no segment shipped.  Otherwise the read pumps and certifies
+    again (under [`Wait]) or bounces to the primary.  Staleness is
+    detected, never silent.
 
     The watermark is {!Weihl_shard.Group.serving_mark}: the group
     clock at the cut, clamped below every commit the shipped prefix
@@ -87,8 +95,10 @@
     object by object — zero lost committed transactions, by check
     rather than by assumption.  The check compares state, not
     transaction names: a primary recovered from a checkpoint lists one
-    rebuild transaction in place of the transactions it folded.  Replicas then resync from position zero on the new
-    epoch; until their marks recover, reads bounce to the primary. *)
+    rebuild transaction in place of the transactions it folded.
+    Replicas then resync from position zero on the new epoch; until
+    they hold the new incarnation's feed, reads wait or bounce to the
+    primary. *)
 
 open Weihl_event
 module Cc = Weihl_cc
@@ -150,8 +160,9 @@ val feed_pos : t -> shard:int -> int
 
 val applied_pos : t -> replica:int -> shard:int -> int
 val hwm : t -> replica:int -> shard:int -> int
-(** The replica's high-water mark for the shard; [-1] before the first
-    applied segment of the current epoch. *)
+(** The replica's high-water mark for the shard: the last mark a
+    segment carried or a read certified; [-1] before the first of
+    either on the current epoch, and after a replica crash. *)
 
 val lag_records : t -> replica:int -> int
 (** Feed records not yet applied by the replica, summed over live
@@ -177,9 +188,10 @@ val set_lag : t -> replica:int -> int -> unit
 val crash_replica : t -> int -> unit
 (** The replica stops receiving and serving.  Its applied records are
     its durable local log and survive; its high-water mark does not
-    (it is segment metadata), so after {!restart_replica} the replica
-    acks its old position, resumes from it, and serves no read until a
-    fresh segment re-establishes the mark. *)
+    (it is volatile), so after {!restart_replica} the replica acks its
+    old position, resumes from it, and serves again once the primary
+    certifies its mark: at the first read if it still holds the whole
+    feed, once shipping brings it up otherwise. *)
 
 val restart_replica : t -> int -> unit
 val replica_down : t -> int -> bool
@@ -211,9 +223,14 @@ type read_outcome = {
   values : (Object_id.t * Operation.t * Value.t) list;
   serve : serve;
   bounced : bool;
-      (** the chosen replica was below the mark (or down) and the read
-          fell back to the primary *)
-  waited : int;  (** pump rounds spent waiting for the mark *)
+      (** the primary could not certify the chosen replica's mark (it
+          was behind the feed or down, or the serving mark was below
+          the timestamp) and the read fell back to the primary *)
+  waited : int;
+      (** pump rounds run before the primary certified the replica's
+          mark, or before the read bounced: 0 when the replica already
+          held the whole feed and the serving mark reached the
+          timestamp *)
 }
 
 val read :
@@ -233,9 +250,10 @@ val read :
       folded state" above);
     - a touched shard's fold is broken (["replica state broken: ..."]);
     - the read bounced and the primary cannot serve it either
-      (["unavailable: ..."]): a touched primary shard is down, or a
-      live update initiated below the timestamp may still commit
-      there.
+      (["unavailable: ..."]): a touched primary shard is down, a live
+      update initiated below the timestamp may still commit there, or
+      a prepared leg on a touched shard whose decision log says commit
+      below the timestamp is still in doubt.
     @raise Invalid_argument under the [`None_] timestamp policy —
     snapshot reads need initiation timestamps. *)
 

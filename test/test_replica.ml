@@ -66,6 +66,43 @@ let check_equiv tier group ~replicas ~shards =
     done
   done
 
+(* The reference read: every registered object rebuilt in a new
+   system, the committed updates of [events] with timestamp [<= ts]
+   replayed by [Recovery.replay], then the steps run as a read-only
+   activity at [ts]. *)
+let replay_read (p : Fault_harness.protocol) group ~ts events steps =
+  let sys = Fault_harness.system p (List.map fst (Shard_group.objects group)) in
+  let keep (txn : Replica_projection.txn) =
+    match txn.Replica_projection.ts with
+    | Some t -> Timestamp.to_int t <= ts
+    | None -> false
+  in
+  match
+    Recovery.replay Recovery.Timestamp_order sys
+      (Replica_projection.updates_history ~keep events)
+  with
+  | Error f -> Error (Fmt.str "oracle replay: %a" Recovery.pp_failure f)
+  | Ok _ ->
+    let txn =
+      System.begin_txn ~ts:(Timestamp.v ts) sys (Activity.read_only "oracle")
+    in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | (x, op) :: more -> (
+        match System.invoke sys txn x op with
+        | Atomic_object.Granted v -> go ((x, op, v) :: acc) more
+        | Atomic_object.Wait _ -> Error "oracle read blocked"
+        | Atomic_object.Refused why -> Error ("oracle read refused: " ^ why))
+    in
+    go [] steps
+
+let same_values xs ys =
+  List.length xs = List.length ys
+  && List.for_all2
+       (fun (x, op, v) (x', op', v') ->
+         Object_id.equal x x' && Operation.equal op op' && Value.equal v v')
+       xs ys
+
 (* --- shipping ------------------------------------------------------- *)
 
 let test_ship_and_apply () =
@@ -274,6 +311,63 @@ let test_unsynced_commit_holds_the_mark () =
         Fmt.(list ~sep:(any ", ") Value.pp)
         (List.map (fun (_, _, v) -> v) vs))
 
+(* A prepared leg whose transaction the decision log commits holds the
+   mark below its agreed timestamp until resolution applies it, though
+   the replica holds every durable record of the shard.  Here the
+   coordinator decides commit and dies before any decide message leaves:
+   both legs stay prepared, and a read drawn after the decision must not
+   be answered with the balances from before the deposits — not by the
+   replica, whose mark the primary cannot certify, nor by the primary,
+   whose history does not commit them yet.  Once resolution applies
+   them, the replica serves at once. *)
+let test_decided_commit_holds_the_mark () =
+  let p = proto "hybrid" in
+  let group, w = build p ~shards:2 ~seed:7 in
+  let on s =
+    List.find (fun x -> Shard_group.shard_of group x = s) w.Workload.objects
+  in
+  let steps = [ (on 0, Bank_account.balance); (on 1, Bank_account.balance) ] in
+  let tier = tier_of ~stale:`Bounce p ~replicas:1 group in
+  let g = Shard_group.begin_txn group (Activity.update "dep") in
+  List.iter
+    (fun (x, _) ->
+      match Shard_group.invoke group g x (Bank_account.deposit 100) with
+      | Shard_group.Granted _ -> ()
+      | _ -> Alcotest.fail "deposit refused")
+    steps;
+  Shard_group.commit
+    ~fault:{ Tpc.no_fault with f_coordinator_crash = Tpc.Mid_decision 0 }
+    group g;
+  check_int "both legs in doubt" 2 (Shard_group.in_doubt_count group);
+  Replica_tier.sync tier;
+  for s = 0 to 1 do
+    check_int "the replica holds the feed"
+      (Replica_tier.feed_pos tier ~shard:s)
+      (Replica_tier.applied_pos tier ~replica:0 ~shard:s)
+  done;
+  (match Replica_tier.read ~replica:0 tier steps with
+  | Ok o ->
+    Alcotest.failf "read at ts %d answered below a decided commit"
+      o.Replica_tier.read_ts
+  | Error msg ->
+    check_bool "unavailable while in doubt" true
+      (String.starts_with ~prefix:"unavailable: a commit decided" msg));
+  check_int "both legs resolved" 2 (Shard_group.resolve_in_doubt group);
+  Replica_tier.pump tier;
+  match Replica_tier.read ~replica:0 tier steps with
+  | Error msg -> Alcotest.fail msg
+  | Ok o -> (
+    (match o.Replica_tier.serve with
+    | Replica_tier.Served_replica 0 -> ()
+    | _ -> Alcotest.fail "expected the replica to serve once resolved");
+    check_int "certified without waiting" 0 o.Replica_tier.waited;
+    match o.Replica_tier.values with
+    | [ (_, _, Value.Int 100); (_, _, Value.Int 100) ] -> ()
+    | vs ->
+      Alcotest.failf "read missed the commit: %a"
+        Fmt.(list ~sep:(any ", ") Value.pp)
+        (List.map (fun (_, _, v) -> v) vs))
+
 let test_reads_round_robin_and_match_primary () =
   let p = proto "hybrid" in
   let group, w = build p ~shards:2 ~seed:8 in
@@ -432,31 +526,63 @@ let test_fold_orders_by_timestamp_up_to_the_mark () =
 
 (* --- replica crash -------------------------------------------------- *)
 
+(* The values a read returned must be the replay snapshot at its
+   timestamp over the primary's committed state. *)
+let check_snapshot p group steps (o : Replica_tier.read_outcome) =
+  let events =
+    List.concat_map
+      (fun s -> History.to_list (System.history (Shard_group.system group s)))
+      (List.init (Shard_group.shard_count group) Fun.id)
+  in
+  match replay_read p group ~ts:o.Replica_tier.read_ts events steps with
+  | Error msg -> Alcotest.fail msg
+  | Ok expected ->
+    check_bool "values = replay snapshot" true
+      (same_values expected o.Replica_tier.values)
+
+(* A replica's applied log survives its crash and its mark does not.
+   While it is down, or behind traffic it has not received, the primary
+   cannot certify it, and the read bounces or waits — returning the
+   committed state either way.  Once it holds the feed, the primary
+   certifies its mark at the read's own timestamp: it serves at once. *)
 let test_replica_crash_keeps_log_loses_mark () =
   let p = proto "hybrid" in
   let group, w = build p ~shards:2 ~seed:11 in
   let tier = tier_of p ~replicas:2 group in
+  let steps = read_all_accounts w in
+  let read () =
+    match Replica_tier.read ~replica:0 tier steps with
+    | Error msg -> Alcotest.fail msg
+    | Ok o ->
+      check_snapshot p group steps o;
+      o
+  in
   drive ~duration:120 group w;
   Replica_tier.sync tier;
   let pos = Replica_tier.applied_pos tier ~replica:0 ~shard:0 in
   check_bool "mark established" true (Replica_tier.hwm tier ~replica:0 ~shard:0 >= 0);
   Replica_tier.crash_replica tier 0;
+  let o = read () in
+  check_bool "a down replica is not certified" true o.Replica_tier.bounced;
+  drive ~duration:60 ~base:10_000 ~seed:6 group w;
   Replica_tier.restart_replica tier 0;
-  (* Durable log survives; the mark (segment metadata) does not. *)
+  (* Durable log survives; the mark does not. *)
   check_int "applied survives the crash" pos
     (Replica_tier.applied_pos tier ~replica:0 ~shard:0);
   check_int "mark reset" (-1) (Replica_tier.hwm tier ~replica:0 ~shard:0);
-  (* A restarted replica is below any mark: the read either bounces or
-     pumps until a fresh segment re-establishes it — never serves the
-     unmarked state silently. *)
-  (match Replica_tier.read ~replica:0 tier (read_all_accounts w) with
-  | Error msg -> Alcotest.fail msg
-  | Ok o ->
-    check_bool "bounced or waited for a fresh mark" true
-      (o.Replica_tier.bounced || o.Replica_tier.waited > 0));
+  check_bool "traffic it has not received" true
+    (Replica_tier.lag_records tier ~replica:0 > 0);
+  let o = read () in
+  check_bool "behind the feed: bounced or waited" true
+    (o.Replica_tier.bounced || o.Replica_tier.waited > 0);
   Replica_tier.sync tier;
   check_bool "fresh segment re-established the mark" true
     (Replica_tier.hwm tier ~replica:0 ~shard:0 >= 0);
+  let o = read () in
+  (match o.Replica_tier.serve with
+  | Replica_tier.Served_replica 0 -> ()
+  | _ -> Alcotest.fail "expected the caught-up replica to serve");
+  check_int "served without waiting" 0 o.Replica_tier.waited;
   check_equiv tier group ~replicas:2 ~shards:2
 
 (* --- failover ------------------------------------------------------- *)
@@ -470,6 +596,13 @@ let test_failover_zero_lost () =
   let pre = shard_committed group 0 in
   check_bool "something committed" true (pre <> []);
   Replica_tier.crash_primary tier 0;
+  (* The replicas hold the crashed primary's whole feed, but no live
+     primary certifies their marks: a read touching it is unavailable. *)
+  (match Replica_tier.read ~replica:0 tier (read_all_accounts w) with
+  | Ok _ -> Alcotest.fail "a read was answered with its primary down"
+  | Error msg ->
+    check_bool "unavailable with the primary down" true
+      (String.starts_with ~prefix:"unavailable: primary shard down" msg));
   (match Replica_tier.fail_over tier 0 with
   | Error msg -> Alcotest.fail msg
   | Ok pr ->
@@ -783,43 +916,6 @@ let test_replica_events_pinned () =
     digests
 
 (* --- the serving oracle --------------------------------------------- *)
-
-(* The reference read: every registered object rebuilt in a new
-   system, the committed updates of [events] with timestamp [<= ts]
-   replayed by [Recovery.replay], then the steps run as a read-only
-   activity at [ts]. *)
-let replay_read (p : Fault_harness.protocol) group ~ts events steps =
-  let sys = Fault_harness.system p (List.map fst (Shard_group.objects group)) in
-  let keep (txn : Replica_projection.txn) =
-    match txn.Replica_projection.ts with
-    | Some t -> Timestamp.to_int t <= ts
-    | None -> false
-  in
-  match
-    Recovery.replay Recovery.Timestamp_order sys
-      (Replica_projection.updates_history ~keep events)
-  with
-  | Error f -> Error (Fmt.str "oracle replay: %a" Recovery.pp_failure f)
-  | Ok _ ->
-    let txn =
-      System.begin_txn ~ts:(Timestamp.v ts) sys (Activity.read_only "oracle")
-    in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | (x, op) :: more -> (
-        match System.invoke sys txn x op with
-        | Atomic_object.Granted v -> go ((x, op, v) :: acc) more
-        | Atomic_object.Wait _ -> Error "oracle read blocked"
-        | Atomic_object.Refused why -> Error ("oracle read refused: " ^ why))
-    in
-    go [] steps
-
-let same_values xs ys =
-  List.length xs = List.length ys
-  && List.for_all2
-       (fun (x, op, v) (x', op', v') ->
-         Object_id.equal x x' && Operation.equal op op' && Value.equal v v')
-       xs ys
 
 let oracle_protocols =
   List.map proto [ "hybrid"; "hybrid_account"; "multiversion"; "multiversion_set" ]
@@ -1261,6 +1357,8 @@ let suite =
       `Quick test_stale_read_bounces;
     Alcotest.test_case "read: an unsynced commit holds the mark" `Quick
       test_unsynced_commit_holds_the_mark;
+    Alcotest.test_case "read: a decided commit in doubt holds the mark" `Quick
+      test_decided_commit_holds_the_mark;
     Alcotest.test_case "read: round-robin replicas serve snapshots" `Quick
       test_reads_round_robin_and_match_primary;
     Alcotest.test_case "read: a live static update holds the mark" `Quick
